@@ -187,14 +187,11 @@ class GridRow:
     dev_positives: int
 
 
-def run_compare_grid(train_ds, dev_ds, base: encoder.TrainConfig,
-                     kinds: Sequence[str] = DEFAULT_COMPARE_KINDS,
-                     gammas: Sequence[float] = GAMMA_GRID,
-                     ms: Sequence[float] = M_GRID,
-                     seeds: Sequence[int] = (0,)) -> list[GridRow]:
-    """Train one arm per (kind, gamma, m, seed) tuple; cmm sweeps the grid,
-    other kinds run once per seed."""
-    rows: list[GridRow] = []
+def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence[float],
+               ms: Sequence[float], seeds: Sequence[int]) -> list[tuple]:
+    """(kind, gamma, m, seed, train config) per grid tuple; cmm sweeps the grid,
+    other kinds run once per seed. ValueError/TypeError on a bad kind or value."""
+    arms = []
     for kind in kinds:
         tuples = ([(g, m) for g in gammas for m in ms] if kind == "cmm"
                   else [(None, None)])
@@ -205,11 +202,22 @@ def run_compare_grid(train_ds, dev_ds, base: encoder.TrainConfig,
                 else:
                     loss_cfg = replace(base.loss, kind=kind, gamma=float(gamma), m=float(m))
                 cfg = replace(base, loss=loss_cfg, seed=int(seed))
-                _, trace = encoder.train(train_ds, dev_ds, cfg)
-                final = trace[-1]
-                rows.append(GridRow(kind=kind, gamma=gamma, m=m, seed=int(seed),
-                                    dev_f1=final.dev_f1, dev_ign_f1=final.dev_ign_f1,
-                                    dev_positives=final.dev_positives))
+                arms.append((kind, gamma, m, int(seed), cfg))
+    return arms
+
+
+def run_compare_grid(train_ds, dev_ds, base: encoder.TrainConfig,
+                     kinds: Sequence[str] = DEFAULT_COMPARE_KINDS,
+                     gammas: Sequence[float] = GAMMA_GRID,
+                     ms: Sequence[float] = M_GRID,
+                     seeds: Sequence[int] = (0,)) -> list[GridRow]:
+    """Train one arm per (kind, gamma, m, seed) tuple; cmm sweeps the grid,
+    other kinds run once per seed."""
+    rows: list[GridRow] = []
+    for kind, gamma, m, seed, cfg in _grid_arms(base, kinds, gammas, ms, seeds):
+        final = encoder.train(train_ds, dev_ds, cfg)[1][-1]
+        rows.append(GridRow(kind=kind, gamma=gamma, m=m, seed=seed, dev_f1=final.dev_f1,
+                            dev_ign_f1=final.dev_ign_f1, dev_positives=final.dev_positives))
     return rows
 
 
@@ -218,13 +226,17 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
                              "dataset")
     dev_ds = _load_dataset(_resolve_path(_require(config, "dev"), config_dir, "dev"), "dev")
     base = _build_train_config(_require(config, "train"))
-    kinds = tuple(config.get("kinds", DEFAULT_COMPARE_KINDS))
-    gammas = tuple(config.get("gammas", GAMMA_GRID))
-    ms = tuple(config.get("ms", M_GRID))
-    seeds = tuple(config.get("seeds", [base.seed]))
+    try:
+        kinds = tuple(config.get("kinds", DEFAULT_COMPARE_KINDS))
+        gammas = tuple(config.get("gammas", GAMMA_GRID))
+        ms = tuple(config.get("ms", M_GRID))
+        seeds = tuple(int(s) for s in config.get("seeds", [base.seed]))
+        _grid_arms(base, kinds, gammas, ms, seeds)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad compare config: {exc}") from exc
     _write_effective(outdir, {"compare": {"train": _cfg_as_dict(base), "kinds": list(kinds),
                                           "gammas": list(gammas), "ms": list(ms),
-                                          "seeds": [int(s) for s in seeds]}})
+                                          "seeds": list(seeds)}})
     rows = run_compare_grid(train_ds, dev_ds, base, kinds, gammas, ms, seeds)
     best_idx = max(range(len(rows)), key=lambda i: rows[i].dev_f1) if rows else -1
     with open(outdir / "grid.csv", "w", encoding="utf-8", newline="") as fh:
@@ -266,12 +278,12 @@ def cmd_curves(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     unknown = set(config) - allowed
     if unknown:
         raise ConfigError(f"unknown curves config fields: {sorted(unknown)}")
-    gammas = tuple(config.get("gammas", GAMMA_GRID))
-    grid = evaluation.default_d_grid(config.get("d_min", -5.0), config.get("d_max", 5.0),
-                                     config.get("d_step", 0.05))
     try:
+        gammas = tuple(config.get("gammas", GAMMA_GRID))
+        grid = evaluation.default_d_grid(config.get("d_min", -5.0), config.get("d_max", 5.0),
+                                         config.get("d_step", 0.05))
         rows = evaluation.curve_export(gammas, grid, m=config.get("m", 0.2))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad curves config: {exc}") from exc
     _write_effective(outdir, {"curves": {"gammas": [float(g) for g in gammas],
                                          "d_points": len(grid),
@@ -292,15 +304,9 @@ def cmd_eval(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     params, _, _ = encoder.load_checkpoint(str(ckpt_path))
     features = np.stack([ex.features for ex in dataset.examples])
     logits = encoder.encode_batch(params, features)
-    predictions = {ex.pair_id: evaluation.decode(row)
-                   for ex, row in zip(dataset.examples, logits)}
-    gold = evaluation.gold_from_dataset(dataset, source=gold_source)
-    seen = evaluation.seen_from_dataset(dataset)
+    gold, seen = evaluation.label_masks(dataset, gold_source)
     _write_effective(outdir, {"eval": {"gold": gold_source}})
-    micro = evaluation.micro_f1(predictions, gold)
-    ign = evaluation.ign_f1(predictions, gold, seen)
-    record = micro.to_dict()
-    record["ign_f1"] = ign.f1
+    record = evaluation.mask_metrics(logits, gold, seen).to_dict()
     _write_json(outdir / "metrics.json",
                 {"format": "cmm-metrics/1", "gold": gold_source, "metrics": record})
     return 0

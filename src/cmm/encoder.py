@@ -21,14 +21,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericError, SchemaError
-from .evaluation import (
-    decode,
-    decode_counts,
-    gold_from_dataset,
-    ign_f1,
-    micro_f1,
-    seen_from_dataset,
-)
+from .evaluation import label_masks, mask_metrics
 from .loss import LossConfig, batch_rows, get_loss
 from .schema import Dataset, LabelSet, LogitRow
 
@@ -66,28 +59,32 @@ class EncoderParams:
         return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
 
 
+def _tensor_shapes(architecture: str, feature_dim: int, relation_count: int,
+                   hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes in declared order; weight matrices are (fan_out, fan_in)."""
+    out = relation_count + 1
+    if architecture == "linear":
+        return {"W": (out, feature_dim), "b": (out,)}
+    return {"W1": (hidden_dim, feature_dim), "b1": (hidden_dim,),
+            "W2": (out, hidden_dim), "b2": (out,)}
+
+
 def init_encoder(architecture: str, feature_dim: int, relation_count: int,
                  hidden_dim: int = 64, seed: int = 0) -> EncoderParams:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases."""
     if architecture not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {architecture!r}")
-    rng = np.random.default_rng((seed, 0))
-    out = relation_count + 1
-
-    def uniform(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
     if architecture == "linear":
-        tensors = {"W": uniform((out, feature_dim), feature_dim), "b": np.zeros(out)}
         hidden_dim = 0
-    else:
-        tensors = {
-            "W1": uniform((hidden_dim, feature_dim), feature_dim),
-            "b1": np.zeros(hidden_dim),
-            "W2": uniform((out, hidden_dim), hidden_dim),
-            "b2": np.zeros(out),
-        }
+    rng = np.random.default_rng((seed, 0))
+    tensors = {}
+    for name, shape in _tensor_shapes(architecture, feature_dim, relation_count,
+                                      hidden_dim).items():
+        if len(shape) == 2:
+            bound = 1.0 / math.sqrt(shape[1])
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            tensors[name] = np.zeros(shape)
     return EncoderParams(architecture=architecture, feature_dim=feature_dim,
                          relation_count=relation_count, hidden_dim=hidden_dim,
                          tensors=tensors)
@@ -279,17 +276,6 @@ def _batch_loss_and_grads(params: EncoderParams, docs: Sequence[_PackedDoc],
     return total, grads, n_pairs
 
 
-def _evaluate_dev(params: EncoderParams, dev: Dataset,
-                  dev_features: np.ndarray) -> tuple[float, float, int]:
-    logits = encode_batch(params, dev_features)
-    predictions = {ex.pair_id: decode(row) for ex, row in zip(dev.examples, logits)}
-    gold = gold_from_dataset(dev, source="labels")
-    seen = seen_from_dataset(dev)
-    f1 = micro_f1(predictions, gold).f1
-    ign = ign_f1(predictions, gold, seen).f1
-    return f1, ign, decode_counts(logits)
-
-
 def train(dataset: Dataset, dev: Dataset, cfg: TrainConfig) -> tuple[EncoderParams,
                                                                      list[TraceRecord]]:
     """Train the encoder on shuffled document groups; see module docstring.
@@ -304,6 +290,7 @@ def train(dataset: Dataset, dev: Dataset, cfg: TrainConfig) -> tuple[EncoderPara
     docs = _pack_documents(dataset)
     dev_features = (np.stack([ex.features for ex in dev.examples])
                     if dev.examples else np.zeros((0, dataset.feature_dim)))
+    dev_gold, dev_seen = label_masks(dev)
     n_pairs_total = sum(d.features.shape[0] for d in docs)
 
     params = init_encoder(cfg.architecture, dataset.feature_dim,
@@ -320,10 +307,10 @@ def train(dataset: Dataset, dev: Dataset, cfg: TrainConfig) -> tuple[EncoderPara
             epoch_loss += total
             params, state = adamw_step(params, grads, cfg, state)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            dev_f1, dev_ign, dev_pos = _evaluate_dev(params, dev, dev_features)
+            scores = mask_metrics(encode_batch(params, dev_features), dev_gold, dev_seen)
             trace.append(TraceRecord(epoch=epoch, train_loss=epoch_loss / n_pairs_total,
-                                     dev_f1=dev_f1, dev_ign_f1=dev_ign,
-                                     dev_positives=dev_pos))
+                                     dev_f1=scores.f1, dev_ign_f1=scores.ign_f1,
+                                     dev_positives=scores.tp + scores.fp))
     return params, trace
 
 
@@ -360,28 +347,45 @@ def save_checkpoint(path: str, params: EncoderParams, state: AdamWState | None,
         fh.write("\n")
 
 
+def _tensor(entry: dict[str, Any], shape) -> np.ndarray:
+    return np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+
+
 def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Read a checkpoint; SchemaError unless it matches its declared architecture."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: checkpoint is not valid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: checkpoint must be a JSON object")
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise SchemaError(f"{path}: unsupported checkpoint format {obj.get('format')!r}")
-    arch = obj["architecture"]
-    tensors = {}
-    for entry in obj["parameters"]:
-        tensors[entry["name"]] = np.asarray(entry["data"],
-                                            dtype=np.float64).reshape(entry["shape"])
-    params = EncoderParams(architecture=arch["kind"], feature_dim=int(arch["feature_dim"]),
-                           relation_count=int(arch["relation_count"]),
-                           hidden_dim=int(arch["hidden_dim"]), tensors=tensors)
-    state = None
-    if "optimizer" in obj:
-        opt = obj["optimizer"]
-        shapes = {n: params.tensors[n].shape for n in params.parameter_names}
-        state = AdamWState(
-            step=int(opt["step"]),
-            m={e["name"]: np.asarray(e["data"], dtype=np.float64).reshape(shapes[e["name"]])
-               for e in opt["m"]},
-            v={e["name"]: np.asarray(e["data"], dtype=np.float64).reshape(shapes[e["name"]])
-               for e in opt["v"]},
-        )
+    try:
+        arch = obj["architecture"]
+        kind = arch["kind"]
+        dims = {"feature_dim": int(arch["feature_dim"]),
+                "relation_count": int(arch["relation_count"]),
+                "hidden_dim": int(arch["hidden_dim"])}
+        if kind not in ARCHITECTURES:
+            raise SchemaError(f"{path}: architecture kind must be one of {ARCHITECTURES}, "
+                              f"got {kind!r}")
+        shapes = _tensor_shapes(kind, **dims)
+        tensors = {e["name"]: _tensor(e, e["shape"]) for e in obj["parameters"]}
+        found = {name: t.shape for name, t in tensors.items()}
+        if found != shapes:
+            raise SchemaError(f"{path}: parameters {found} do not match the declared "
+                              f"{kind} architecture {shapes}")
+        state = None
+        if "optimizer" in obj:
+            opt = obj["optimizer"]
+            state = AdamWState(step=int(opt["step"]),
+                               m={e["name"]: _tensor(e, shapes[e["name"]]) for e in opt["m"]},
+                               v={e["name"]: _tensor(e, shapes[e["name"]]) for e in opt["v"]})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
+    if not all(np.all(np.isfinite(t)) for t in tensors.values()):
+        raise SchemaError(f"{path}: non-finite parameter values")
+    params = EncoderParams(architecture=kind, tensors=tensors, **dims)
     return params, state, obj.get("config", {})

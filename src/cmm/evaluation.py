@@ -9,7 +9,7 @@ predictions and the gold side before recounting.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,15 +51,46 @@ def decode_counts(logits2d: np.ndarray) -> int:
     return int((t[:, 1:] > t[:, :1]).sum())
 
 
-def gold_from_dataset(dataset, source: str = "labels") -> dict[str, frozenset[int]]:
-    """Per-pair gold positives from either training labels or ground truth."""
+def label_masks(dataset, source: str = "labels") -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (n, R) gold and seen-in-train masks in example order.
+
+    Column r-1 holds relation r. Gold comes from either training labels or
+    ground truth; seen marks the facts Ign-F1 removes.
+    """
     if source not in ("labels", "true_labels"):
         raise ValueError(f"source must be 'labels' or 'true_labels', got {source!r}")
-    return {ex.pair_id: frozenset(getattr(ex, source).positives) for ex in dataset.examples}
+    shape = (len(dataset.examples), dataset.schema.relation_count)
+    return (_mask([getattr(ex, source).positives for ex in dataset.examples], shape),
+            _mask([ex.seen_in_train for ex in dataset.examples], shape))
 
 
-def seen_from_dataset(dataset) -> dict[str, frozenset[int]]:
-    return {ex.pair_id: frozenset(ex.seen_in_train) for ex in dataset.examples}
+def _mask(index_sets: Sequence[frozenset[int]], shape: tuple[int, int]) -> np.ndarray:
+    mask = np.zeros(shape, dtype=bool)
+    mask[[i for i, s in enumerate(index_sets) for _ in s],
+         [r - 1 for s in index_sets for r in s]] = True
+    return mask
+
+
+def mask_metrics(logits: np.ndarray, gold: np.ndarray, seen: np.ndarray) -> MetricsRecord:
+    """Micro P/R/F1 of decoded (n, R+1) logits against (n, R) gold, plus Ign-F1.
+
+    Equal to micro_f1 and ign_f1 over decode-built prediction dicts; ign_f1
+    removes the facts flagged in ``seen`` from both sides.
+    """
+    t = np.asarray(logits, dtype=np.float64)
+    if t.shape != (gold.shape[0], gold.shape[1] + 1):
+        raise SchemaError(f"logits of shape {t.shape} do not match gold of shape {gold.shape}")
+    pred = t[:, 1:] > t[:, :1]
+    hit = pred & gold
+    kept = ~seen
+    tp, ign_tp = _count(hit), _count(hit & kept)
+    micro = _record(tp, _count(pred) - tp, _count(gold) - tp)
+    ign = _record(ign_tp, _count(pred & kept) - ign_tp, _count(gold & kept) - ign_tp)
+    return replace(micro, ign_f1=ign.f1)
+
+
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
 
 
 def _check_pair_sets(predictions: Predictions, gold: Predictions) -> None:
@@ -122,6 +153,8 @@ def positive_count_trace(traces: Mapping[str, Sequence[Any]]) -> list[tuple[int,
 
 
 def default_d_grid(low: float = -5.0, high: float = 5.0, step: float = 0.05) -> np.ndarray:
+    if not step > 0.0:
+        raise ValueError(f"d step must be > 0, got {step}")
     n_low = round(low / step)
     n_high = round(high / step)
     # re-round so grid points print as short decimals in the exported CSV

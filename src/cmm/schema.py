@@ -9,6 +9,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -280,6 +281,7 @@ def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset_jsonl(path: str) -> Dataset:
+    """Read a dataset; SchemaError on any record the evaluation masks could not represent."""
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -289,28 +291,63 @@ def load_dataset_jsonl(path: str) -> Dataset:
             raise SchemaError(f"{path}: unsupported format tag {header.get('format')!r}")
         schema = RelationSchema.from_dict(header["schema"])
         examples = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            labels = LabelSet(schema.relation_count, frozenset(obj["positives"]))
-            true_labels = LabelSet(schema.relation_count, frozenset(obj["true_positives"]))
-            examples.append(PairExample(
-                pair_id=obj["pair_id"],
-                doc_id=obj["doc_id"],
-                features=np.asarray(obj["features"], dtype=np.float64),
-                labels=labels,
-                true_labels=true_labels,
-                seen_in_train=frozenset(obj["seen_in_train"]),
-                difficulty=obj["difficulty"],
-                corrupted=bool(obj["corrupted"]),
-            ))
-    return Dataset(
+            try:
+                obj = json.loads(line)
+                labels = LabelSet(schema.relation_count, frozenset(obj["positives"]))
+                true_labels = LabelSet(schema.relation_count, frozenset(obj["true_positives"]))
+                examples.append(PairExample(
+                    pair_id=obj["pair_id"],
+                    doc_id=obj["doc_id"],
+                    features=np.asarray(obj["features"], dtype=np.float64),
+                    labels=labels,
+                    true_labels=true_labels,
+                    seen_in_train=frozenset(obj["seen_in_train"]),
+                    difficulty=obj["difficulty"],
+                    corrupted=bool(obj["corrupted"]),
+                ))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}:{lineno}: malformed pair record "
+                                  f"({type(exc).__name__}: {exc})") from exc
+    dataset = Dataset(
         schema=schema,
         examples=tuple(examples),
         document_ids=tuple(header["documents"]),
         manifest=dict(header.get("manifest", {})),
     )
+    _check_loaded(path, dataset)
+    return dataset
+
+
+def _check_loaded(path: str, dataset: Dataset) -> None:
+    """Whole-dataset checks, run once over all pairs rather than per line.
+
+    They keep the (n, R) masks and the (n, F) feature matrix built from a
+    loaded dataset equal to its per-pair records: seen indices index columns,
+    pair ids are unique, every row has one length and every feature is finite.
+    """
+    examples = dataset.examples
+    r_count = dataset.schema.relation_count
+    stray = sorted({r for ex in examples for r in ex.seen_in_train if not 1 <= r <= r_count})
+    if stray:
+        raise SchemaError(f"{path}: seen_in_train indices outside 1..{r_count}: {stray}")
+    pair_ids = [ex.pair_id for ex in examples]
+    if len(set(pair_ids)) != len(pair_ids):
+        duplicate = next(p for p, count in Counter(pair_ids).items() if count > 1)
+        raise SchemaError(f"{path}: duplicate pair_id {duplicate!r}")
+    stray_docs = sorted({ex.doc_id for ex in examples} - set(dataset.document_ids))
+    if stray_docs:
+        raise SchemaError(f"{path}: doc_ids not listed in the header: {stray_docs[:3]}")
+    lengths = sorted({ex.features.size for ex in examples})
+    if len(lengths) > 1:
+        raise SchemaError(f"{path}: feature lengths differ between pairs: {lengths}")
+    if examples:
+        finite = np.isfinite(np.stack([ex.features for ex in examples])).all(axis=1)
+        if not finite.all():
+            bad = examples[int(np.argmin(finite))].pair_id
+            raise SchemaError(f"{path}: non-finite features in pair {bad!r}")
 
 
 def split_by_documents(dataset: Dataset, n_train_documents: int) -> tuple[Dataset, Dataset]:

@@ -2,9 +2,11 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmm.cli import main
+from cmm.encoder import init_encoder, save_checkpoint
 
 TINY_GEN = {
     "n_documents": 12,
@@ -246,6 +248,34 @@ class TestCurvesCmd:
             assert float(value_str) == float(np.logaddexp(0.0, -float(d_str)))
 
 
+def recount_metrics(dataset_path, checkpoint_path, gold_key):
+    """Oracle for metrics.json: read the files directly and count every (pair, relation)."""
+    records = [json.loads(line) for line in Path(dataset_path).read_text().splitlines()[1:]]
+    ckpt = json.loads(Path(checkpoint_path).read_text())
+    tensors = {p["name"]: np.array(p["data"]).reshape(p["shape"]) for p in ckpt["parameters"]}
+    logits = np.array([r["features"] for r in records]) @ tensors["W"].T + tensors["b"]
+    counts = {"all": [0, 0, 0], "ign": [0, 0, 0]}
+    for rec, row in zip(records, logits):
+        for r in range(1, len(row)):
+            predicted, gold = bool(row[r] > row[0]), r in rec[gold_key]
+            scopes = ("all",) if r in rec["seen_in_train"] else ("all", "ign")
+            for scope in scopes:
+                c = counts[scope]
+                c[0] += predicted and gold
+                c[1] += predicted and not gold
+                c[2] += gold and not predicted
+
+    def f1(tp, fp, fn):
+        p = tp / (tp + fp) if tp + fp else 0.0
+        r = tp / (tp + fn) if tp + fn else 0.0
+        return p, r, (2.0 * p * r / (p + r) if p + r else 0.0)
+
+    tp, fp, fn = counts["all"]
+    precision, recall, micro = f1(tp, fp, fn)
+    return {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall,
+            "f1": micro, "ign_f1": f1(*counts["ign"])[2]}
+
+
 class TestEvalCmd:
     def test_metrics_json(self, tmp_path, tiny_dataset, tiny_dev):
         train_cfg = write_config(tmp_path, "train.json", {
@@ -264,8 +294,8 @@ class TestEvalCmd:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["format"] == "cmm-metrics/1"
         assert metrics["gold"] == "true_labels"
-        for key in ("tp", "fp", "fn", "precision", "recall", "f1", "ign_f1"):
-            assert key in metrics["metrics"]
+        assert metrics["metrics"] == recount_metrics(tiny_dev, run_dir / "cmm.checkpoint.json",
+                                                     "true_positives")
 
     def test_bad_gold_source_exits_1(self, tmp_path, tiny_dataset):
         eval_cfg = write_config(tmp_path, "eval.json", {
@@ -320,3 +350,81 @@ class TestDeterminism:
             "train": {"epochs": 1, "loss": {"kind": "cmm"}},
         })
         assert run(["train", cfg, "-o", tmp_path / "o"]) == 0
+
+
+def assert_one_line_error(capsys, code, expected_code):
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def write_pairs(src, dst, mutate):
+    """Copy a dataset JSONL, applying mutate to the list of pair records."""
+    lines = Path(src).read_text().splitlines()
+    pairs = [json.loads(line) for line in lines[1:]]
+    mutate(pairs)
+    dst.write_text("\n".join([lines[0]] + [json.dumps(p) for p in pairs]) + "\n")
+    return dst
+
+
+DATASET_MUTATIONS = {
+    "seen_index_zero": lambda p: p[0].update(seen_in_train=[0]),
+    "seen_index_past_r": lambda p: p[0].update(seen_in_train=[99]),
+    "duplicate_pair_id": lambda p: p[1].update(pair_id=p[0]["pair_id"]),
+    "nan_feature": lambda p: p[3]["features"].__setitem__(0, float("nan")),
+    "ragged_features": lambda p: p[2]["features"].pop(),
+    "missing_difficulty": lambda p: p[0].pop("difficulty"),
+    "unknown_doc_id": lambda p: p[0].update(doc_id="nowhere"),
+}
+
+CHECKPOINT_MUTATIONS = {
+    "unknown_architecture": lambda c: c["architecture"].update(kind="transformer"),
+    "renamed_tensor": lambda c: c["parameters"][0].update(name="V"),
+    "shape_not_declared": lambda c: c["architecture"].update(relation_count=4),
+}
+
+
+class TestMalformedInput:
+    """Bad datasets and checkpoints exit 2, bad configs exit 1; one stderr line each."""
+
+    def eval_config(self, tmp_path, dataset, checkpoint=None):
+        if checkpoint is None:
+            checkpoint = tmp_path / "ckpt.json"
+            save_checkpoint(str(checkpoint), init_encoder("linear", TINY_GEN["feature_dim"],
+                                                          TINY_GEN["relation_count"]), None)
+        return write_config(tmp_path, "eval.json", {"dataset": str(dataset),
+                                                    "checkpoint": str(checkpoint)})
+
+    @pytest.mark.parametrize("mutation", sorted(DATASET_MUTATIONS))
+    def test_bad_dataset_exits_2(self, tmp_path, tiny_dev, capsys, mutation):
+        bad = write_pairs(tiny_dev, tmp_path / "bad.jsonl", DATASET_MUTATIONS[mutation])
+        cfg = self.eval_config(tmp_path, bad)
+        capsys.readouterr()
+        assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+
+    @pytest.mark.parametrize("mutation", sorted(CHECKPOINT_MUTATIONS))
+    def test_bad_checkpoint_exits_2(self, tmp_path, tiny_dev, capsys, mutation):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), init_encoder("linear", TINY_GEN["feature_dim"],
+                                                TINY_GEN["relation_count"]), None)
+        ckpt = json.loads(path.read_text())
+        CHECKPOINT_MUTATIONS[mutation](ckpt)
+        path.write_text(json.dumps(ckpt))
+        cfg = self.eval_config(tmp_path, tiny_dev, path)
+        capsys.readouterr()
+        assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+
+    def test_zero_curve_step_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "curves.json", {"d_step": 0})
+        assert_one_line_error(capsys, run(["curves", cfg, "-o", tmp_path / "c"]), 1)
+
+    @pytest.mark.parametrize("grid", [{"kinds": ["bogus"]}, {"gammas": ["x"]}],
+                             ids=["unknown_kind", "non_numeric_gamma"])
+    def test_bad_compare_grid_exits_1(self, tmp_path, tiny_dataset, tiny_dev, capsys, grid):
+        cfg = write_config(tmp_path, "cmp.json", {
+            "dataset": str(tiny_dataset), "dev": str(tiny_dev),
+            "train": {"epochs": 1, "loss": {"kind": "cmm"}}, **grid,
+        })
+        capsys.readouterr()
+        assert_one_line_error(capsys, run(["compare", cfg, "-o", tmp_path / "c"]), 1)

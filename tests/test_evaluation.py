@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmm.errors import SchemaError
 from cmm.evaluation import (
@@ -7,11 +10,11 @@ from cmm.evaluation import (
     decode,
     decode_counts,
     default_d_grid,
-    gold_from_dataset,
     ign_f1,
+    label_masks,
+    mask_metrics,
     micro_f1,
     positive_count_trace,
-    seen_from_dataset,
     write_curve_csv,
     write_positive_count_csv,
 )
@@ -144,16 +147,57 @@ class TestIgnF1:
             assert rec.f1 == pytest.approx(f1, abs=1e-12)
 
 
+def mask_rows(mask):
+    """Per-row relation sets of an (n, R) mask, keyed like a prediction dict."""
+    return {f"p{i}": frozenset(int(j) + 1 for j in np.flatnonzero(row))
+            for i, row in enumerate(mask)}
+
+
+@st.composite
+def scored_masks(draw):
+    """Integer-grid logits (ties with TH are common) with gold and seen masks."""
+    n = draw(st.integers(0, 12))
+    r_count = draw(st.integers(1, 6))
+    logits = draw(arrays(np.int64, (n, r_count + 1), elements=st.integers(-2, 2)))
+    gold = draw(arrays(np.bool_, (n, r_count)))
+    seen = draw(arrays(np.bool_, (n, r_count)))
+    return logits.astype(np.float64), gold, seen
+
+
+class TestMaskMetrics:
+    @given(scored_masks())
+    @example((np.zeros((0, 4)), np.zeros((0, 3), bool), np.zeros((0, 3), bool)))
+    @example((np.array([[0.0, 1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 1.0, 2.0]]),
+              np.array([[False, False], [True, False], [True, True]]),      # an empty row
+              np.array([[False, False], [True, True], [False, False]])))    # an all-seen row
+    def test_equals_dict_reference(self, instance):
+        logits, gold, seen = instance
+        predictions = {f"p{i}": decode(row) for i, row in enumerate(logits)}
+        micro = micro_f1(predictions, mask_rows(gold))
+        ign = ign_f1(predictions, mask_rows(gold), mask_rows(seen))
+        rec = mask_metrics(logits, gold, seen)
+        assert (rec.tp, rec.fp, rec.fn) == (micro.tp, micro.fp, micro.fn)
+        assert (rec.precision, rec.recall, rec.f1) == (micro.precision, micro.recall, micro.f1)
+        assert rec.ign_f1 == ign.f1
+        assert rec.tp + rec.fp == decode_counts(logits)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(SchemaError):
+            mask_metrics(np.zeros((2, 4)), np.zeros((2, 2), bool), np.zeros((2, 2), bool))
+
+
 class TestGoldExtraction:
     def test_sources(self):
         from tests.test_schema import make_dataset, make_example
         ds = make_dataset([make_example("d0:0", "d0", {1}, true_positives={1, 2},
                                         corrupted=True, seen=(1,))])
-        assert gold_from_dataset(ds, "labels")["d0:0"] == frozenset({1})
-        assert gold_from_dataset(ds, "true_labels")["d0:0"] == frozenset({1, 2})
-        assert seen_from_dataset(ds)["d0:0"] == frozenset({1})
+        gold, seen = label_masks(ds, "labels")
+        true_gold, _ = label_masks(ds, "true_labels")
+        assert mask_rows(gold)["p0"] == frozenset({1})
+        assert mask_rows(true_gold)["p0"] == frozenset({1, 2})
+        assert mask_rows(seen)["p0"] == frozenset({1})
         with pytest.raises(ValueError):
-            gold_from_dataset(ds, "guesses")
+            label_masks(ds, "guesses")
 
 
 class FakeRecord:
