@@ -25,8 +25,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import encoder, evaluation, gradcheck, synthdata
-from .errors import CmmError, ConfigError, GenerationError
-from .loss import GAMMA_GRID, M_GRID, LossConfig
+from .errors import CmmError, ConfigError, GenerationError, SchemaError
+from .loss import GAMMA_GRID, M_GRID, LossConfig, get_loss
 from .schema import load_dataset_jsonl, save_dataset_jsonl
 
 TRACE_HEADER = ("epoch", "train_loss", "dev_f1", "dev_ign_f1", "dev_positives")
@@ -79,9 +79,11 @@ def _build_loss_config(obj: Any) -> LossConfig:
     if not isinstance(obj, dict):
         raise ConfigError("'loss' must be a JSON object")
     try:
-        return LossConfig(**obj)
+        cfg = LossConfig(**obj)
+        get_loss(cfg)   # a plugin name must be registered before training starts
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad loss config: {exc}") from exc
+    return cfg
 
 
 def _build_train_config(obj: Any) -> encoder.TrainConfig:
@@ -156,14 +158,15 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
         arms = [{"name": base.loss.kind, "loss": None}]
     if not isinstance(arms, list) or not arms:
         raise ConfigError("'arms' must be a non-empty list")
-    resolved_arms: list[dict[str, Any]] = []
-    traces: dict[str, list[encoder.TraceRecord]] = {}
+    named_cfgs: list[tuple[str, encoder.TrainConfig]] = []
     for arm in arms:
         if not isinstance(arm, dict):
             raise ConfigError("each arm must be a JSON object")
         loss_cfg = base.loss if arm.get("loss") is None else _build_loss_config(arm["loss"])
-        name = arm.get("name", loss_cfg.kind)
-        cfg = replace(base, loss=loss_cfg)
+        named_cfgs.append((arm.get("name", loss_cfg.kind), replace(base, loss=loss_cfg)))
+    resolved_arms: list[dict[str, Any]] = []
+    traces: dict[str, list[encoder.TraceRecord]] = {}
+    for name, cfg in named_cfgs:
         resolved_arms.append({"name": name, "train": _cfg_as_dict(cfg)})
         params, trace = encoder.train(train_ds, dev_ds, cfg)
         traces[name] = trace
@@ -190,7 +193,8 @@ class GridRow:
 def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence[float],
                ms: Sequence[float], seeds: Sequence[int]) -> list[tuple]:
     """(kind, gamma, m, seed, train config) per grid tuple; cmm sweeps the grid,
-    other kinds run once per seed. ValueError/TypeError on a bad kind or value."""
+    other kinds run once per seed. ValueError/TypeError on a bad kind, value or
+    plugin name."""
     arms = []
     for kind in kinds:
         tuples = ([(g, m) for g in gammas for m in ms] if kind == "cmm"
@@ -201,6 +205,7 @@ def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence
                     loss_cfg = replace(base.loss, kind=kind)
                 else:
                     loss_cfg = replace(base.loss, kind=kind, gamma=float(gamma), m=float(m))
+                get_loss(loss_cfg)
                 cfg = replace(base, loss=loss_cfg, seed=int(seed))
                 arms.append((kind, gamma, m, int(seed), cfg))
     return arms
@@ -293,8 +298,8 @@ def cmd_curves(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
 
 
 def cmd_eval(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
-    dataset = _load_dataset(_resolve_path(_require(config, "dataset"), config_dir, "dataset"),
-                            "dataset")
+    dataset_path = _resolve_path(_require(config, "dataset"), config_dir, "dataset")
+    dataset = _load_dataset(dataset_path, "dataset")
     ckpt_path = _resolve_path(_require(config, "checkpoint"), config_dir, "checkpoint")
     if not ckpt_path.is_file():
         raise ConfigError(f"config field 'checkpoint': no such file {ckpt_path}")
@@ -302,6 +307,8 @@ def cmd_eval(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     if gold_source not in ("labels", "true_labels"):
         raise ConfigError(f"'gold' must be 'labels' or 'true_labels', got {gold_source!r}")
     params, _, _ = encoder.load_checkpoint(str(ckpt_path))
+    if not dataset.examples:
+        raise SchemaError(f"{dataset_path}:1: dataset has no pair records to evaluate")
     features = np.stack([ex.features for ex in dataset.examples])
     logits = encoder.encode_batch(params, features)
     gold, seen = evaluation.label_masks(dataset, gold_source)

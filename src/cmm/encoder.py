@@ -27,7 +27,6 @@ from .schema import Dataset, LabelSet, LogitRow
 
 ARCHITECTURES = ("linear", "one_hidden")
 CHECKPOINT_FORMAT = "cmm-checkpoint/1"
-_BATCHED_KINDS = ("plain_margin", "cmm", "atl_reference")
 
 
 @dataclass
@@ -231,7 +230,6 @@ class TraceRecord:
 class _PackedDoc:
     features: np.ndarray    # (n, F)
     pos_mask: np.ndarray    # (n, R) bool
-    labels: tuple[LabelSet, ...]
 
 
 def _pack_documents(dataset: Dataset) -> list[_PackedDoc]:
@@ -245,8 +243,7 @@ def _pack_documents(dataset: Dataset) -> list[_PackedDoc]:
         for i, ex in enumerate(examples):
             for r in ex.labels.positives:
                 mask[i, r - 1] = True
-        docs.append(_PackedDoc(features=x, pos_mask=mask,
-                               labels=tuple(ex.labels for ex in examples)))
+        docs.append(_PackedDoc(features=x, pos_mask=mask))
     return docs
 
 
@@ -258,16 +255,9 @@ def _chunk(seq: list, size: int) -> Iterator[list]:
 def _batch_loss_and_grads(params: EncoderParams, docs: Sequence[_PackedDoc],
                           cfg: LossConfig) -> tuple[float, dict[str, np.ndarray], int]:
     x = docs[0].features if len(docs) == 1 else np.concatenate([d.features for d in docs])
+    mask = docs[0].pos_mask if len(docs) == 1 else np.concatenate([d.pos_mask for d in docs])
     logits, cache = _forward(params, x)
-    if cfg.kind in _BATCHED_KINDS:
-        mask = docs[0].pos_mask if len(docs) == 1 else np.concatenate([d.pos_mask for d in docs])
-        rows, g_t = batch_rows(cfg.kind, logits, mask, cfg, need_grad=True)
-    else:
-        fns = get_loss(cfg)
-        labels = [lb for d in docs for lb in d.labels]
-        rows = np.array([fns.value(logits[i], labels[i], cfg) for i in range(len(labels))])
-        g_t = np.stack([np.asarray(fns.grad(logits[i], labels[i], cfg))
-                        for i in range(len(labels))])
+    rows, g_t = batch_rows(cfg.kind, logits, mask, cfg, need_grad=True)
     n_pairs = logits.shape[0]
     total = float(rows.sum())
     if cfg.aggregation == "global_mean":

@@ -19,6 +19,10 @@ concrete losses are provided:
   each positive is scored against positives-plus-TH, and TH is scored
   against negatives-plus-TH.
 
+Each kind has one composition, ``batch_rows`` over a boolean (n, R)
+positive mask, which the trainer calls per optimizer step. The single-row
+functions are batches of one, except that cmm runs the same rank-agnostic
+code on the row itself so the row-by-row gradcheck oracle builds no mask.
 Analytic gradients are exact and verified against central finite
 differences by the gradcheck module. Additional (value, gradient) pairs
 can be registered under ``kind="plugin"``.
@@ -100,16 +104,6 @@ def clamp_distance(m: float) -> float:
     return math.log((1.0 - m) / m)
 
 
-def _log_sigmoid_plus_m(d, m: float):
-    """log(sigma(d) + m) for the unclamped region, stable for d << 0 (limit log m)."""
-    d = np.asarray(d, dtype=np.float64)
-    en = np.exp(np.minimum(d, 0.0))
-    low = np.log(m + (1.0 + m) * en) - np.log1p(en)
-    ep = np.exp(-np.maximum(d, 0.0))
-    high = np.log1p(m + m * ep) - np.log1p(ep)
-    return np.where(d <= 0.0, low, high)
-
-
 def _positive_terms(d, gamma: float, need_grad: bool):
     """Per-relation positive loss term -(1-q)**gamma * q with q = log(sigma(d)).
 
@@ -151,125 +145,37 @@ def _negative_terms(d, m: float, need_grad: bool):
     return term, dterm
 
 
-# --- single-row operations (public surface) -------------------------------
+# --- one composition per loss kind (column j of a mask <-> relation j+1) --
 
-def _as_values(logits) -> np.ndarray:
-    values = np.asarray(getattr(logits, "values", logits), dtype=np.float64)
-    if values.ndim != 1:
-        raise SchemaError(f"expected a 1-D logit row, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise NumericError("logit row contains non-finite values")
-    return values
-
-
-def _check_lengths(values: np.ndarray, labels: LabelSet) -> None:
-    if values.size != labels.relation_count + 1:
-        raise SchemaError(
-            f"logit row length {values.size} does not match relation_count "
-            f"{labels.relation_count} (+1 for TH)"
-        )
-
-
-def _index_arrays(labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.array(sorted(labels.positives), dtype=np.intp)
-    neg = np.array(sorted(labels.negatives), dtype=np.intp)
-    return pos, neg
-
-
-def margin_distances(logits, labels: LabelSet) -> DistanceSet:
-    """Signed distances of every labeled relation logit to the TH logit."""
-    values = _as_values(logits)
-    _check_lengths(values, labels)
-    th = values[0]
-    d_pos = {int(r): float(values[r] - th) for r in sorted(labels.positives)}
-    d_neg = {int(r): float(th - values[r]) for r in sorted(labels.negatives)}
-    return DistanceSet(d_pos=d_pos, d_neg=d_neg)
-
-
-def plain_margin_loss(logits, labels: LabelSet) -> float:
-    """Sum of negated distances over positives and negatives; unbounded below."""
-    values = _as_values(logits)
-    _check_lengths(values, labels)
-    pos, neg = _index_arrays(labels)
-    th = values[0]
-    return float(-(values[pos] - th).sum() - (th - values[neg]).sum())
-
-
-def plain_margin_grad(logits, labels: LabelSet, cfg: LossConfig | None = None) -> np.ndarray:
-    """Gradient of plain_margin_loss: -1 on positives, +1 on negatives, |P|-|N| on TH."""
-    values = _as_values(logits)
-    _check_lengths(values, labels)
-    pos, neg = _index_arrays(labels)
-    grad = np.zeros_like(values)
-    grad[pos] = -1.0
-    grad[neg] = 1.0
-    grad[0] = len(pos) - len(neg)
+def _logit_grad(ddist: np.ndarray) -> np.ndarray:
+    """dL/dlogits from dL/d(t_r - t_TH); the TH entry takes minus the row sum."""
+    grad = np.empty(ddist.shape[:-1] + (ddist.shape[-1] + 1,))
+    grad[..., 1:] = ddist
+    grad[..., 0] = -ddist.sum(axis=-1)
     return grad
 
 
-def cmm_rescale(d: float, side: str, m: float | None = None) -> float:
-    """Rescale one margin distance to log-sigmoid space.
+def _cmm_rows(t: np.ndarray, pos_idx, cfg: LossConfig,
+              need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """cmm loss over the last axis of t: one logit row or a batch of rows.
 
-    Positive side returns log(sigma(d)) in (-inf, 0); negative side returns
-    log(min(sigma(d) + m, 1)) in (log m, 0], exactly 0 once sigma(d) + m >= 1.
+    ``pos_idx`` indexes the positive entries of ``t[..., 1:]``: an index
+    array for one row, ``np.nonzero(pos_mask)`` for a batch. Every other
+    relation is a negative.
     """
-    if side == POSITIVE:
-        return float(log_sigmoid(d))
-    if side == NEGATIVE:
-        if m is None or not 0.0 < m < 1.0:
-            raise ValueError(f"negative side requires m in (0, 1), got {m}")
-        if d >= clamp_distance(m):
-            return 0.0
-        return float(_log_sigmoid_plus_m(d, m))
-    raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}, got {side!r}")
-
-
-def _require_kind(cfg: LossConfig, kind: str) -> None:
-    if cfg.kind != kind:
-        raise ValueError(f"expected cfg.kind={kind!r}, got {cfg.kind!r}")
-
-
-def cmm_loss(logits, labels: LabelSet, cfg: LossConfig) -> float:
-    """Concentrated margin loss for one logit row; always >= 0.
-
-    Positive terms -(1-q)**gamma * q focus weight on small distances; negative
-    terms -log(min(sigma(d)+m, 1)) vanish once a negative is confidently
-    separated. An empty positive set contributes nothing to the first sum.
-    """
-    _require_kind(cfg, "cmm")
-    values = _as_values(logits)
-    _check_lengths(values, labels)
-    pos, neg = _index_arrays(labels)
-    th = values[0]
-    tp, _ = _positive_terms(values[pos] - th, cfg.gamma, need_grad=False)
-    tn, _ = _negative_terms(th - values[neg], cfg.m, need_grad=False)
-    return float(tp.sum() + tn.sum())
-
-
-def cmm_loss_grad(logits, labels: LabelSet, cfg: LossConfig) -> np.ndarray:
-    """Analytic gradient of cmm_loss with respect to every logit, TH included.
-
-    The TH entry accumulates contributions of opposite sign from the two
-    sides; a clamped negative contributes exactly zero everywhere.
-    """
-    _require_kind(cfg, "cmm")
-    values = _as_values(logits)
-    _check_lengths(values, labels)
-    pos, neg = _index_arrays(labels)
-    th = values[0]
-    _, gp = _positive_terms(values[pos] - th, cfg.gamma, need_grad=True)
-    _, gn = _negative_terms(th - values[neg], cfg.m, need_grad=True)
-    grad = np.zeros_like(values)
-    grad[pos] = gp          # d(term)/dt_r = dterm/dd * (+1)
-    grad[neg] = -gn         # d = t_TH - t_r, so dt_r picks up a sign flip
-    grad[0] = gn.sum() - gp.sum()
-    return grad
-
-
-def cmm_positive_term(d, gamma: float) -> np.ndarray:
-    """Per-relation positive loss term -(1-q)**gamma * q at distance(s) d."""
-    term, _ = _positive_terms(d, gamma, need_grad=False)
-    return term
+    dist = t[..., 1:] - t[..., :1]
+    # positives are sparse: evaluate the negative side everywhere, then
+    # overwrite the gathered positive entries
+    tn, gn = _negative_terms(-dist, cfg.m, need_grad)
+    tp, gp = _positive_terms(dist[pos_idx], cfg.gamma, need_grad)
+    terms = tn
+    terms[pos_idx] = tp
+    rows = terms.sum(axis=-1)
+    if not need_grad:
+        return rows, None
+    ddist = -gn             # a negative's distance is t_TH - t_r: the sign flips
+    ddist[pos_idx] = gp
+    return rows, _logit_grad(ddist)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -277,89 +183,8 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
 
 
-def atl_reference_loss(logits, labels: LabelSet) -> float:
-    """Adaptive-threshold softmax baseline.
-
-    Each positive logit is log-softmaxed against positives-plus-TH, and the
-    TH logit against negatives-plus-TH; the loss is the sum of the negated
-    log-probabilities. Nonnegative; zero in the fully separated limit.
-    """
-    values = _as_values(logits)
-    _check_lengths(values, labels)
-    pos, neg = _index_arrays(labels)
-    th = values[0]
-    loss = 0.0
-    if len(pos):
-        z1 = float(np.logaddexp.reduce(np.concatenate([values[pos], [th]])))
-        loss += len(pos) * z1 - float(values[pos].sum())
-    z2 = float(np.logaddexp.reduce(np.concatenate([values[neg], [th]])))
-    loss += z2 - th
-    return loss
-
-
-def atl_reference_grad(logits, labels: LabelSet, cfg: LossConfig | None = None) -> np.ndarray:
-    """Analytic gradient of atl_reference_loss (softmax derivatives)."""
-    values = _as_values(logits)
-    _check_lengths(values, labels)
-    pos, neg = _index_arrays(labels)
-    th = values[0]
-    grad = np.zeros_like(values)
-    if len(pos):
-        group1 = np.concatenate([values[pos], [th]])
-        z1 = np.logaddexp.reduce(group1)
-        p1 = np.exp(group1 - z1)
-        grad[pos] += len(pos) * p1[:-1] - 1.0
-        grad[0] += len(pos) * p1[-1]
-    group2 = np.concatenate([values[neg], [th]])
-    z2 = np.logaddexp.reduce(group2)
-    p2 = np.exp(group2 - z2)
-    grad[neg] += p2[:-1]
-    grad[0] += p2[-1] - 1.0
-    return grad
-
-
-# --- batched core (mask layout: column j <-> relation j+1) ----------------
-
-def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossConfig,
-               need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-row loss values (and optionally dL/dlogits) for a batch of pairs.
-
-    ``pos_mask`` is boolean (n, R); labels are assumed complement-consistent.
-    Used by the trainer; single-row public operations above stay the
-    reference semantics.
-    """
-    t = np.asarray(logits2d, dtype=np.float64)
-    dist = t[:, 1:] - t[:, :1]
-    if kind == "cmm":
-        # positives are sparse: evaluate the negative side everywhere, then
-        # overwrite the gathered positive entries
-        pos_idx = np.nonzero(pos_mask)
-        tn, gn = _negative_terms(-dist, cfg.m, need_grad)
-        tp, gp = _positive_terms(dist[pos_idx], cfg.gamma, need_grad)
-        terms = tn
-        terms[pos_idx] = tp
-        rows = terms.sum(axis=1)
-        if not need_grad:
-            return rows, None
-        ddist = -gn
-        ddist[pos_idx] = gp
-    elif kind == "plain_margin":
-        rows = np.where(pos_mask, -dist, dist).sum(axis=1)
-        if not need_grad:
-            return rows, None
-        ddist = np.where(pos_mask, -1.0, 1.0)
-    elif kind == "atl_reference":
-        return _atl_batch(t, pos_mask, need_grad)
-    else:
-        raise ValueError(f"no batched form for kind {kind!r}")
-    grad = np.empty_like(t)
-    grad[:, 1:] = ddist
-    grad[:, 0] = -ddist.sum(axis=1)
-    return rows, grad
-
-
-def _atl_batch(t: np.ndarray, pos_mask: np.ndarray,
-               need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _atl_rows(t: np.ndarray, pos_mask: np.ndarray,
+              need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
     n = t.shape[0]
     th_col = np.ones((n, 1), dtype=bool)
     mask1 = np.concatenate([th_col, pos_mask], axis=1)
@@ -381,6 +206,175 @@ def _atl_batch(t: np.ndarray, pos_mask: np.ndarray,
     return rows, grad
 
 
+def _plugin_rows(t: np.ndarray, pos_mask: np.ndarray, cfg: LossConfig,
+                 need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    fns = get_loss(cfg)
+    rows = np.empty(t.shape[0])
+    grad = np.empty_like(t) if need_grad else None
+    for i, row_mask in enumerate(pos_mask):
+        labels = LabelSet(t.shape[1] - 1, frozenset(np.flatnonzero(row_mask) + 1))
+        rows[i] = fns.value(t[i], labels, cfg)
+        if need_grad:
+            grad[i] = fns.grad(t[i], labels, cfg)
+    return rows, grad
+
+
+def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossConfig,
+               need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-row loss values (and optionally dL/dlogits) for a batch of pairs.
+
+    ``pos_mask`` is boolean (n, R), column j for relation j+1; every relation
+    not in it is a negative. This is the one composition of every built-in
+    kind: the trainer calls it once per optimizer step, the single-row
+    functions below are batches of one, and cmm shares its code with
+    ``cmm_loss``/``cmm_loss_grad``. ``kind="plugin"`` calls the registered
+    (value, gradient) pair row by row on label sets rebuilt from the mask.
+    """
+    t = np.asarray(logits2d, dtype=np.float64)
+    if kind == "cmm":
+        return _cmm_rows(t, np.nonzero(pos_mask), cfg, need_grad)
+    if kind == "atl_reference":
+        return _atl_rows(t, pos_mask, need_grad)
+    if kind == "plugin":
+        return _plugin_rows(t, pos_mask, cfg, need_grad)
+    if kind != "plain_margin":
+        raise ValueError(f"no loss kind {kind!r}")
+    dist = t[:, 1:] - t[:, :1]
+    rows = np.where(pos_mask, -dist, dist).sum(axis=1)
+    if not need_grad:
+        return rows, None
+    return rows, _logit_grad(np.where(pos_mask, -1.0, 1.0))
+
+
+# --- single-row operations (public surface) -------------------------------
+
+def _as_values(logits) -> np.ndarray:
+    values = np.asarray(getattr(logits, "values", logits), dtype=np.float64)
+    if values.ndim != 1:
+        raise SchemaError(f"expected a 1-D logit row, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise NumericError("logit row contains non-finite values")
+    return values
+
+
+def _check_lengths(values: np.ndarray, labels: LabelSet) -> None:
+    if values.size != labels.relation_count + 1:
+        raise SchemaError(
+            f"logit row length {values.size} does not match relation_count "
+            f"{labels.relation_count} (+1 for TH)"
+        )
+
+
+def _positive_columns(logits, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
+    """A checked logit row and the columns (relation - 1) of its positives.
+
+    The kernels score every relation that is not a positive as a negative,
+    so a label set that is not a partition of 1..R is rejected.
+    """
+    values = _as_values(logits)
+    _check_lengths(values, labels)
+    if not labels.is_consistent():
+        raise SchemaError(f"label set is not a partition of 1..{labels.relation_count}: "
+                          f"positives {sorted(labels.positives)}, "
+                          f"negatives {sorted(labels.negatives)}")
+    return values, np.array(sorted(labels.positives), dtype=np.intp) - 1
+
+
+def _one_row(kind: str, logits, labels: LabelSet, cfg: LossConfig | None,
+             need_grad: bool) -> tuple[float, np.ndarray | None]:
+    """batch_rows on a batch of one row: (value, gradient or None)."""
+    values, pos_cols = _positive_columns(logits, labels)
+    mask = np.zeros((1, values.size - 1), dtype=bool)
+    mask[0, pos_cols] = True
+    rows, grads = batch_rows(kind, values[None, :], mask, cfg, need_grad)
+    return float(rows[0]), None if grads is None else grads[0]
+
+
+def margin_distances(logits, labels: LabelSet) -> DistanceSet:
+    """Signed distances of every labeled relation logit to the TH logit."""
+    values = _as_values(logits)
+    _check_lengths(values, labels)
+    th = values[0]
+    d_pos = {int(r): float(values[r] - th) for r in sorted(labels.positives)}
+    d_neg = {int(r): float(th - values[r]) for r in sorted(labels.negatives)}
+    return DistanceSet(d_pos=d_pos, d_neg=d_neg)
+
+
+def plain_margin_loss(logits, labels: LabelSet, cfg: LossConfig | None = None) -> float:
+    """Sum of negated distances over positives and negatives; unbounded below."""
+    return _one_row("plain_margin", logits, labels, cfg, need_grad=False)[0]
+
+
+def plain_margin_grad(logits, labels: LabelSet, cfg: LossConfig | None = None) -> np.ndarray:
+    """Gradient of plain_margin_loss: -1 on positives, +1 on negatives, |P|-|N| on TH."""
+    return _one_row("plain_margin", logits, labels, cfg, need_grad=True)[1]
+
+
+def cmm_rescale(d: float, side: str, m: float | None = None) -> float:
+    """Rescale one margin distance to log-sigmoid space.
+
+    Positive side returns log(sigma(d)) in (-inf, 0); negative side returns
+    log(min(sigma(d) + m, 1)) in (log m, 0], exactly 0 once sigma(d) + m >= 1.
+    """
+    if side == POSITIVE:
+        return float(log_sigmoid(d))
+    if side == NEGATIVE:
+        if m is None or not 0.0 < m < 1.0:
+            raise ValueError(f"negative side requires m in (0, 1), got {m}")
+        term, _ = _negative_terms(d, m, need_grad=False)
+        return 0.0 - float(term)    # +0.0, not -0.0, where the clamp zeroes the term
+    raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}, got {side!r}")
+
+
+def _require_kind(cfg: LossConfig, kind: str) -> None:
+    if cfg.kind != kind:
+        raise ValueError(f"expected cfg.kind={kind!r}, got {cfg.kind!r}")
+
+
+def cmm_loss(logits, labels: LabelSet, cfg: LossConfig) -> float:
+    """Concentrated margin loss for one logit row; always >= 0.
+
+    Positive terms -(1-q)**gamma * q focus weight on small distances; negative
+    terms -log(min(sigma(d)+m, 1)) vanish once a negative is confidently
+    separated. An empty positive set contributes nothing to the first sum.
+    """
+    _require_kind(cfg, "cmm")
+    values, pos_cols = _positive_columns(logits, labels)
+    return float(_cmm_rows(values, pos_cols, cfg, need_grad=False)[0])
+
+
+def cmm_loss_grad(logits, labels: LabelSet, cfg: LossConfig) -> np.ndarray:
+    """Analytic gradient of cmm_loss with respect to every logit, TH included.
+
+    The TH entry accumulates contributions of opposite sign from the two
+    sides; a clamped negative contributes exactly zero everywhere.
+    """
+    _require_kind(cfg, "cmm")
+    values, pos_cols = _positive_columns(logits, labels)
+    return _cmm_rows(values, pos_cols, cfg, need_grad=True)[1]
+
+
+def cmm_positive_term(d, gamma: float) -> np.ndarray:
+    """Per-relation positive loss term -(1-q)**gamma * q at distance(s) d."""
+    term, _ = _positive_terms(d, gamma, need_grad=False)
+    return term
+
+
+def atl_reference_loss(logits, labels: LabelSet, cfg: LossConfig | None = None) -> float:
+    """Adaptive-threshold softmax baseline.
+
+    Each positive logit is log-softmaxed against positives-plus-TH, and the
+    TH logit against negatives-plus-TH; the loss is the sum of the negated
+    log-probabilities. Nonnegative; zero in the fully separated limit.
+    """
+    return _one_row("atl_reference", logits, labels, cfg, need_grad=False)[0]
+
+
+def atl_reference_grad(logits, labels: LabelSet, cfg: LossConfig | None = None) -> np.ndarray:
+    """Analytic gradient of atl_reference_loss (softmax derivatives)."""
+    return _one_row("atl_reference", logits, labels, cfg, need_grad=True)[1]
+
+
 # --- pluggable loss interface ---------------------------------------------
 
 class LossFunctions(NamedTuple):
@@ -389,11 +383,9 @@ class LossFunctions(NamedTuple):
 
 
 _BUILTIN: dict[str, LossFunctions] = {
-    "plain_margin": LossFunctions(lambda lg, lb, cfg=None: plain_margin_loss(lg, lb),
-                                  plain_margin_grad),
+    "plain_margin": LossFunctions(plain_margin_loss, plain_margin_grad),
     "cmm": LossFunctions(cmm_loss, cmm_loss_grad),
-    "atl_reference": LossFunctions(lambda lg, lb, cfg=None: atl_reference_loss(lg, lb),
-                                   atl_reference_grad),
+    "atl_reference": LossFunctions(atl_reference_loss, atl_reference_grad),
 }
 
 _PLUGINS: dict[str, LossFunctions] = {}

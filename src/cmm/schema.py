@@ -286,10 +286,20 @@ def load_dataset_jsonl(path: str) -> Dataset:
         header_line = fh.readline()
         if not header_line:
             raise SchemaError(f"{path}: empty dataset file")
-        header = json.loads(header_line)
-        if header.get("format") != DATASET_FORMAT:
-            raise SchemaError(f"{path}: unsupported format tag {header.get('format')!r}")
-        schema = RelationSchema.from_dict(header["schema"])
+        try:
+            header = json.loads(header_line)
+            if not isinstance(header, dict):
+                raise TypeError("header must be a JSON object")
+            if header.get("format") != DATASET_FORMAT:
+                raise ValueError(f"unsupported format tag {header.get('format')!r}")
+            schema = RelationSchema.from_dict(header["schema"])
+            document_ids = header["documents"]
+            if not (isinstance(document_ids, list)
+                    and all(isinstance(d, str) for d in document_ids)):
+                raise TypeError("'documents' must be a list of strings")
+            manifest = dict(header.get("manifest", {}))
+        except (KeyError, TypeError, ValueError, SchemaError) as exc:
+            raise SchemaError(f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
         examples = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -311,12 +321,8 @@ def load_dataset_jsonl(path: str) -> Dataset:
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}:{lineno}: malformed pair record "
                                   f"({type(exc).__name__}: {exc})") from exc
-    dataset = Dataset(
-        schema=schema,
-        examples=tuple(examples),
-        document_ids=tuple(header["documents"]),
-        manifest=dict(header.get("manifest", {})),
-    )
+    dataset = Dataset(schema=schema, examples=tuple(examples),
+                      document_ids=tuple(document_ids), manifest=manifest)
     _check_loaded(path, dataset)
     return dataset
 

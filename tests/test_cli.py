@@ -357,6 +357,7 @@ def assert_one_line_error(capsys, code, expected_code):
     assert code == expected_code
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    return err
 
 
 def write_pairs(src, dst, mutate):
@@ -376,6 +377,27 @@ DATASET_MUTATIONS = {
     "ragged_features": lambda p: p[2]["features"].pop(),
     "missing_difficulty": lambda p: p[0].pop("difficulty"),
     "unknown_doc_id": lambda p: p[0].update(doc_id="nowhere"),
+}
+
+HEADER_MUTATIONS = {
+    "not_json": lambda h: h[:-1],
+    "not_an_object": lambda h: "[" + h + "]",
+    "missing_schema": lambda h: json.dumps({k: v for k, v in json.loads(h).items()
+                                            if k != "schema"}),
+    "schema_not_an_object": lambda h: json.dumps({**json.loads(h), "schema": 5}),
+    "documents_not_a_list": lambda h: json.dumps({**json.loads(h), "documents": "d000"}),
+}
+
+UNREGISTERED_PLUGIN = {"kind": "plugin", "plugin": "nope"}
+PLUGIN_CONFIGS = {
+    "train_loss": ("train", {"train": {"epochs": 1, "loss": UNREGISTERED_PLUGIN}}),
+    "train_second_arm": ("train", {"train": {"epochs": 1, "loss": {"kind": "cmm"}},
+                                   "arms": [{"name": "cmm"},
+                                            {"name": "p", "loss": UNREGISTERED_PLUGIN}]}),
+    "compare_loss": ("compare", {"train": {"epochs": 1, "loss": UNREGISTERED_PLUGIN}}),
+    "compare_kind": ("compare", {"train": {"epochs": 1,
+                                           "loss": {"kind": "cmm", "plugin": "nope"}},
+                                 "kinds": ["cmm", "plugin"]}),
 }
 
 CHECKPOINT_MUTATIONS = {
@@ -414,6 +436,36 @@ class TestMalformedInput:
         cfg = self.eval_config(tmp_path, tiny_dev, path)
         capsys.readouterr()
         assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+
+    @pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
+    def test_bad_header_exits_2(self, tmp_path, tiny_dev, capsys, mutation):
+        lines = Path(tiny_dev).read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([HEADER_MUTATIONS[mutation](lines[0])] + lines[1:]) + "\n")
+        cfg = self.eval_config(tmp_path, bad)
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+        assert f"{bad}:1" in err
+
+    def test_header_only_dataset_exits_2(self, tmp_path, tiny_dev, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(Path(tiny_dev).read_text().splitlines()[0] + "\n")
+        cfg = self.eval_config(tmp_path, bad)
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+        assert f"{bad}:1" in err
+
+    @pytest.mark.parametrize("case", sorted(PLUGIN_CONFIGS))
+    def test_unregistered_plugin_exits_1(self, tmp_path, tiny_dataset, tiny_dev, capsys, case):
+        command, body = PLUGIN_CONFIGS[case]
+        cfg = write_config(tmp_path, "plugin.json", {
+            "dataset": str(tiny_dataset), "dev": str(tiny_dev), **body})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run([command, cfg, "-o", out]), 1)
+        assert "nope" in err
+        # rejected before anything but the echoed config is written
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
     def test_zero_curve_step_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "curves.json", {"d_step": 0})

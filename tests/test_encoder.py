@@ -265,10 +265,18 @@ class TestTrain:
         from cmm.loss import register_loss, plain_margin_loss, plain_margin_grad
         register_loss("shifted_plain", lambda lg, lb, cfg: plain_margin_loss(lg, lb) + 1.0,
                       lambda lg, lb, cfg: plain_margin_grad(lg, lb))
-        ds = toy_dataset(seed=5, n_docs=4, pairs_per_doc=5)
+        ds = toy_dataset(seed=5, n_docs=4, pairs_per_doc=5, relation_count=4)
         loss = LossConfig(kind="plugin", plugin="shifted_plain")
-        _, trace = train(ds, ds, TrainConfig(loss=loss, epochs=2, seed=0))
-        assert len(trace) == 2
+        _, trace = train(ds, ds, TrainConfig(loss=loss, epochs=3, seed=0, learning_rate=0.03))
+        _, plain = train(ds, ds, TrainConfig(loss=LossConfig(kind="plain_margin"), epochs=3,
+                                             seed=0, learning_rate=0.03))
+        # the plugin sees label sets rebuilt from the mask rows: with the same
+        # gradient it must follow the plain arm exactly, its loss shifted by 1
+        assert len(trace) == len(plain) == 3
+        assert len({r.dev_positives for r in plain}) == 3    # the arms do move
+        for got, want in zip(trace, plain):
+            assert (got.dev_f1, got.dev_positives) == (want.dev_f1, want.dev_positives)
+            assert got.train_loss == pytest.approx(want.train_loss + 1.0, rel=0, abs=1e-12)
 
 
 class TestCheckpoint:

@@ -59,6 +59,39 @@ def oracle_cmm_loss(values, positives, gamma, m):
     return total
 
 
+def oracle_plain_loss(values, positives):
+    th = mp.mpf(values[0])
+    total = mp.mpf(0)
+    for r in range(1, len(values)):
+        d = mp.mpf(values[r]) - th
+        total += -d if r in positives else d
+    return total
+
+
+def oracle_atl_loss(values, positives):
+    v = [mp.mpf(x) for x in values]
+    th = v[0]
+    pos = [v[r] for r in range(1, len(v)) if r in positives]
+    neg = [v[r] for r in range(1, len(v)) if r not in positives]
+    total = mp.mpf(0)
+    if pos:
+        z1 = mp.log(sum(mp.e ** x for x in pos + [th]))
+        total += sum(z1 - x for x in pos)
+    return total + mp.log(sum(mp.e ** x for x in neg + [th])) - th
+
+
+def oracle_grad(loss, values, h=mp.mpf("1e-20")):
+    """50-digit central difference of an oracle loss(values) over every coordinate."""
+    v = [mp.mpf(x) for x in values]
+    grad = []
+    for i in range(len(v)):
+        up, dn = list(v), list(v)
+        up[i] += h
+        dn[i] -= h
+        grad.append((loss(up) - loss(dn)) / (2 * h))
+    return grad
+
+
 # frozen from the oracle above
 POS_TERM_D0_G1 = 1.1736001944781467
 POS_TERM_D0_G2 = 1.9870778603852777
@@ -163,6 +196,7 @@ class TestCmmRescale:
     def test_negative_clamps_to_exact_zero(self):
         # sigma(2) ~ 0.8808, so sigma(2) + 0.2 > 1
         assert cmm_rescale(2.0, "negative", 0.2) == 0.0
+        assert math.copysign(1.0, cmm_rescale(3.0, "negative", 0.2)) == 1.0  # +0.0
 
     def test_negative_requires_m(self):
         with pytest.raises(ValueError):
@@ -301,24 +335,55 @@ class TestAtlReference:
             mp.log(mp.e ** -1 + mp.e ** 1 + 1) - 0), abs=1e-12)
 
 
+ORACLES = {
+    "cmm": lambda v, pos, cfg: oracle_cmm_loss(v, pos, cfg.gamma, cfg.m),
+    "plain_margin": lambda v, pos, cfg: oracle_plain_loss(v, pos),
+    "atl_reference": lambda v, pos, cfg: oracle_atl_loss(v, pos),
+}
+
+
 class TestBatchRows:
+    """batch_rows is the only composition of each kind, so it is checked against
+    the 50-digit oracles, values and gradients, rather than other package code."""
+
     @pytest.mark.parametrize("kind", ["cmm", "plain_margin", "atl_reference"])
     def test_matches_row_operations(self, kind):
         rng = np.random.default_rng(9)
-        fns = get_loss(LossConfig(kind=kind))
-        for _ in range(50):
+        oracle = ORACLES[kind]
+        for trial in range(50):
             r_count = int(rng.integers(1, 9))
-            n = int(rng.integers(1, 6))
+            n = 0 if trial == 0 else int(rng.integers(1, 6))
             t = rng.uniform(-8, 8, (n, r_count + 1))
             mask = rng.random((n, r_count)) < 0.35
             cfg = LossConfig(kind=kind, gamma=float(rng.choice(GAMMA_GRID)),
                              m=float(rng.choice(M_GRID)))
             rows, grads = batch_rows(kind, t, mask, cfg, need_grad=True)
+            assert rows.shape == (n,) and grads.shape == (n, r_count + 1)
             for i in range(n):
-                labels = LabelSet(r_count,
-                                  frozenset(int(j + 1) for j in np.nonzero(mask[i])[0]))
-                assert rows[i] == pytest.approx(fns.value(t[i], labels, cfg), abs=1e-10)
-                assert np.allclose(grads[i], fns.grad(t[i], labels, cfg), atol=1e-10)
+                values = [float(x) for x in t[i]]     # mpf(float) is exact
+                positives = frozenset(int(j + 1) for j in np.flatnonzero(mask[i]))
+                assert abs(rows[i] - float(oracle(values, positives, cfg))) < 1e-9
+                want = oracle_grad(lambda v: oracle(v, positives, cfg), values)
+                assert np.all(np.abs(grads[i] - np.array([float(g) for g in want])) < 1e-8)
+
+
+class TestLabelPartition:
+    """The kernels score every non-positive relation as a negative, so label
+    sets that do not partition 1..R are rejected instead of silently rescored."""
+
+    @pytest.mark.parametrize("fn", [
+        plain_margin_loss, plain_margin_grad, atl_reference_loss, atl_reference_grad,
+        lambda lg, lb: cmm_loss(lg, lb, cfg_cmm()),
+        lambda lg, lb: cmm_loss_grad(lg, lb, cfg_cmm()),
+    ], ids=["plain", "plain_grad", "atl", "atl_grad", "cmm", "cmm_grad"])
+    @pytest.mark.parametrize("labels", [
+        LabelSet(3, frozenset({1}), negatives=frozenset({2})),
+        LabelSet(3, frozenset({1}), negatives=frozenset({1, 2, 3})),
+        LabelSet(3, frozenset({1}), negatives=frozenset({2, 3, 4})),
+    ], ids=["missing", "overlap", "stray"])
+    def test_non_partition_rejected(self, fn, labels):
+        with pytest.raises(SchemaError):
+            fn(np.array([0.0, 1.0, 2.0, 3.0]), labels)
 
 
 class TestPluginRegistry:
