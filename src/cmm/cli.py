@@ -2,9 +2,10 @@
 
 Flags only select the subcommand, config path, and output directory; every
 knob lives in the config file so runs are diffable and rerunnable. Each run
-echoes its input config verbatim plus the fully resolved effective config
-into the output directory. Exit codes: 0 success, 1 config error,
-2 runtime/numeric error.
+that completes echoes its input config verbatim plus the fully resolved
+effective config into the output directory; a config error writes
+nothing there. Exit codes: 0 success, 1 config error, 2 runtime/numeric
+error.
 
 Set CMM_OUTPUT_ROOT to resolve relative output directories under a common
 root. Relative paths inside config files resolve against the config file's
@@ -354,8 +355,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config, raw = _load_config(config_path)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "config.json").write_bytes(raw)
         code = HANDLERS[args.command](config, config_path.resolve().parent, outdir)
+        # echoed once the handler has parsed and run it: a rejected config leaves no copy
+        (outdir / "config.json").write_bytes(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -29,15 +29,40 @@ ARCHITECTURES = ("linear", "one_hidden")
 CHECKPOINT_FORMAT = "cmm-checkpoint/1"
 
 
+def _pack(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A new contiguous float64 vector holding the tensors in key order, and
+    writable views of it shaped like them."""
+    arrays = [np.asarray(t, dtype=np.float64) for t in tensors.values()]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, start = {}, 0
+    for name, a in zip(tensors, arrays):
+        views[name] = flat[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return flat, views
+
+
 @dataclass
 class EncoderParams:
-    """Parameter tensors in a fixed declared order; output dim is always R+1."""
+    """Parameter tensors in a fixed declared order; output dim is always R+1.
+
+    Construction copies the tensors into one contiguous vector, ``flat``, in
+    declared order; ``tensors`` holds writable views of it, so in-place writes
+    through either are seen by the other and the optimizer updates every
+    parameter in one pass.
+    """
 
     architecture: str
     feature_dim: int
     relation_count: int
     hidden_dim: int
     tensors: dict[str, np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if set(self.tensors) != set(self.parameter_names):
+            raise SchemaError(f"{self.architecture} parameters are {self.parameter_names}, "
+                              f"got {tuple(self.tensors)}")
+        self.flat, self.tensors = _pack({n: self.tensors[n] for n in self.parameter_names})
 
     @property
     def output_dim(self) -> int:
@@ -55,7 +80,8 @@ class EncoderParams:
         return tuple(n for n in self.parameter_names if not n.startswith("b"))
 
     def copy(self) -> "EncoderParams":
-        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
+        """An independent copy: construction packs the tensors into a new vector."""
+        return replace(self)
 
 
 def _tensor_shapes(architecture: str, feature_dim: int, relation_count: int,
@@ -143,9 +169,22 @@ def backward(params: EncoderParams, features, labels: LabelSet,
 
 @dataclass
 class AdamWState:
+    """Step count and first/second moments, packed like ``EncoderParams``.
+
+    ``m`` and ``v`` are views into ``m_flat`` and ``v_flat``; their key order
+    must be the parameters' declared order, so each vector lines up with the
+    parameters' ``flat``.
+    """
+
     step: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    m_flat: np.ndarray = field(init=False, repr=False, compare=False)
+    v_flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.m_flat, self.m = _pack(self.m)
+        self.v_flat, self.v = _pack(self.v)
 
 
 def init_adamw_state(params: EncoderParams) -> AdamWState:
@@ -160,26 +199,26 @@ def adamw_step(params: EncoderParams, grads: dict[str, np.ndarray], cfg: "TrainC
 
     Decay is applied multiplicatively before the adaptive update and only to
     weight matrices; moments are bias-corrected by the incremented step count.
+    The gradients are packed like the parameters, then checked and applied
+    in one pass over the flat vectors.
     """
-    for name in params.parameter_names:
-        if not np.all(np.isfinite(grads[name])):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
+    g = np.concatenate([np.ravel(grads[name]) for name in params.parameter_names])
+    if not np.isfinite(g).all():
+        bad = next(n for n in params.parameter_names if not np.all(np.isfinite(grads[n])))
+        raise NumericError(f"non-finite gradient for parameter {bad!r}")
     state.step += 1
     t = state.step
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
-    for name in params.parameter_names:
-        p = params.tensors[name]
-        g = grads[name]
-        if cfg.weight_decay != 0.0 and name in params.decayed_names:
-            p *= 1.0 - cfg.learning_rate * cfg.weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+    if cfg.weight_decay != 0.0:
+        for name in params.decayed_names:
+            params.tensors[name] *= 1.0 - cfg.learning_rate * cfg.weight_decay
+    p, m, v = params.flat, state.m_flat, state.v_flat
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
     return params, state
 
 
@@ -370,9 +409,10 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[s
         state = None
         if "optimizer" in obj:
             opt = obj["optimizer"]
-            state = AdamWState(step=int(opt["step"]),
-                               m={e["name"]: _tensor(e, shapes[e["name"]]) for e in opt["m"]},
-                               v={e["name"]: _tensor(e, shapes[e["name"]]) for e in opt["v"]})
+            m = {e["name"]: _tensor(e, shapes[e["name"]]) for e in opt["m"]}
+            v = {e["name"]: _tensor(e, shapes[e["name"]]) for e in opt["v"]}
+            state = AdamWState(step=int(opt["step"]), m={n: m[n] for n in shapes},
+                               v={n: v[n] for n in shapes})
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     if not all(np.all(np.isfinite(t)) for t in tensors.values()):

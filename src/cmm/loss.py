@@ -126,22 +126,28 @@ def _negative_terms(d, m: float, need_grad: bool):
     """Per-relation negative loss term -log(min(sigma(d) + m, 1)).
 
     Exactly zero, with exactly zero derivative, for d >= log((1-m)/m).
-    The two exponentials are shared between the value and the sigmoid
-    needed for the derivative; this sits on the training hot path.
+    This sits on the training hot path, where most negatives are clamped
+    once the data is separated, so the transcendentals run only on the live
+    entries; NaN counts as live and propagates. The two exponentials are
+    shared between the value and the sigmoid needed for the derivative.
+    Works on any rank, 0-d included.
     """
     d = np.asarray(d, dtype=np.float64)
-    clamped = d >= clamp_distance(m)
-    low_side = d <= 0.0
-    en = np.exp(np.minimum(d, 0.0))     # e^d on the low side, <= 1
-    ep = np.exp(-np.maximum(d, 0.0))    # e^-d on the high side, <= 1
+    live = ~(d >= clamp_distance(m))
+    dl = d[live]
+    low_side = dl <= 0.0
+    en = np.exp(np.minimum(dl, 0.0))    # e^d on the low side, <= 1
+    ep = np.exp(-np.maximum(dl, 0.0))   # e^-d on the high side, <= 1
     q = np.where(low_side,
                  np.log(m + (1.0 + m) * en) - np.log1p(en),
                  np.log1p(m + m * ep) - np.log1p(ep))
-    term = np.where(clamped, 0.0, -q)
+    term = np.zeros(d.shape)
+    term[live] = -q
     if not need_grad:
         return term, None
     s = np.where(low_side, en / (1.0 + en), 1.0 / (1.0 + ep))
-    dterm = np.where(clamped, 0.0, -(s * (1.0 - s)) / (s + m))
+    dterm = np.zeros(d.shape)
+    dterm[live] = -(s * (1.0 - s)) / (s + m)
     return term, dterm
 
 

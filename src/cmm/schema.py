@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -67,9 +68,12 @@ class RelationSchema:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RelationSchema":
+        names = d["relation_names"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise TypeError(f"'relation_names' must be a list of strings, got {names!r}")
         return cls(
             relation_count=int(d["relation_count"]),
-            relation_names=tuple(d["relation_names"]),
+            relation_names=tuple(names),
             th_index=int(d.get("th_index", TH_INDEX)),
         )
 
@@ -280,8 +284,22 @@ def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
             fh.write("\n")
 
 
+def _relation_indices(value: Any, name: str, relation_count: int) -> frozenset[int]:
+    """A JSON list of relation indices in 1..relation_count, as a frozenset."""
+    if type(value) is not list or any(type(r) is not int for r in value):
+        raise TypeError(f"{name!r} must be a list of integers, got {value!r}")
+    stray = sorted(r for r in value if not 1 <= r <= relation_count)
+    if stray:
+        raise ValueError(f"{name!r} indices outside 1..{relation_count}: {stray}")
+    return frozenset(value)
+
+
 def load_dataset_jsonl(path: str) -> Dataset:
-    """Read a dataset; SchemaError on any record the evaluation masks could not represent."""
+    """Read a dataset; SchemaError on any record the evaluation masks could not represent.
+
+    Pairs with equal index lists share one ``LabelSet`` (and one
+    ``seen_in_train`` set), built and checked once per distinct list.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -300,25 +318,48 @@ def load_dataset_jsonl(path: str) -> Dataset:
             manifest = dict(header.get("manifest", {}))
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
+        r_count = schema.relation_count
+        label_sets: dict[str, LabelSet] = {}
+        seen_sets: dict[str, frozenset[int]] = {}
+
+        def shared(cache: dict, obj: dict, name: str, build):
+            """What build makes of the index list obj[name], once per distinct list.
+
+            Keyed by repr, which tells [1], [1.0] and [true] apart where ==
+            does not, so every distinct list is checked when first seen.
+            """
+            value = obj[name]
+            key = repr(value)
+            found = cache.get(key)
+            if found is None:
+                found = cache[key] = build(_relation_indices(value, name, r_count))
+            return found
+
+        label_set = partial(LabelSet, r_count)
+
         examples = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                labels = LabelSet(schema.relation_count, frozenset(obj["positives"]))
-                true_labels = LabelSet(schema.relation_count, frozenset(obj["true_positives"]))
+                pair_id, doc_id, corrupted = obj["pair_id"], obj["doc_id"], obj["corrupted"]
+                if type(pair_id) is not str or type(doc_id) is not str:
+                    raise TypeError(f"pair_id and doc_id must be strings, got {pair_id!r} "
+                                    f"and {doc_id!r}")
+                if type(corrupted) is not bool:
+                    raise TypeError(f"'corrupted' must be true or false, got {corrupted!r}")
                 examples.append(PairExample(
-                    pair_id=obj["pair_id"],
-                    doc_id=obj["doc_id"],
+                    pair_id=pair_id,
+                    doc_id=doc_id,
                     features=np.asarray(obj["features"], dtype=np.float64),
-                    labels=labels,
-                    true_labels=true_labels,
-                    seen_in_train=frozenset(obj["seen_in_train"]),
+                    labels=shared(label_sets, obj, "positives", label_set),
+                    true_labels=shared(label_sets, obj, "true_positives", label_set),
+                    seen_in_train=shared(seen_sets, obj, "seen_in_train", frozenset),
                     difficulty=obj["difficulty"],
-                    corrupted=bool(obj["corrupted"]),
+                    corrupted=corrupted,
                 ))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, SchemaError) as exc:
                 raise SchemaError(f"{path}:{lineno}: malformed pair record "
                                   f"({type(exc).__name__}: {exc})") from exc
     dataset = Dataset(schema=schema, examples=tuple(examples),
@@ -331,14 +372,11 @@ def _check_loaded(path: str, dataset: Dataset) -> None:
     """Whole-dataset checks, run once over all pairs rather than per line.
 
     They keep the (n, R) masks and the (n, F) feature matrix built from a
-    loaded dataset equal to its per-pair records: seen indices index columns,
-    pair ids are unique, every row has one length and every feature is finite.
+    loaded dataset equal to its per-pair records: pair ids are unique, every
+    row has one length and every feature is finite. Index lists are checked
+    per line, as each distinct list is first read.
     """
     examples = dataset.examples
-    r_count = dataset.schema.relation_count
-    stray = sorted({r for ex in examples for r in ex.seen_in_train if not 1 <= r <= r_count})
-    if stray:
-        raise SchemaError(f"{path}: seen_in_train indices outside 1..{r_count}: {stray}")
     pair_ids = [ex.pair_id for ex in examples]
     if len(set(pair_ids)) != len(pair_ids):
         duplicate = next(p for p, count in Counter(pair_ids).items() if count > 1)

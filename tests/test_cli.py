@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmm.cli import main
 from cmm.encoder import init_encoder, save_checkpoint
@@ -377,7 +381,28 @@ DATASET_MUTATIONS = {
     "ragged_features": lambda p: p[2]["features"].pop(),
     "missing_difficulty": lambda p: p[0].pop("difficulty"),
     "unknown_doc_id": lambda p: p[0].update(doc_id="nowhere"),
+    "positives_string": lambda p: p[0].update(positives="12"),
+    "true_positives_string": lambda p: p[0].update(true_positives="12"),
+    "seen_string": lambda p: p[0].update(seen_in_train="12"),
+    "positives_float": lambda p: p[0].update(positives=[1.5]),
+    # the first pair's lists are read first, so a cache keyed on equal values
+    # would hand [1.0] and [true] the label set built for [1]
+    "true_positives_float_after_int": lambda p: (p[0].update(positives=[1], true_positives=[1]),
+                                                 p[1].update(true_positives=[1.0])),
+    "positives_bool_after_int": lambda p: (p[0].update(positives=[1], true_positives=[1]),
+                                           p[1].update(positives=[True])),
+    "positives_out_of_range": lambda p: p[0].update(positives=[99]),
+    "pair_id_number": lambda p: p[0].update(pair_id=7),
+    "doc_id_number": lambda p: p[0].update(doc_id=7),
+    "corrupted_string": lambda p: p[0].update(corrupted="false"),
 }
+
+# mutations of one record: the message names its line (the first pair is line 2)
+MUTATED_LINE = {"seen_index_zero": 2, "seen_index_past_r": 2, "missing_difficulty": 2,
+                "positives_string": 2, "true_positives_string": 2, "seen_string": 2,
+                "positives_float": 2, "true_positives_float_after_int": 3,
+                "positives_bool_after_int": 3, "positives_out_of_range": 2,
+                "pair_id_number": 2, "doc_id_number": 2, "corrupted_string": 2}
 
 HEADER_MUTATIONS = {
     "not_json": lambda h: h[:-1],
@@ -386,6 +411,8 @@ HEADER_MUTATIONS = {
                                             if k != "schema"}),
     "schema_not_an_object": lambda h: json.dumps({**json.loads(h), "schema": 5}),
     "documents_not_a_list": lambda h: json.dumps({**json.loads(h), "documents": "d000"}),
+    "relation_names_string": lambda h: json.dumps({**json.loads(h), "schema": {
+        **json.loads(h)["schema"], "relation_names": "abcde"}}),
 }
 
 UNREGISTERED_PLUGIN = {"kind": "plugin", "plugin": "nope"}
@@ -423,7 +450,10 @@ class TestMalformedInput:
         bad = write_pairs(tiny_dev, tmp_path / "bad.jsonl", DATASET_MUTATIONS[mutation])
         cfg = self.eval_config(tmp_path, bad)
         capsys.readouterr()
-        assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+        err = assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+        assert str(bad) in err
+        if mutation in MUTATED_LINE:
+            assert f"{bad}:{MUTATED_LINE[mutation]}:" in err
 
     @pytest.mark.parametrize("mutation", sorted(CHECKPOINT_MUTATIONS))
     def test_bad_checkpoint_exits_2(self, tmp_path, tiny_dev, capsys, mutation):
@@ -464,12 +494,13 @@ class TestMalformedInput:
         capsys.readouterr()
         err = assert_one_line_error(capsys, run([command, cfg, "-o", out]), 1)
         assert "nope" in err
-        # rejected before anything but the echoed config is written
-        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+        # rejected before anything is written, the echoed config included
+        assert list(out.iterdir()) == []
 
     def test_zero_curve_step_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "curves.json", {"d_step": 0})
         assert_one_line_error(capsys, run(["curves", cfg, "-o", tmp_path / "c"]), 1)
+        assert list((tmp_path / "c").iterdir()) == []
 
     @pytest.mark.parametrize("grid", [{"kinds": ["bogus"]}, {"gammas": ["x"]}],
                              ids=["unknown_kind", "non_numeric_gamma"])
@@ -480,3 +511,57 @@ class TestMalformedInput:
         })
         capsys.readouterr()
         assert_one_line_error(capsys, run(["compare", cfg, "-o", tmp_path / "c"]), 1)
+        assert list((tmp_path / "c").iterdir()) == []
+
+
+PAIR_FIELDS = ("pair_id", "doc_id", "features", "positives", "true_positives",
+               "seen_in_train", "difficulty", "corrupted")
+# a replacement value of some other JSON type (or the field dropped)
+SWAPPED = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 99), st.text(max_size=3), st.just({}),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-1, 6), max_size=3), st.lists(st.booleans(), max_size=2),
+    st.lists(st.floats(-2.0, 2.0), max_size=3), st.just("<dropped>"))
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+class TestFuzzPairLines:
+    """Mutated pair lines through `cmm eval`: exit 0, or 1/2 with one stderr line."""
+
+    def test_eval_never_crashes(self, tmp_path, tiny_dev):
+        lines = Path(tiny_dev).read_text().splitlines()
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(str(ckpt), init_encoder("linear", TINY_GEN["feature_dim"],
+                                                TINY_GEN["relation_count"]), None)
+        bad = tmp_path / "bad.jsonl"
+        cfg = write_config(tmp_path, "eval.json", {"dataset": str(bad),
+                                                   "checkpoint": str(ckpt)})
+        n_pairs = len(lines) - 1
+
+        @settings(max_examples=50, deadline=None, derandomize=True)
+        @given(st.integers(0, n_pairs - 1),
+               st.one_of(st.tuples(st.sampled_from(PAIR_FIELDS), SWAPPED),
+                         st.tuples(st.just("non_finite_feature"), NON_FINITE)))
+        def check(index, mutation):
+            field, value = mutation
+            pair = json.loads(lines[index + 1])
+            if field == "non_finite_feature":
+                pair["features"][index % len(pair["features"])] = value
+            elif value == "<dropped>":
+                del pair[field]
+            else:
+                pair[field] = value
+            mutated = list(lines)
+            mutated[index + 1] = json.dumps(pair)
+            bad.write_text("\n".join(mutated) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(["eval", cfg, "-o", tmp_path / "ev"])
+            if field == "non_finite_feature":
+                assert code == 2
+            if code != 0:
+                assert code in (1, 2)
+                assert len(err.getvalue().splitlines()) == 1
+                assert "Traceback" not in err.getvalue()
+
+        check()

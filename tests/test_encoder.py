@@ -208,6 +208,101 @@ class TestAdamW:
         assert np.allclose(params.tensors["W"], -3 * 0.01, atol=1e-6)
 
 
+def reference_adamw(tensors, grads, m, v, step, cfg, decayed):
+    """The per-tensor AdamW loop, in place: the reference the fused update must equal."""
+    c1 = 1.0 - cfg.beta1 ** step
+    c2 = 1.0 - cfg.beta2 ** step
+    for name, p in tensors.items():
+        g = grads[name]
+        if cfg.weight_decay != 0.0 and name in decayed:
+            p *= 1.0 - cfg.learning_rate * cfg.weight_decay
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * g * g
+        p -= cfg.learning_rate * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.epsilon)
+
+
+class TestFlatAdamW:
+    """Parameters and moments live in one vector each; the update is one fused pass."""
+
+    def test_equals_per_tensor_loop(self):
+        params = init_encoder("one_hidden", feature_dim=5, relation_count=3,
+                              hidden_dim=4, seed=3)
+        ref = {k: v.copy() for k, v in params.tensors.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+        cfg = train_config(learning_rate=0.05, weight_decay=0.1)
+        state = init_adamw_state(params)
+        rng = np.random.default_rng(0)
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(v.shape) for k, v in ref.items()}
+            params, state = adamw_step(params, grads, cfg, state)
+            reference_adamw(ref, grads, ref_m, ref_v, step, cfg, ("W1", "W2"))
+        for name in ref:
+            assert np.array_equal(params.tensors[name], ref[name]), name
+            assert np.array_equal(state.m[name], ref_m[name]), name
+            assert np.array_equal(state.v[name], ref_v[name]), name
+
+    def test_one_hidden_decays_weights_not_biases(self):
+        params = init_encoder("one_hidden", feature_dim=3, relation_count=2,
+                              hidden_dim=4, seed=1)
+        params.tensors["b1"][:] = 0.5
+        params.tensors["b2"][:] = -0.25
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        cfg = train_config(weight_decay=0.01, learning_rate=0.1)
+        params, _ = adamw_step(params, grads, cfg, init_adamw_state(params))
+        for name in ("W1", "W2"):
+            assert np.array_equal(params.tensors[name], before[name] * (1.0 - 0.001))
+        for name in ("b1", "b2"):
+            assert np.array_equal(params.tensors[name], before[name])
+
+    def test_in_place_writes_seen_by_next_step(self):
+        params = init_encoder("linear", feature_dim=2, relation_count=1, seed=0)
+        state = init_adamw_state(params)
+        cfg = train_config(learning_rate=1e-3, weight_decay=0.0)
+        unit = {"W": np.ones((2, 2)), "b": np.ones(2)}
+        expected = 0.5 - 1e-3 / (1.0 + 1e-8)
+        params.tensors["b"][:] = 0.5
+        params, state = adamw_step(params, unit, cfg, state)
+        assert np.array_equal(params.tensors["b"], np.full(2, expected))
+        assert np.shares_memory(params.tensors["b"], params.flat)
+        params.tensors["W"][:] = 0.0
+        state.m["W"][:] = 0.0           # restart W's moments: its next move is -lr again
+        state.v["W"][:] = 0.0
+        params, state = adamw_step(params, unit, cfg, state)
+        c1, c2 = 1.0 - 0.9 ** 2, 1.0 - 0.999 ** 2
+        want = -1e-3 * (0.1 / c1) / (np.sqrt(0.001 / c2) + 1e-8)
+        assert np.allclose(params.tensors["W"], want, rtol=1e-12, atol=0.0)
+
+    def test_copy_shares_no_memory(self):
+        params = init_encoder("one_hidden", feature_dim=3, relation_count=2,
+                              hidden_dim=2, seed=4)
+        clone = params.copy()
+        assert not np.shares_memory(clone.flat, params.flat)
+        for name in params.parameter_names:
+            assert not np.shares_memory(clone.tensors[name], params.tensors[name])
+            assert np.array_equal(clone.tensors[name], params.tensors[name])
+        clone.tensors["W1"][0, 0] += 1.0
+        assert clone.tensors["W1"][0, 0] != params.tensors["W1"][0, 0]
+
+    def test_non_finite_gradient_names_the_tensor(self):
+        params = init_encoder("one_hidden", feature_dim=2, relation_count=1,
+                              hidden_dim=2, seed=0)
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        grads["b2"][1] = np.inf
+        state = init_adamw_state(params)
+        with pytest.raises(NumericError, match="'b2'"):
+            adamw_step(params, grads, train_config(), state)
+        assert state.step == 0      # rejected before anything moved
+
+    def test_parameter_names_must_match_architecture(self):
+        with pytest.raises(SchemaError):
+            EncoderParams(architecture="linear", feature_dim=2, relation_count=1,
+                          hidden_dim=0, tensors={"W": np.zeros((2, 2))})
+
+
 class TestTrain:
     def test_loss_decreases_on_separable_toy(self):
         ds = toy_dataset(seed=0, n_docs=20, pairs_per_doc=10)

@@ -23,6 +23,7 @@ from cmm.loss import (
     cmm_loss,
     cmm_loss_grad,
     cmm_positive_term,
+    _negative_terms,
     cmm_rescale,
     get_loss,
     margin_distances,
@@ -365,6 +366,52 @@ class TestBatchRows:
                 assert abs(rows[i] - float(oracle(values, positives, cfg))) < 1e-9
                 want = oracle_grad(lambda v: oracle(v, positives, cfg), values)
                 assert np.all(np.abs(grads[i] - np.array([float(g) for g in want])) < 1e-8)
+
+
+class TestLiveOnlyNegatives:
+    """The negative side evaluates only entries short of the clamp; NaN stays live."""
+
+    def test_nan_logit_propagates(self):
+        t = np.array([[0.0, 1.0, np.nan, -3.0], [0.0, 1.0, -3.0, -3.0]])
+        mask = np.array([[True, False, False], [True, False, False]])
+        rows, grads = batch_rows("cmm", t, mask, cfg_cmm(), need_grad=True)
+        assert np.isnan(rows[0]) and np.isnan(grads[0, 2]) and np.isnan(grads[0, 0])
+        assert np.all(np.isfinite(rows[1:])) and np.all(np.isfinite(grads[1:]))
+        assert math.isnan(cmm_rescale(float("nan"), "negative", 0.2))
+
+    @pytest.mark.parametrize("live", [False, True], ids=["all_clamped", "none_clamped"])
+    def test_extremes_match_oracle(self, live):
+        rng = np.random.default_rng(5)
+        for m in M_GRID:
+            c = clamp_distance(m)
+            # every negative's distance t_TH - t_r sits 0.5..8 past or short of the clamp
+            offsets = rng.uniform(0.5, 8.0, (4, 5))
+            t = np.concatenate([np.zeros((4, 1)), offsets - c if live else -c - offsets], axis=1)
+            mask = np.zeros((4, 5), dtype=bool)
+            mask[1, 2] = mask[3, [0, 4]] = True
+            cfg = cfg_cmm(gamma=1.4, m=m)
+            rows, grads = batch_rows("cmm", t, mask, cfg, need_grad=True)
+            neg = grads[:, 1:][~mask]
+            assert np.all(neg != 0.0) if live else np.all(neg == 0.0)
+            for i in range(4):
+                values = [float(x) for x in t[i]]
+                positives = frozenset(int(j + 1) for j in np.flatnonzero(mask[i]))
+                loss = lambda v: oracle_cmm_loss(v, positives, "1.4", str(m))  # noqa: E731
+                assert abs(rows[i] - float(loss(values))) < 1e-9
+                want = np.array([float(g) for g in oracle_grad(loss, values)])
+                assert np.all(np.abs(grads[i] - want) < 1e-8)
+
+    @pytest.mark.parametrize("d", [-3.0, 0.7, 1.5, 6.0])
+    def test_zero_d_matches_oracle(self, d):
+        m = 0.2                                   # clamp at log 4 ~ 1.386
+        term, dterm = _negative_terms(np.float64(d), m, need_grad=True)
+        assert term.shape == () and dterm.shape == ()
+        assert abs(float(term) - float(oracle_negative_term(d, "0.2"))) < 1e-12
+        h = mp.mpf("1e-20")
+        want = (oracle_negative_term(mp.mpf(d) + h, "0.2")
+                - oracle_negative_term(mp.mpf(d) - h, "0.2")) / (2 * h)
+        assert abs(float(dterm) - float(want)) < 1e-12
+        assert cmm_rescale(d, "negative", m) == -float(term)
 
 
 class TestLabelPartition:

@@ -178,6 +178,25 @@ class TestJsonl:
         save_dataset_jsonl(loaded, str(path2))
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_equal_positives_share_one_label_set(self, tmp_path):
+        examples = [
+            make_example("d0:0", "d0", {1, 3}, seen=(2,)),
+            make_example("d0:1", "d0", {2}, true_positives={2, 4}, corrupted=True),
+            make_example("d1:0", "d1", {1, 3}, seen=(2,)),
+            make_example("d1:1", "d1", {4}),
+            make_example("d1:2", "d1", {2, 4}),
+        ]
+        path = tmp_path / "data.jsonl"
+        save_dataset_jsonl(make_dataset(examples), str(path))
+        loaded = load_dataset_jsonl(str(path)).examples
+        assert loaded[0].labels is loaded[2].labels is loaded[0].true_labels
+        assert loaded[1].true_labels is loaded[4].labels
+        assert loaded[1].labels is not loaded[3].labels      # equal length, other index
+        assert loaded[0].seen_in_train == frozenset({2})
+        again = tmp_path / "again.jsonl"
+        save_dataset_jsonl(load_dataset_jsonl(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
     def test_line_key_order_fixed(self):
         ds = make_dataset([make_example("d0:0", "d0", {1})])
         lines = list(dataset_to_lines(ds))
