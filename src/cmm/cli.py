@@ -28,7 +28,7 @@ import numpy as np
 from . import encoder, evaluation, gradcheck, synthdata
 from .errors import CmmError, ConfigError, GenerationError, SchemaError
 from .loss import GAMMA_GRID, M_GRID, LossConfig, get_loss
-from .schema import load_dataset_jsonl, save_dataset_jsonl
+from .schema import load_dataset_jsonl, open_atomic, save_dataset_jsonl
 
 TRACE_HEADER = ("epoch", "train_loss", "dev_f1", "dev_ign_f1", "dev_positives")
 GRID_HEADER = ("kind", "gamma", "m", "seed", "dev_f1", "dev_ign_f1", "dev_positives", "best")
@@ -105,7 +105,7 @@ def _load_dataset(path: Path, field: str):
 
 
 def _write_json(path: Path, obj: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, separators=(",", ":"))
         fh.write("\n")
 
@@ -125,7 +125,7 @@ def _cfg_as_dict(train_cfg: encoder.TrainConfig) -> dict[str, Any]:
 
 
 def _write_trace_csv(path: Path, trace: Sequence[encoder.TraceRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for rec in trace:
@@ -137,7 +137,6 @@ def _write_trace_csv(path: Path, trace: Sequence[encoder.TraceRecord]) -> None:
 
 def cmd_generate(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     gen_cfg = _build_gen_config(config)
-    _write_effective(outdir, {"generate": gen_cfg.to_dict()})
     dataset = synthdata.generate(gen_cfg)
     if gen_cfg.false_negative_rate > 0.0:
         dataset = synthdata.inject_false_negatives(dataset, gen_cfg.false_negative_rate,
@@ -146,6 +145,7 @@ def cmd_generate(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     report = synthdata.distribution_report(dataset)
     _write_json(outdir / "distribution_report.json",
                 {"format": "cmm-distribution/1", **report.to_dict()})
+    _write_effective(outdir, {"generate": gen_cfg.to_dict()})
     return 0
 
 
@@ -159,24 +159,30 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
         arms = [{"name": base.loss.kind, "loss": None}]
     if not isinstance(arms, list) or not arms:
         raise ConfigError("'arms' must be a non-empty list")
-    named_cfgs: list[tuple[str, encoder.TrainConfig]] = []
+    names: list[str] = []
+    cfgs: list[encoder.TrainConfig] = []
     for arm in arms:
         if not isinstance(arm, dict):
             raise ConfigError("each arm must be a JSON object")
         loss_cfg = base.loss if arm.get("loss") is None else _build_loss_config(arm["loss"])
-        named_cfgs.append((arm.get("name", loss_cfg.kind), replace(base, loss=loss_cfg)))
-    resolved_arms: list[dict[str, Any]] = []
-    traces: dict[str, list[encoder.TraceRecord]] = {}
-    for name, cfg in named_cfgs:
-        resolved_arms.append({"name": name, "train": _cfg_as_dict(cfg)})
-        params, trace = encoder.train(train_ds, dev_ds, cfg)
-        traces[name] = trace
+        name = arm.get("name", loss_cfg.kind)
+        if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
+                or os.path.basename(name) != name):
+            raise ConfigError(f"arm name must be a non-empty plain file name, got {name!r}")
+        if name in names:
+            raise ConfigError(f"arm name {name!r} is used twice")
+        names.append(name)
+        cfgs.append(replace(base, loss=loss_cfg))
+    results = encoder.train(train_ds, dev_ds, cfgs)
+    for name, cfg, (params, trace) in zip(names, cfgs, results):
         encoder.save_checkpoint(str(outdir / f"{name}.checkpoint.json"), params, None,
                                 config=_cfg_as_dict(cfg))
         _write_trace_csv(outdir / f"{name}.trace.csv", trace)
+    traces = {name: trace for name, (_, trace) in zip(names, results)}
     evaluation.write_positive_count_csv(evaluation.positive_count_trace(traces),
                                         str(outdir / "positives.csv"))
-    _write_effective(outdir, {"train": {"arms": resolved_arms}})
+    _write_effective(outdir, {"train": {"arms": [
+        {"name": name, "train": _cfg_as_dict(cfg)} for name, cfg in zip(names, cfgs)]}})
     return 0
 
 
@@ -207,8 +213,8 @@ def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence
                 else:
                     loss_cfg = replace(base.loss, kind=kind, gamma=float(gamma), m=float(m))
                 get_loss(loss_cfg)
-                cfg = replace(base, loss=loss_cfg, seed=int(seed))
-                arms.append((kind, gamma, m, int(seed), cfg))
+                cfg = replace(base, loss=loss_cfg, seed=seed)
+                arms.append((kind, gamma, m, seed, cfg))
     return arms
 
 
@@ -218,12 +224,18 @@ def run_compare_grid(train_ds, dev_ds, base: encoder.TrainConfig,
                      ms: Sequence[float] = M_GRID,
                      seeds: Sequence[int] = (0,)) -> list[GridRow]:
     """Train one arm per (kind, gamma, m, seed) tuple; cmm sweeps the grid,
-    other kinds run once per seed."""
-    rows: list[GridRow] = []
-    for kind, gamma, m, seed, cfg in _grid_arms(base, kinds, gammas, ms, seeds):
-        final = encoder.train(train_ds, dev_ds, cfg)[1][-1]
-        rows.append(GridRow(kind=kind, gamma=gamma, m=m, seed=seed, dev_f1=final.dev_f1,
-                            dev_ign_f1=final.dev_ign_f1, dev_positives=final.dev_positives))
+    other kinds run once per seed. The arms of one seed train in lockstep;
+    rows come back in tuple order."""
+    arms = _grid_arms(base, kinds, gammas, ms, seeds)
+    rows: list[GridRow | None] = [None] * len(arms)
+    for seed in dict.fromkeys(arm[3] for arm in arms):
+        group = [i for i, arm in enumerate(arms) if arm[3] == seed]
+        results = encoder.train(train_ds, dev_ds, [arms[i][4] for i in group])
+        for i, (_, trace) in zip(group, results):
+            kind, gamma, m, _, _ = arms[i]
+            final = trace[-1]
+            rows[i] = GridRow(kind=kind, gamma=gamma, m=m, seed=seed, dev_f1=final.dev_f1,
+                              dev_ign_f1=final.dev_ign_f1, dev_positives=final.dev_positives)
     return rows
 
 
@@ -236,7 +248,7 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
         kinds = tuple(config.get("kinds", DEFAULT_COMPARE_KINDS))
         gammas = tuple(config.get("gammas", GAMMA_GRID))
         ms = tuple(config.get("ms", M_GRID))
-        seeds = tuple(int(s) for s in config.get("seeds", [base.seed]))
+        seeds = tuple(config.get("seeds", [base.seed]))
         _grid_arms(base, kinds, gammas, ms, seeds)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad compare config: {exc}") from exc
@@ -245,7 +257,7 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
                                           "seeds": list(seeds)}})
     rows = run_compare_grid(train_ds, dev_ds, base, kinds, gammas, ms, seeds)
     best_idx = max(range(len(rows)), key=lambda i: rows[i].dev_f1) if rows else -1
-    with open(outdir / "grid.csv", "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(outdir / "grid.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GRID_HEADER)
         for i, row in enumerate(rows):
@@ -266,9 +278,9 @@ def cmd_gradcheck(config: dict[str, Any], config_dir: Path, outdir: Path) -> int
     if unknown:
         raise ConfigError(f"unknown gradcheck config fields: {sorted(unknown)}")
     kwargs = dict(config)
-    if "logit_range" in kwargs:
-        kwargs["logit_range"] = tuple(kwargs["logit_range"])
     try:
+        if "logit_range" in kwargs:
+            kwargs["logit_range"] = tuple(kwargs["logit_range"])
         report = gradcheck.check_gradients(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad gradcheck config: {exc}") from exc
@@ -355,9 +367,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config, raw = _load_config(config_path)
         outdir.mkdir(parents=True, exist_ok=True)
-        code = HANDLERS[args.command](config, config_path.resolve().parent, outdir)
+        # the explicit finiteness checks report non-finite values, in one line
+        with np.errstate(all="ignore"):
+            code = HANDLERS[args.command](config, config_path.resolve().parent, outdir)
         # echoed once the handler has parsed and run it: a rejected config leaves no copy
-        (outdir / "config.json").write_bytes(raw)
+        with open_atomic(outdir / "config.json", "wb") as fh:
+            fh.write(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -8,25 +8,39 @@ adaptive-threshold classifier head.
 Training follows a per-document loop: each epoch shuffles document groups,
 sums the configured loss over a document's pairs, and takes one optimizer
 step per document (optionally accumulating over k documents). Everything is
-deterministic given the config seed.
+deterministic given the config seed. Arms whose configs differ only in the
+loss train in lockstep, sharing each document step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .errors import NumericError, SchemaError
 from .evaluation import label_masks, mask_metrics
-from .loss import LossConfig, batch_rows, get_loss
-from .schema import Dataset, LabelSet, LogitRow
+from .loss import LossConfig, _cmm_rows, batch_rows, clamp_distance, get_loss
+from .schema import Dataset, LabelSet, LogitRow, open_atomic, require_finite, require_int
 
 ARCHITECTURES = ("linear", "one_hidden")
 CHECKPOINT_FORMAT = "cmm-checkpoint/1"
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of consecutive slices of the last axis of ``flat``, shaped like ``shapes``.
+
+    On a (K, P) block of K packed vectors each view has a leading K axis.
+    """
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[..., start:start + size].reshape(flat.shape[:-1] + shape)
+        start += size
+    return views
 
 
 def _pack(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -34,11 +48,7 @@ def _pack(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndar
     writable views of it shaped like them."""
     arrays = [np.asarray(t, dtype=np.float64) for t in tensors.values()]
     flat = np.concatenate([a.ravel() for a in arrays])
-    views, start = {}, 0
-    for name, a in zip(tensors, arrays):
-        views[name] = flat[start:start + a.size].reshape(a.shape)
-        start += a.size
-    return flat, views
+    return flat, _views(flat, {name: a.shape for name, a in zip(tensors, arrays)})
 
 
 @dataclass
@@ -115,24 +125,60 @@ def init_encoder(architecture: str, feature_dim: int, relation_count: int,
                          tensors=tensors)
 
 
-def _forward(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    if params.architecture == "linear":
-        return x @ params.tensors["W"].T + params.tensors["b"], (x,)
-    z = x @ params.tensors["W1"].T + params.tensors["b1"]
-    h = np.tanh(z)
-    return h @ params.tensors["W2"].T + params.tensors["b2"], (x, h)
+def _matmuls(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[k] = a[k] @ b[k] per arm; a 2-D operand is shared by every arm.
+
+    One GEMM per arm: these are the BLAS calls of that arm alone, where one
+    GEMM over the arms' stacked weights picks other kernels for the wider
+    output and rounds differently.
+    """
+    for k in range(out.shape[0]):
+        np.matmul(a if a.ndim == 2 else a[k], b if b.ndim == 2 else b[k], out=out[k])
+    return out
 
 
-def _backward_from_logit_grads(params: EncoderParams, cache: tuple,
-                               g_t: np.ndarray) -> dict[str, np.ndarray]:
-    if params.architecture == "linear":
+def _forward(tensors: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(K, n, R+1) logits of the rows of x under K parameter sets, and the
+    cache ``_backward`` needs.
+
+    Every tensor carries a leading arm axis (``_stacked`` gives one encoder
+    an axis of 1). A linear encoder has the tensors W and b.
+    """
+    if "W" in tensors:
+        w, b = tensors["W"], tensors["b"]
+        logits = _matmuls(x, w.transpose(0, 2, 1), np.empty((len(w), len(x), w.shape[1])))
+        logits += b[:, None, :]
+        return logits, (x,)
+    w1, w2 = tensors["W1"], tensors["W2"]
+    h = _matmuls(x, w1.transpose(0, 2, 1), np.empty((len(w1), len(x), w1.shape[1])))
+    h += tensors["b1"][:, None, :]
+    np.tanh(h, out=h)
+    logits = _matmuls(h, w2.transpose(0, 2, 1), np.empty((len(w2), len(x), w2.shape[1])))
+    logits += tensors["b2"][:, None, :]
+    return logits, (x, h)
+
+
+def _backward(tensors: dict[str, np.ndarray], cache: tuple, g_t: np.ndarray,
+              out: dict[str, np.ndarray]) -> None:
+    """Write the parameter gradients for (K, n, R+1) logit gradients g_t into
+    ``out``, whose arrays carry the arm axis like ``tensors``."""
+    if len(cache) == 1:
         (x,) = cache
-        return {"W": g_t.T @ x, "b": g_t.sum(axis=0)}
+        _matmuls(g_t.transpose(0, 2, 1), x, out["W"])
+        np.sum(g_t, axis=1, out=out["b"])
+        return
     x, h = cache
-    g_h = g_t @ params.tensors["W2"]
-    g_z = g_h * (1.0 - h * h)
-    return {"W1": g_z.T @ x, "b1": g_z.sum(axis=0),
-            "W2": g_t.T @ h, "b2": g_t.sum(axis=0)}
+    g_z = _matmuls(g_t, tensors["W2"], np.empty_like(h))
+    g_z *= 1.0 - h * h
+    _matmuls(g_z.transpose(0, 2, 1), x, out["W1"])
+    np.sum(g_z, axis=1, out=out["b1"])
+    _matmuls(g_t.transpose(0, 2, 1), h, out["W2"])
+    np.sum(g_t, axis=1, out=out["b2"])
+
+
+def _stacked(params: "EncoderParams") -> dict[str, np.ndarray]:
+    """The tensors of one encoder as a stack of one arm (views)."""
+    return {name: t[None] for name, t in params.tensors.items()}
 
 
 def encode(params: EncoderParams, features) -> LogitRow:
@@ -141,16 +187,16 @@ def encode(params: EncoderParams, features) -> LogitRow:
     if x.ndim != 1 or x.size != params.feature_dim:
         raise SchemaError(f"expected feature vector of dim {params.feature_dim}, "
                           f"got shape {x.shape}")
-    logits, _ = _forward(params, x[None, :])
-    return LogitRow(logits[0])
+    logits, _ = _forward(_stacked(params), x[None, :])
+    return LogitRow(logits[0, 0])
 
 
 def encode_batch(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.feature_dim:
         raise SchemaError(f"expected (n, {params.feature_dim}) features, got shape {x.shape}")
-    logits, _ = _forward(params, x)
-    return logits
+    logits, _ = _forward(_stacked(params), x)
+    return logits[0]
 
 
 def backward(params: EncoderParams, features, labels: LabelSet,
@@ -160,9 +206,12 @@ def backward(params: EncoderParams, features, labels: LabelSet,
     if x.ndim != 1 or x.size != params.feature_dim:
         raise SchemaError(f"expected feature vector of dim {params.feature_dim}, "
                           f"got shape {x.shape}")
-    logits, cache = _forward(params, x[None, :])
-    g_row = get_loss(cfg).grad(LogitRow(logits[0]), labels, cfg)
-    return _backward_from_logit_grads(params, cache, np.asarray(g_row)[None, :])
+    tensors = _stacked(params)
+    logits, cache = _forward(tensors, x[None, :])
+    g_row = get_loss(cfg).grad(LogitRow(logits[0, 0]), labels, cfg)
+    grads = {name: np.empty_like(t) for name, t in tensors.items()}
+    _backward(tensors, cache, np.asarray(g_row, dtype=np.float64)[None, None, :], grads)
+    return {name: g[0] for name, g in grads.items()}
 
 
 # --- AdamW ----------------------------------------------------------------
@@ -193,6 +242,26 @@ def init_adamw_state(params: EncoderParams) -> AdamWState:
                       v={k: np.zeros_like(t) for k, t in params.tensors.items()})
 
 
+def _adamw_update(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, step: int,
+                  cfg: "TrainConfig", decayed: Sequence[np.ndarray]) -> None:
+    """The AdamW update at ``step``, in place and elementwise on p, m and v.
+
+    ``decayed`` are the views of p holding weight matrices. The arrays may be
+    one packed vector or a (K, P) block of K arms' vectors: every operation is
+    elementwise, so each row gets exactly the update it would get alone.
+    """
+    c1 = 1.0 - cfg.beta1 ** step
+    c2 = 1.0 - cfg.beta2 ** step
+    if cfg.weight_decay != 0.0:
+        for w in decayed:
+            w *= 1.0 - cfg.learning_rate * cfg.weight_decay
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+
+
 def adamw_step(params: EncoderParams, grads: dict[str, np.ndarray], cfg: "TrainConfig",
                state: AdamWState) -> tuple[EncoderParams, AdamWState]:
     """One decoupled-weight-decay Adam update, in place on params and state.
@@ -207,18 +276,8 @@ def adamw_step(params: EncoderParams, grads: dict[str, np.ndarray], cfg: "TrainC
         bad = next(n for n in params.parameter_names if not np.all(np.isfinite(grads[n])))
         raise NumericError(f"non-finite gradient for parameter {bad!r}")
     state.step += 1
-    t = state.step
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
-    if cfg.weight_decay != 0.0:
-        for name in params.decayed_names:
-            params.tensors[name] *= 1.0 - cfg.learning_rate * cfg.weight_decay
-    p, m, v = params.flat, state.m_flat, state.v_flat
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * g * g
-    p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+    _adamw_update(params.flat, state.m_flat, state.v_flat, g, state.step, cfg,
+                  [params.tensors[name] for name in params.decayed_names])
     return params, state
 
 
@@ -240,20 +299,21 @@ class TrainConfig:
     accumulate_documents: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "beta1", "beta2", "epsilon", "weight_decay"):
+            require_finite(name, getattr(self, name))
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie strictly in (0, 1)")
         if self.learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.accumulate_documents < 1:
-            raise ValueError("accumulate_documents must be >= 1")
+        if self.weight_decay < 0.0 or self.epsilon < 0.0:
+            raise ValueError(f"weight_decay and epsilon must be >= 0, got "
+                             f"{self.weight_decay} and {self.epsilon}")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
+        for name, minimum in (("epochs", 1), ("seed", 0), ("eval_every", 1),
+                              ("accumulate_documents", 1),
+                              ("hidden_dim", 1 if self.architecture == "one_hidden" else 0)):
+            require_int(name, getattr(self, name), minimum)
 
 
 @dataclass(frozen=True)
@@ -269,9 +329,17 @@ class TraceRecord:
 class _PackedDoc:
     features: np.ndarray    # (n, F)
     pos_mask: np.ndarray    # (n, R) bool
+    stacked_pos: tuple      # np.nonzero of pos_mask repeated once per cmm arm
+    stacked_gamma: np.ndarray   # the cmm arm's gamma at each entry of stacked_pos
 
 
-def _pack_documents(dataset: Dataset) -> list[_PackedDoc]:
+def _packed(x: np.ndarray, mask: np.ndarray, cmm_gammas: np.ndarray) -> _PackedDoc:
+    pos = np.nonzero(np.broadcast_to(mask, (cmm_gammas.size,) + mask.shape))
+    return _PackedDoc(features=x, pos_mask=mask, stacked_pos=pos,
+                      stacked_gamma=cmm_gammas[pos[0]])
+
+
+def _pack_documents(dataset: Dataset, cmm_gammas: np.ndarray) -> list[_PackedDoc]:
     r_count = dataset.schema.relation_count
     docs = []
     for _, examples in dataset.iter_documents():
@@ -282,8 +350,16 @@ def _pack_documents(dataset: Dataset) -> list[_PackedDoc]:
         for i, ex in enumerate(examples):
             for r in ex.labels.positives:
                 mask[i, r - 1] = True
-        docs.append(_PackedDoc(features=x, pos_mask=mask))
+        docs.append(_packed(x, mask, cmm_gammas))
     return docs
+
+
+def _group(docs: Sequence[_PackedDoc], cmm_gammas: np.ndarray) -> _PackedDoc:
+    """The documents of one optimizer step as one batch."""
+    if len(docs) == 1:
+        return docs[0]
+    return _packed(np.concatenate([d.features for d in docs]),
+                   np.concatenate([d.pos_mask for d in docs]), cmm_gammas)
 
 
 def _chunk(seq: list, size: int) -> Iterator[list]:
@@ -291,56 +367,129 @@ def _chunk(seq: list, size: int) -> Iterator[list]:
         yield seq[i:i + size]
 
 
-def _batch_loss_and_grads(params: EncoderParams, docs: Sequence[_PackedDoc],
-                          cfg: LossConfig) -> tuple[float, dict[str, np.ndarray], int]:
-    x = docs[0].features if len(docs) == 1 else np.concatenate([d.features for d in docs])
-    mask = docs[0].pos_mask if len(docs) == 1 else np.concatenate([d.pos_mask for d in docs])
-    logits, cache = _forward(params, x)
-    rows, g_t = batch_rows(cfg.kind, logits, mask, cfg, need_grad=True)
-    n_pairs = logits.shape[0]
-    total = float(rows.sum())
-    if cfg.aggregation == "global_mean":
-        g_t = g_t / n_pairs
-    grads = _backward_from_logit_grads(params, cache, g_t)
-    return total, grads, n_pairs
+def _check_lockstep(cfgs: Sequence[TrainConfig]) -> None:
+    if not cfgs:
+        raise ValueError("train needs at least one TrainConfig")
+    for cfg in cfgs[1:]:
+        differ = [f.name for f in fields(cfg)
+                  if f.name != "loss" and getattr(cfg, f.name) != getattr(cfgs[0], f.name)]
+        if differ:
+            raise ValueError(f"configs trained together may differ only in 'loss', "
+                             f"not in {differ}")
 
 
-def train(dataset: Dataset, dev: Dataset, cfg: TrainConfig) -> tuple[EncoderParams,
-                                                                     list[TraceRecord]]:
-    """Train the encoder on shuffled document groups; see module docstring.
+class _Arms:
+    """K arms' parameters, AdamW moments and gradients as (K, P) blocks.
+
+    Row k holds arm k's packed vector in ``EncoderParams.flat`` layout;
+    ``params`` and ``grads`` view the blocks as tensors with a leading arm
+    axis. The cmm arms come first, so their stack is a leading slice.
+    """
+
+    def __init__(self, init: EncoderParams, losses: Sequence[LossConfig]):
+        self.init, self.losses = init, list(losses)
+        self.p = np.tile(init.flat, (len(self.losses), 1))
+        self.m, self.v, self.g = np.zeros_like(self.p), np.zeros_like(self.p), np.empty_like(self.p)
+        shapes = {name: t.shape for name, t in init.tensors.items()}
+        self.params, self.grads = _views(self.p, shapes), _views(self.g, shapes)
+        self.decayed = [self.params[name] for name in init.decayed_names]
+        cmm = [loss for loss in self.losses if loss.kind == "cmm"]
+        self.n_cmm = len(cmm)
+        self.gammas = np.array([loss.gamma for loss in cmm])
+        self.ms = np.array([loss.m for loss in cmm]).reshape(-1, 1, 1)
+        self.clamps = np.array([clamp_distance(loss.m) for loss in cmm]).reshape(-1, 1, 1)
+        self.step = 0
+
+    def step_grads(self, doc: _PackedDoc) -> np.ndarray:
+        """Write every arm's gradient for one batch into ``self.g``; return the loss sums."""
+        n, c = doc.features.shape[0], self.n_cmm
+        logits, cache = _forward(self.params, doc.features)
+        g_t = np.empty_like(logits)
+        totals = np.empty(len(self.losses))
+        if c:
+            rows, _ = _cmm_rows(logits[:c], doc.stacked_pos, doc.stacked_gamma, self.ms,
+                                need_grad=True, clamp=self.clamps, grad_out=g_t[:c])
+            totals[:c] = rows.sum(axis=-1)
+        for i in range(c, len(self.losses)):
+            rows, g_t[i] = batch_rows(self.losses[i].kind, logits[i], doc.pos_mask,
+                                      self.losses[i], need_grad=True)
+            totals[i] = rows.sum()
+        for i, loss in enumerate(self.losses):
+            if loss.aggregation == "global_mean":
+                g_t[i] /= n
+        _backward(self.params, cache, g_t, self.grads)
+        return totals
+
+    def apply(self, cfg: TrainConfig) -> None:
+        """One AdamW step for every arm; NumericError if any gradient is not finite."""
+        finite = np.isfinite(self.g).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            bad = next(n for n, t in self.grads.items() if not np.isfinite(t[i]).all())
+            raise NumericError(f"non-finite gradient for parameter {bad!r}"
+                               + (f" in the {self.losses[i].kind} arm"
+                                  if len(self.losses) > 1 else ""))
+        self.step += 1
+        _adamw_update(self.p, self.m, self.v, self.g, self.step, cfg, self.decayed)
+
+    def encoder(self, i: int) -> EncoderParams:
+        init = self.init
+        return EncoderParams(architecture=init.architecture, feature_dim=init.feature_dim,
+                             relation_count=init.relation_count, hidden_dim=init.hidden_dim,
+                             tensors={name: t[i] for name, t in self.params.items()})
+
+
+def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConfig]):
+    """Train one encoder per config, all arms in lockstep; see module docstring.
+
+    ``cfgs`` is one TrainConfig or a sequence of configs that differ only in
+    ``loss`` (ValueError otherwise). The seed alone sets the initial
+    parameters and the document order, so every arm shares each document
+    step: a forward and a backward GEMM per arm, one cmm kernel call over
+    the stack of cmm arms, one ``batch_rows`` call per other arm, and one
+    AdamW pass over all arms' parameters. Each arm ends bit-identical to
+    training it alone.
 
     Returns the final parameters and one trace record per evaluated epoch
-    (every ``eval_every`` epochs, plus the final epoch).
+    (every ``eval_every`` epochs, plus the final epoch); for a sequence of
+    configs, a list of those pairs in config order.
     """
+    single = isinstance(cfgs, TrainConfig)
+    cfgs = [cfgs] if single else list(cfgs)
+    _check_lockstep(cfgs)
     if not dataset.examples:
         raise SchemaError("training dataset is empty")
     if dataset.schema != dev.schema:
         raise SchemaError("train and dev datasets must share one schema")
-    docs = _pack_documents(dataset)
+    cfg = cfgs[0]
+    order = sorted(range(len(cfgs)), key=lambda k: cfgs[k].loss.kind != "cmm")
+    arms = _Arms(init_encoder(cfg.architecture, dataset.feature_dim,
+                              dataset.schema.relation_count, cfg.hidden_dim, cfg.seed),
+                 [cfgs[k].loss for k in order])
+    docs = _pack_documents(dataset, arms.gammas)
     dev_features = (np.stack([ex.features for ex in dev.examples])
                     if dev.examples else np.zeros((0, dataset.feature_dim)))
     dev_gold, dev_seen = label_masks(dev)
     n_pairs_total = sum(d.features.shape[0] for d in docs)
-
-    params = init_encoder(cfg.architecture, dataset.feature_dim,
-                          dataset.schema.relation_count, cfg.hidden_dim, cfg.seed)
-    state = init_adamw_state(params)
-    trace: list[TraceRecord] = []
+    traces: list[list[TraceRecord]] = [[] for _ in cfgs]
 
     for epoch in range(1, cfg.epochs + 1):
-        order = np.random.default_rng((cfg.seed, epoch)).permutation(len(docs))
-        epoch_loss = 0.0
-        for group_idx in _chunk(list(order), cfg.accumulate_documents):
-            group = [docs[i] for i in group_idx]
-            total, grads, _ = _batch_loss_and_grads(params, group, cfg.loss)
-            epoch_loss += total
-            params, state = adamw_step(params, grads, cfg, state)
+        perm = np.random.default_rng((cfg.seed, epoch)).permutation(len(docs))
+        epoch_loss = np.zeros(len(cfgs))
+        for group_idx in _chunk(list(perm), cfg.accumulate_documents):
+            epoch_loss += arms.step_grads(_group([docs[i] for i in group_idx], arms.gammas))
+            arms.apply(cfg)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            scores = mask_metrics(encode_batch(params, dev_features), dev_gold, dev_seen)
-            trace.append(TraceRecord(epoch=epoch, train_loss=epoch_loss / n_pairs_total,
-                                     dev_f1=scores.f1, dev_ign_f1=scores.ign_f1,
-                                     dev_positives=scores.tp + scores.fp))
-    return params, trace
+            for i, logits in enumerate(_forward(arms.params, dev_features)[0]):
+                scores = mask_metrics(logits, dev_gold, dev_seen)
+                traces[i].append(TraceRecord(
+                    epoch=epoch, train_loss=float(epoch_loss[i] / n_pairs_total),
+                    dev_f1=scores.f1, dev_ign_f1=scores.ign_f1,
+                    dev_positives=scores.tp + scores.fp))
+    results = [None] * len(cfgs)
+    for i, k in enumerate(order):
+        results[k] = (arms.encoder(i), traces[i])
+    return results[0] if single else results
 
 
 # --- checkpoints ----------------------------------------------------------
@@ -371,7 +520,7 @@ def save_checkpoint(path: str, params: EncoderParams, state: AdamWState | None,
         }
     if config is not None:
         obj["config"] = config
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, separators=(",", ":"))
         fh.write("\n")
 

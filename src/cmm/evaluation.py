@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .loss import GAMMA_GRID, cmm_positive_term
+from .schema import open_atomic
 
 CURVE_HEADER = ("d", "gamma", "loss_pos")
 POSITIVES_HEADER = ("epoch", "arm", "positives")
@@ -183,7 +184,7 @@ def curve_export(gammas: Sequence[float] = GAMMA_GRID, d_grid: Sequence[float] |
 
 
 def write_curve_csv(rows: Iterable[tuple[float, float, float]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_HEADER)
         for d, gamma, value in rows:
@@ -191,7 +192,7 @@ def write_curve_csv(rows: Iterable[tuple[float, float, float]], path: str) -> No
 
 
 def write_positive_count_csv(rows: Iterable[tuple[int, str, int]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(POSITIVES_HEADER)
         for epoch, arm, count in rows:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericError
 from .loss import GAMMA_GRID, M_GRID, LossConfig, clamp_distance, cmm_loss, cmm_loss_grad
-from .schema import LabelSet, LogitRow
+from .schema import LabelSet, LogitRow, require_int
 
 
 def relative_error(a: float, n: float) -> float:
@@ -111,8 +111,7 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
     are deterministic and trials could be evaluated in parallel and merged
     by index. Label sets include empty-positive cases.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    require_int("trials", trials, 1)
     lo, hi = logit_range
     gammas = tuple(gammas)
     ms = tuple(ms)

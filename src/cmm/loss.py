@@ -22,7 +22,8 @@ concrete losses are provided:
 Each kind has one composition, ``batch_rows`` over a boolean (n, R)
 positive mask, which the trainer calls per optimizer step. The single-row
 functions are batches of one, except that cmm runs the same rank-agnostic
-code on the row itself so the row-by-row gradcheck oracle builds no mask.
+code on the row itself so the row-by-row gradcheck oracle builds no mask,
+and the trainer runs it once on the (K, n, R+1) stack of all its cmm arms.
 Analytic gradients are exact and verified against central finite
 differences by the gradcheck module. Additional (value, gradient) pairs
 can be registered under ``kind="plugin"``.
@@ -104,11 +105,12 @@ def clamp_distance(m: float) -> float:
     return math.log((1.0 - m) / m)
 
 
-def _positive_terms(d, gamma: float, need_grad: bool):
+def _positive_terms(d, gamma, need_grad: bool):
     """Per-relation positive loss term -(1-q)**gamma * q with q = log(sigma(d)).
 
     Returns (term, dterm/dd). (1-q) >= 1 always, so the power is taken as
-    exp(gamma * log1p(-q)), which supports non-integer gamma.
+    exp(gamma * log1p(-q)), which supports non-integer gamma. ``gamma`` is
+    a float or one value per entry of d.
     """
     d = np.asarray(d, dtype=np.float64)
     q = log_sigmoid(d)
@@ -122,7 +124,7 @@ def _positive_terms(d, gamma: float, need_grad: bool):
     return term, dterm
 
 
-def _negative_terms(d, m: float, need_grad: bool):
+def _negative_terms(d, m, need_grad: bool, clamp=None):
     """Per-relation negative loss term -log(min(sigma(d) + m, 1)).
 
     Exactly zero, with exactly zero derivative, for d >= log((1-m)/m).
@@ -131,9 +133,17 @@ def _negative_terms(d, m: float, need_grad: bool):
     entries; NaN counts as live and propagates. The two exponentials are
     shared between the value and the sigmoid needed for the derivative.
     Works on any rank, 0-d included.
+
+    ``m`` is a float, or for a (K, ...) stack of K arms' distances a
+    (K, 1, ..., 1) array of the arms' m, with ``clamp`` their
+    ``clamp_distance`` values shaped alike.
     """
     d = np.asarray(d, dtype=np.float64)
-    live = ~(d >= clamp_distance(m))
+    shape = d.shape
+    live = ~(d >= (clamp_distance(m) if clamp is None else clamp))
+    if clamp is not None:   # a stack: index its few live entries by flat position
+        d, live = d.reshape(-1), np.flatnonzero(live)
+        m = m.ravel()[live // (d.size // m.size)]   # arm-major: equal spans per arm
     dl = d[live]
     low_side = dl <= 0.0
     en = np.exp(np.minimum(dl, 0.0))    # e^d on the low side, <= 1
@@ -141,39 +151,44 @@ def _negative_terms(d, m: float, need_grad: bool):
     q = np.where(low_side,
                  np.log(m + (1.0 + m) * en) - np.log1p(en),
                  np.log1p(m + m * ep) - np.log1p(ep))
-    term = np.zeros(d.shape)
-    term[live] = -q
+    term = np.zeros(shape)
+    term.reshape(d.shape)[live] = -q
     if not need_grad:
         return term, None
     s = np.where(low_side, en / (1.0 + en), 1.0 / (1.0 + ep))
-    dterm = np.zeros(d.shape)
-    dterm[live] = -(s * (1.0 - s)) / (s + m)
+    dterm = np.zeros(shape)
+    dterm.reshape(d.shape)[live] = -(s * (1.0 - s)) / (s + m)
     return term, dterm
 
 
 # --- one composition per loss kind (column j of a mask <-> relation j+1) --
 
-def _logit_grad(ddist: np.ndarray) -> np.ndarray:
-    """dL/dlogits from dL/d(t_r - t_TH); the TH entry takes minus the row sum."""
-    grad = np.empty(ddist.shape[:-1] + (ddist.shape[-1] + 1,))
+def _logit_grad(ddist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """dL/dlogits from dL/d(t_r - t_TH), written into ``out`` when given; the
+    TH entry takes minus the row sum."""
+    grad = np.empty(ddist.shape[:-1] + (ddist.shape[-1] + 1,)) if out is None else out
     grad[..., 1:] = ddist
     grad[..., 0] = -ddist.sum(axis=-1)
     return grad
 
 
-def _cmm_rows(t: np.ndarray, pos_idx, cfg: LossConfig,
-              need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """cmm loss over the last axis of t: one logit row or a batch of rows.
+def _cmm_rows(t: np.ndarray, pos_idx, gamma, m, need_grad: bool, clamp=None,
+              grad_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """cmm loss over the last axis of t: one logit row, a batch, or a stack of batches.
 
     ``pos_idx`` indexes the positive entries of ``t[..., 1:]``: an index
-    array for one row, ``np.nonzero(pos_mask)`` for a batch. Every other
-    relation is a negative.
+    array for one row, ``np.nonzero(pos_mask)`` for a batch, and the nonzero
+    of a (K, n, R) stacked mask for K arms trained in lockstep. Every other
+    relation is a negative. ``gamma`` and ``m`` are floats, or for a stack
+    one gamma per positive entry and one m per arm, shaped (K, 1, 1), with
+    ``clamp`` the arms' clamp distances (see ``_negative_terms``). The
+    gradient is written into ``grad_out`` when given.
     """
     dist = t[..., 1:] - t[..., :1]
     # positives are sparse: evaluate the negative side everywhere, then
     # overwrite the gathered positive entries
-    tn, gn = _negative_terms(-dist, cfg.m, need_grad)
-    tp, gp = _positive_terms(dist[pos_idx], cfg.gamma, need_grad)
+    tn, gn = _negative_terms(-dist, m, need_grad, clamp)
+    tp, gp = _positive_terms(dist[pos_idx], gamma, need_grad)
     terms = tn
     terms[pos_idx] = tp
     rows = terms.sum(axis=-1)
@@ -181,7 +196,7 @@ def _cmm_rows(t: np.ndarray, pos_idx, cfg: LossConfig,
         return rows, None
     ddist = -gn             # a negative's distance is t_TH - t_r: the sign flips
     ddist[pos_idx] = gp
-    return rows, _logit_grad(ddist)
+    return rows, _logit_grad(ddist, grad_out)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -231,14 +246,15 @@ def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossC
 
     ``pos_mask`` is boolean (n, R), column j for relation j+1; every relation
     not in it is a negative. This is the one composition of every built-in
-    kind: the trainer calls it once per optimizer step, the single-row
+    kind: the trainer calls it once per optimizer step and non-cmm arm
+    (its cmm arms share one ``_cmm_rows`` call), the single-row
     functions below are batches of one, and cmm shares its code with
     ``cmm_loss``/``cmm_loss_grad``. ``kind="plugin"`` calls the registered
     (value, gradient) pair row by row on label sets rebuilt from the mask.
     """
     t = np.asarray(logits2d, dtype=np.float64)
     if kind == "cmm":
-        return _cmm_rows(t, np.nonzero(pos_mask), cfg, need_grad)
+        return _cmm_rows(t, np.nonzero(pos_mask), cfg.gamma, cfg.m, need_grad)
     if kind == "atl_reference":
         return _atl_rows(t, pos_mask, need_grad)
     if kind == "plugin":
@@ -346,7 +362,7 @@ def cmm_loss(logits, labels: LabelSet, cfg: LossConfig) -> float:
     """
     _require_kind(cfg, "cmm")
     values, pos_cols = _positive_columns(logits, labels)
-    return float(_cmm_rows(values, pos_cols, cfg, need_grad=False)[0])
+    return float(_cmm_rows(values, pos_cols, cfg.gamma, cfg.m, need_grad=False)[0])
 
 
 def cmm_loss_grad(logits, labels: LabelSet, cfg: LossConfig) -> np.ndarray:
@@ -357,7 +373,7 @@ def cmm_loss_grad(logits, labels: LabelSet, cfg: LossConfig) -> np.ndarray:
     """
     _require_kind(cfg, "cmm")
     values, pos_cols = _positive_columns(logits, labels)
-    return _cmm_rows(values, pos_cols, cfg, need_grad=True)[1]
+    return _cmm_rows(values, pos_cols, cfg.gamma, cfg.m, need_grad=True)[1]
 
 
 def cmm_positive_term(d, gamma: float) -> np.ndarray:

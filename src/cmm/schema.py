@@ -8,11 +8,15 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import numbers
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterator, Mapping
+from typing import IO, Any, Iterator, Mapping
 
 import numpy as np
 
@@ -24,9 +28,51 @@ DIFFICULTIES = ("easy", "hard")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """A read-only float64 array with arr's values that no caller can write.
+
+    An array that already is one (read-only, owning its data) is returned
+    as is; anything else is copied.
+    """
+    if arr.dtype == np.float64 and arr.base is None and not arr.flags.writeable:
+        return arr
     out = np.array(arr, dtype=np.float64, copy=True)
     out.flags.writeable = False
     return out
+
+
+def require_int(name: str, value: Any, minimum: int) -> None:
+    """ValueError unless value is an integer, not a bool, and >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_finite(name: str, value: Any) -> None:
+    """ValueError unless value is a finite real number, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+@contextlib.contextmanager
+def open_atomic(path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open a file for writing such that ``path`` appears complete or not at all.
+
+    Writes go to a temporary file in the same directory, which replaces
+    ``path`` when the block exits cleanly and is removed when it raises.
+    Keyword arguments are passed to ``open``.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -155,7 +201,9 @@ class PairExample:
         if arr.ndim != 1:
             raise SchemaError(f"features must be 1-D, got shape {arr.shape} for {self.pair_id}")
         object.__setattr__(self, "features", _readonly(arr))
-        object.__setattr__(self, "seen_in_train", frozenset(int(r) for r in self.seen_in_train))
+        seen = self.seen_in_train
+        if type(seen) is not frozenset or any(type(r) is not int for r in seen):
+            object.__setattr__(self, "seen_in_train", frozenset(int(r) for r in seen))
         if self.difficulty not in DIFFICULTIES:
             raise SchemaError(f"difficulty must be one of {DIFFICULTIES}, got {self.difficulty!r}")
 
@@ -278,7 +326,7 @@ def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
 
 
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path, "w", encoding="utf-8") as fh:
         for line in dataset_to_lines(dataset):
             fh.write(line)
             fh.write("\n")
@@ -292,6 +340,18 @@ def _relation_indices(value: Any, name: str, relation_count: int) -> frozenset[i
     if stray:
         raise ValueError(f"{name!r} indices outside 1..{relation_count}: {stray}")
     return frozenset(value)
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _features(value: Any) -> np.ndarray:
+    """A JSON list of numbers as a read-only float64 vector; TypeError on anything else."""
+    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise TypeError(f"'features' must be a list of numbers, got {value!r:.80}")
+    arr = np.array(value, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 def load_dataset_jsonl(path: str) -> Dataset:
@@ -352,14 +412,14 @@ def load_dataset_jsonl(path: str) -> Dataset:
                 examples.append(PairExample(
                     pair_id=pair_id,
                     doc_id=doc_id,
-                    features=np.asarray(obj["features"], dtype=np.float64),
+                    features=_features(obj["features"]),
                     labels=shared(label_sets, obj, "positives", label_set),
                     true_labels=shared(label_sets, obj, "true_positives", label_set),
                     seen_in_train=shared(seen_sets, obj, "seen_in_train", frozenset),
                     difficulty=obj["difficulty"],
                     corrupted=corrupted,
                 ))
-            except (KeyError, TypeError, ValueError, SchemaError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, SchemaError) as exc:
                 raise SchemaError(f"{path}:{lineno}: malformed pair record "
                                   f"({type(exc).__name__}: {exc})") from exc
     dataset = Dataset(schema=schema, examples=tuple(examples),

@@ -25,7 +25,8 @@ from typing import Any
 import numpy as np
 
 from .errors import GenerationError
-from .schema import Dataset, LabelSet, PairExample, RelationSchema
+from .schema import (Dataset, LabelSet, PairExample, RelationSchema, require_finite,
+                     require_int)
 
 # Tuned once at |R|=20: head share ~0.42, tail share ~0.0035, inside the
 # calibration bands with slack on both sides.
@@ -51,6 +52,15 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        try:
+            for name in ("n_documents", "pairs_per_document", "relation_count", "feature_dim",
+                         "seed"):
+                require_int(name, getattr(self, name), 0)
+            for name in ("positive_rate", "zipf_exponent", "hard_fraction", "teacher_margin",
+                         "false_negative_rate", "seen_in_train_rate"):
+                require_finite(name, getattr(self, name))
+        except ValueError as exc:
+            raise GenerationError(str(exc)) from None
         if self.n_documents < 1 or self.pairs_per_document < 1:
             raise GenerationError("n_documents and pairs_per_document must be >= 1")
         if self.relation_count < 1:

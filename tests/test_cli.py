@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,7 @@ class TestGenerate:
                            {**TINY_GEN, "n_documents": 1, "pairs_per_document": 10,
                             "positive_rate": 0.001})
         assert run(["generate", cfg, "-o", tmp_path / "o"]) == 2
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 class TestTrain:
@@ -207,6 +209,29 @@ class TestCompare:
         assert grid_row[4] == trace_row[2]   # dev_f1
         assert grid_row[5] == trace_row[3]   # dev_ign_f1
         assert grid_row[6] == trace_row[4]   # dev_positives
+
+    def test_two_seed_grid_equals_per_tuple_train(self, tiny_dataset, tiny_dev):
+        from dataclasses import replace
+
+        from cmm.cli import run_compare_grid
+        from cmm.encoder import TrainConfig, train
+        from cmm.loss import LossConfig
+        from cmm.schema import load_dataset_jsonl
+        train_ds = load_dataset_jsonl(str(tiny_dataset))
+        dev_ds = load_dataset_jsonl(str(tiny_dev))
+        base = TrainConfig(loss=LossConfig(), epochs=2, seed=0, eval_every=2)
+        rows = run_compare_grid(train_ds, dev_ds, base, kinds=("cmm", "plain_margin"),
+                                gammas=(1.0, 2.0), ms=(0.1, 0.4), seeds=(0, 1))
+        tuples = [("cmm", g, m) for g in (1.0, 2.0) for m in (0.1, 0.4)]
+        expected = [(*t, seed) for t in tuples + [("plain_margin", None, None)]
+                    for seed in (0, 1)]
+        assert [(r.kind, r.gamma, r.m, r.seed) for r in rows] == expected
+        for row in rows:
+            loss = (LossConfig(kind=row.kind) if row.gamma is None
+                    else LossConfig(kind=row.kind, gamma=row.gamma, m=row.m))
+            final = train(train_ds, dev_ds, replace(base, loss=loss, seed=row.seed))[1][-1]
+            assert (row.dev_f1, row.dev_ign_f1, row.dev_positives) == (
+                final.dev_f1, final.dev_ign_f1, final.dev_positives)
 
 
 class TestGradcheckCmd:
@@ -395,6 +420,12 @@ DATASET_MUTATIONS = {
     "pair_id_number": lambda p: p[0].update(pair_id=7),
     "doc_id_number": lambda p: p[0].update(doc_id=7),
     "corrupted_string": lambda p: p[0].update(corrupted="false"),
+    "feature_string": lambda p: p[0]["features"].__setitem__(0, "1.5"),
+    "feature_bool": lambda p: p[0]["features"].__setitem__(1, True),
+    "feature_null": lambda p: p[0]["features"].__setitem__(2, None),
+    "feature_nested": lambda p: p[0]["features"].__setitem__(0, [1.0]),
+    "feature_huge_int": lambda p: p[0]["features"].__setitem__(0, 10 ** 400),
+    "features_object": lambda p: p[0].update(features={"0": 1.0}),
 }
 
 # mutations of one record: the message names its line (the first pair is line 2)
@@ -402,7 +433,9 @@ MUTATED_LINE = {"seen_index_zero": 2, "seen_index_past_r": 2, "missing_difficult
                 "positives_string": 2, "true_positives_string": 2, "seen_string": 2,
                 "positives_float": 2, "true_positives_float_after_int": 3,
                 "positives_bool_after_int": 3, "positives_out_of_range": 2,
-                "pair_id_number": 2, "doc_id_number": 2, "corrupted_string": 2}
+                "pair_id_number": 2, "doc_id_number": 2, "corrupted_string": 2,
+                "feature_string": 2, "feature_bool": 2, "feature_null": 2, "feature_nested": 2,
+                "feature_huge_int": 2, "features_object": 2}
 
 HEADER_MUTATIONS = {
     "not_json": lambda h: h[:-1],
@@ -413,6 +446,39 @@ HEADER_MUTATIONS = {
     "documents_not_a_list": lambda h: json.dumps({**json.loads(h), "documents": "d000"}),
     "relation_names_string": lambda h: json.dumps({**json.loads(h), "schema": {
         **json.loads(h)["schema"], "relation_names": "abcde"}}),
+}
+
+# each train config is rejected before anything is written
+BAD_TRAIN = {
+    **{f"one_hidden_dim_{v}": {"architecture": "one_hidden", "hidden_dim": v}
+       for v in (-1, 0, 1.5)},
+    "seed_negative": {"seed": -1}, "seed_float": {"seed": 1.5},
+    "epochs_float": {"epochs": 1.5}, "epochs_bool": {"epochs": True},
+    "accumulate_float": {"accumulate_documents": 1.5}, "eval_every_float": {"eval_every": 1.5},
+    "learning_rate_nan": {"learning_rate": float("nan")}, "epsilon_string": {"epsilon": "x"},
+    "weight_decay_bool": {"weight_decay": True}, "epsilon_negative": {"epsilon": -1e-8},
+}
+BAD_ARMS = {
+    "duplicate_name": [{"name": "a"}, {"name": "a", "loss": {"kind": "plain_margin"}}],
+    "duplicate_default_name": [{"loss": {"kind": "cmm", "gamma": 1.0}},
+                               {"loss": {"kind": "cmm", "gamma": 2.0}}],
+    "name_with_slash": [{"name": "a/b"}],
+    "name_empty": [{"name": ""}],
+    "name_dot_dot": [{"name": ".."}],
+    "name_not_string": [{"name": 3}],
+}
+# other subcommands' configs, with the fields they need
+BAD_OTHER = {
+    "compare_float_seed": ("compare", {"train": {"epochs": 1}, "seeds": [1.5]}),
+    "compare_negative_seed": ("compare", {"train": {"epochs": 1}, "seeds": [-1]}),
+    "generate_float_documents": ("generate", {"n_documents": 1.5, "pairs_per_document": 5}),
+    "generate_negative_seed": ("generate", {"n_documents": 2, "pairs_per_document": 5,
+                                            "seed": -1}),
+    "generate_nan_margin": ("generate", {**TINY_GEN, "teacher_margin": float("nan")}),
+    "generate_infinite_exponent": ("generate", {**TINY_GEN, "zipf_exponent": float("inf")}),
+    "generate_bool_fraction": ("generate", {**TINY_GEN, "hard_fraction": True}),
+    "gradcheck_scalar_range": ("gradcheck", {"logit_range": 5}),
+    "gradcheck_bool_trials": ("gradcheck", {"trials": True}),
 }
 
 UNREGISTERED_PLUGIN = {"kind": "plugin", "plugin": "nope"}
@@ -497,6 +563,51 @@ class TestMalformedInput:
         # rejected before anything is written, the echoed config included
         assert list(out.iterdir()) == []
 
+    def data_config(self, tmp_path, tiny_dataset, tiny_dev, name, body):
+        return write_config(tmp_path, name, {"dataset": str(tiny_dataset), "dev": str(tiny_dev),
+                                             **body})
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRAIN))
+    def test_bad_train_field_exits_1(self, tmp_path, tiny_dataset, tiny_dev, capsys, case):
+        cfg = self.data_config(tmp_path, tiny_dataset, tiny_dev, "train.json",
+                               {"train": {"epochs": 1, **BAD_TRAIN[case]}})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert_one_line_error(capsys, run(["train", cfg, "-o", out]), 1)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(BAD_ARMS))
+    def test_bad_arm_name_exits_1(self, tmp_path, tiny_dataset, tiny_dev, capsys, case):
+        cfg = self.data_config(tmp_path, tiny_dataset, tiny_dev, "train.json",
+                               {"train": {"epochs": 1}, "arms": BAD_ARMS[case]})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["train", cfg, "-o", out]), 1)
+        assert "arm name" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(BAD_OTHER))
+    def test_bad_field_other_commands_exit_1(self, tmp_path, tiny_dataset, tiny_dev, capsys,
+                                             case):
+        command, body = BAD_OTHER[case]
+        cfg = (self.data_config(tmp_path, tiny_dataset, tiny_dev, "cfg.json", body)
+               if command == "compare" else write_config(tmp_path, "cfg.json", body))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert_one_line_error(capsys, run([command, cfg, "-o", out]), 1)
+        assert list(out.iterdir()) == []
+
+    def test_overflowing_update_exits_2_in_one_line(self, tmp_path, tiny_dataset, tiny_dev,
+                                                    capsys):
+        cfg = self.data_config(tmp_path, tiny_dataset, tiny_dev, "train.json",
+                               {"train": {"epochs": 2, "learning_rate": 1e308}})
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # a NumPy RuntimeWarning would raise here
+            code = run(["train", cfg, "-o", tmp_path / "out"])
+        err = assert_one_line_error(capsys, code, 2)
+        assert "non-finite" in err
+
     def test_zero_curve_step_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "curves.json", {"d_step": 0})
         assert_one_line_error(capsys, run(["curves", cfg, "-o", tmp_path / "c"]), 1)
@@ -512,6 +623,59 @@ class TestMalformedInput:
         capsys.readouterr()
         assert_one_line_error(capsys, run(["compare", cfg, "-o", tmp_path / "c"]), 1)
         assert list((tmp_path / "c").iterdir()) == []
+
+
+class TestAtomicArtifacts:
+    """Output files appear complete or not at all."""
+
+    def test_failing_arm_leaves_empty_output_dir(self, tmp_path, tiny_dataset, tiny_dev,
+                                                 capsys):
+        from cmm.loss import plain_margin_grad, plain_margin_loss, register_loss
+        calls = []
+
+        def grad(logits, labels, cfg):       # finite for the first epoch, NaN after
+            calls.append(None)
+            g = plain_margin_grad(logits, labels)
+            return g if len(calls) <= 300 else np.full_like(g, np.nan)
+        register_loss("nan_mid_run", lambda lg, lb, cfg: plain_margin_loss(lg, lb), grad)
+        cfg = write_config(tmp_path, "train.json", {
+            "dataset": str(tiny_dataset), "dev": str(tiny_dev),
+            "train": {"epochs": 3, "eval_every": 1},
+            "arms": [{"name": "cmm"}, {"name": "p", "loss": {"kind": "plugin",
+                                                              "plugin": "nan_mid_run"}}]})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["train", cfg, "-o", out]), 2)
+        assert "plugin arm" in err
+        assert 300 < len(calls) < 900      # it failed mid-run, after whole steps
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", ["json", "checkpoint"])
+    def test_exception_in_json_dump_leaves_no_file(self, tmp_path, monkeypatch, writer):
+        from cmm import cli
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"partial": ')
+            raise RuntimeError("disk gone")
+        monkeypatch.setattr(json, "dump", broken_dump)
+        path = tmp_path / "artifact.json"
+        with pytest.raises(RuntimeError):
+            if writer == "json":
+                cli._write_json(path, {"a": 1})
+            else:
+                save_checkpoint(str(path), init_encoder("linear", 2, 1), None)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        from cmm import cli
+        path = tmp_path / "artifact.json"
+        cli._write_json(path, {"a": 1})
+        before = path.read_bytes()
+        monkeypatch.setattr(json, "dump", lambda *a, **k: (_ for _ in ()).throw(OSError("full")))
+        with pytest.raises(OSError):
+            cli._write_json(path, {"a": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
 PAIR_FIELDS = ("pair_id", "doc_id", "features", "positives", "true_positives",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -422,3 +424,125 @@ class TestInit:
     def test_unknown_architecture(self):
         with pytest.raises(ValueError):
             init_encoder("transformer", feature_dim=4, relation_count=2)
+
+
+def _nan_after(calls):
+    """A plugin gradient: plain margin for ``calls`` rows, then NaN."""
+    from cmm.loss import plain_margin_grad
+    seen = []
+
+    def grad(logits, labels, cfg):
+        seen.append(None)
+        g = plain_margin_grad(logits, labels)
+        return g if len(seen) <= calls else np.full_like(g, np.nan)
+    return grad
+
+
+def lockstep_arms():
+    """cmm arms with different gamma/m plus plain, ATL and a plugin arm, interleaved."""
+    from cmm.loss import plain_margin_grad, plain_margin_loss, register_loss
+    register_loss("lockstep_plain", lambda lg, lb, cfg: plain_margin_loss(lg, lb) + 0.5,
+                  lambda lg, lb, cfg: plain_margin_grad(lg, lb))
+    return [LossConfig(kind="plain_margin"), LossConfig(kind="cmm", gamma=1.0, m=0.2),
+            LossConfig(kind="atl_reference"), LossConfig(kind="cmm", gamma=2.0, m=0.4),
+            LossConfig(kind="plugin", plugin="lockstep_plain"),
+            LossConfig(kind="cmm", gamma=1.4, m=0.1)]
+
+
+class TestLockstep:
+    """Arms trained together equal the same arms trained one by one, bit for bit."""
+
+    def assert_lockstep_equals_separate(self, ds, dev, base, losses):
+        cfgs = [replace(base, loss=loss) for loss in losses]
+        together = train(ds, dev, cfgs)
+        assert len(together) == len(cfgs)
+        for cfg, (params, trace) in zip(cfgs, together):
+            alone, alone_trace = train(ds, dev, cfg)
+            assert trace == alone_trace, cfg.loss
+            assert params.parameter_names == alone.parameter_names
+            for name in params.parameter_names:
+                assert np.array_equal(params.tensors[name], alone.tensors[name]), (cfg.loss, name)
+        flats = [params.flat for params, _ in together]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[:i])
+        return together
+
+    def test_mixed_kinds_linear(self):
+        ds, dev = toy_dataset(seed=7, n_docs=8, relation_count=4), toy_dataset(seed=8, n_docs=3,
+                                                                               relation_count=4)
+        base = TrainConfig(loss=LossConfig(), epochs=3, seed=2, eval_every=1, learning_rate=0.02)
+        together = self.assert_lockstep_equals_separate(ds, dev, base, lockstep_arms())
+        # the arms differ, except that the plugin follows the plain arm exactly
+        assert len({p.tensors["W"].tobytes() for p, _ in together}) == len(together) - 1
+        plain, plugin = together[0][1], together[4][1]
+        assert [r.train_loss for r in plugin] == pytest.approx(
+            [r.train_loss + 0.5 for r in plain], rel=0, abs=1e-12)
+
+    def test_one_hidden(self):
+        ds = toy_dataset(seed=9, n_docs=6, relation_count=3)
+        base = TrainConfig(loss=LossConfig(), epochs=2, seed=1, architecture="one_hidden",
+                           hidden_dim=5, learning_rate=0.01)
+        self.assert_lockstep_equals_separate(ds, ds, base, lockstep_arms())
+
+    def test_accumulate_two_documents(self):
+        ds = toy_dataset(seed=10, n_docs=7, relation_count=3)
+        base = TrainConfig(loss=LossConfig(), epochs=2, seed=4, accumulate_documents=2)
+        self.assert_lockstep_equals_separate(ds, ds, base, lockstep_arms())
+
+    def test_global_mean_and_zero_decay(self):
+        ds = toy_dataset(seed=11, n_docs=6, relation_count=3)
+        base = TrainConfig(loss=LossConfig(), epochs=2, seed=0, weight_decay=0.0)
+        losses = [replace(loss, aggregation="global_mean") for loss in lockstep_arms()]
+        # per-document sums beside global means in one lockstep run
+        self.assert_lockstep_equals_separate(ds, ds, base, losses + lockstep_arms()[:2])
+
+    def test_twenty_two_arms_at_benchmark_width(self):
+        """The full gamma x m grid plus both baselines: 22 arms at |R| = 20, F = 64."""
+        from cmm.loss import GAMMA_GRID, M_GRID
+        ds = toy_dataset(seed=12, n_docs=4, pairs_per_doc=30, relation_count=20,
+                         feature_dim=64)
+        base = TrainConfig(loss=LossConfig(), epochs=2, seed=3, learning_rate=0.01)
+        losses = ([LossConfig(kind="cmm", gamma=g, m=m) for g in GAMMA_GRID for m in M_GRID]
+                  + [LossConfig(kind="plain_margin"), LossConfig(kind="atl_reference")])
+        assert len(losses) == 22
+        self.assert_lockstep_equals_separate(ds, ds, base, losses)
+
+    @pytest.mark.parametrize("field, value", [("seed", 1), ("epochs", 3), ("learning_rate", 0.1),
+                                              ("architecture", "one_hidden")])
+    def test_configs_differing_beyond_loss_raise(self, field, value):
+        ds = toy_dataset(seed=1, n_docs=2)
+        base = train_config(epochs=2)
+        with pytest.raises(ValueError, match="only in 'loss'"):
+            train(ds, ds, [base, replace(base, **{field: value})])
+
+    def test_empty_sequence_raises(self):
+        ds = toy_dataset(seed=1, n_docs=2)
+        with pytest.raises(ValueError):
+            train(ds, ds, [])
+
+    def test_non_finite_arm_names_its_kind(self):
+        from cmm.loss import register_loss, plain_margin_loss
+        register_loss("nan_later", lambda lg, lb, cfg: plain_margin_loss(lg, lb), _nan_after(30))
+        ds = toy_dataset(seed=2, n_docs=6, pairs_per_doc=5)
+        base = train_config(epochs=2)
+        with pytest.raises(NumericError, match="plugin arm"):
+            train(ds, ds, [base, replace(base, loss=LossConfig(kind="plugin",
+                                                               plugin="nan_later"))])
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("epochs", True), ("seed", -1), ("seed", 1.5), ("eval_every", 1.5),
+        ("accumulate_documents", 1.5), ("hidden_dim", 1.5)])
+    def test_integer_fields_reject(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(loss=LossConfig(), **{"epochs": 1, field: value})
+
+    @pytest.mark.parametrize("hidden_dim", [-1, 0])
+    def test_one_hidden_needs_a_hidden_unit(self, hidden_dim):
+        with pytest.raises(ValueError, match="hidden_dim"):
+            TrainConfig(loss=LossConfig(), epochs=1, architecture="one_hidden",
+                        hidden_dim=hidden_dim)
+        TrainConfig(loss=LossConfig(), epochs=1, hidden_dim=0)      # linear has none
+
+    def test_numpy_integers_accepted(self):
+        assert TrainConfig(loss=LossConfig(), epochs=np.int64(2), seed=np.int32(1)).epochs == 2

@@ -197,6 +197,27 @@ class TestJsonl:
         save_dataset_jsonl(load_dataset_jsonl(str(path)), str(again))
         assert again.read_bytes() == path.read_bytes()
 
+    def test_loaded_pairs_share_seen_sets_and_keep_their_feature_rows(self, tmp_path):
+        examples = [make_example("d0:0", "d0", {1}, seen=(1, 3)),
+                    make_example("d0:1", "d0", {2}, seen=(1, 3))]
+        path = tmp_path / "data.jsonl"
+        save_dataset_jsonl(make_dataset(examples), str(path))
+        loaded = load_dataset_jsonl(str(path)).examples
+        assert loaded[0].seen_in_train is loaded[1].seen_in_train
+        for ex in loaded:
+            assert ex.features.base is None and not ex.features.flags.writeable
+
+    def test_owned_read_only_features_are_not_copied(self):
+        frozen = np.arange(3, dtype=np.float64)
+        frozen.flags.writeable = False
+        assert make_example("p", "d", {1}, features=frozen).features is frozen
+        writable = np.arange(3, dtype=np.float64)
+        kept = make_example("p", "d", {1}, features=writable).features
+        writable[0] = 9.0
+        assert kept[0] == 0.0 and not kept.flags.writeable
+        view = frozen[:]                    # read-only, but a view: copied
+        assert make_example("p", "d", {1}, features=view).features is not view
+
     def test_line_key_order_fixed(self):
         ds = make_dataset([make_example("d0:0", "d0", {1})])
         lines = list(dataset_to_lines(ds))
