@@ -37,7 +37,6 @@ from .schema import (
     load_dataset_jsonl,
     save_dataset_jsonl,
     split_by_documents,
-    validate_dataset,
 )
 
 __all__ = [
@@ -47,7 +46,7 @@ __all__ = [
     "cmm_loss", "cmm_loss_grad", "cmm_rescale", "get_loss",
     "margin_distances", "plain_margin_grad", "plain_margin_loss", "register_loss",
     "Dataset", "LabelSet", "LogitRow", "PairExample", "RelationSchema",
-    "load_dataset_jsonl", "save_dataset_jsonl", "split_by_documents", "validate_dataset",
+    "load_dataset_jsonl", "save_dataset_jsonl", "split_by_documents",
 ]
 
 __version__ = "0.1.0"

@@ -288,6 +288,9 @@ def cmd_gradcheck(config: dict[str, Any], config_dir: Path, outdir: Path) -> int
                                             "tolerance": report.tolerance,
                                             "seed": report.seed, "step": report.step}})
     _write_json(outdir / "gradcheck.json", {"format": "cmm-gradcheck/1", **report.to_dict()})
+    if not report.ok:
+        print(f"error: {len(report.failures)} of {report.trials} gradient trials exceed "
+              f"tolerance {report.tolerance}", file=sys.stderr)
     return 0 if report.ok else 2
 
 
@@ -320,10 +323,9 @@ def cmd_eval(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     if gold_source not in ("labels", "true_labels"):
         raise ConfigError(f"'gold' must be 'labels' or 'true_labels', got {gold_source!r}")
     params, _, _ = encoder.load_checkpoint(str(ckpt_path))
-    if not dataset.examples:
+    if not len(dataset):
         raise SchemaError(f"{dataset_path}:1: dataset has no pair records to evaluate")
-    features = np.stack([ex.features for ex in dataset.examples])
-    logits = encoder.encode_batch(params, features)
+    logits = encoder.encode_batch(params, dataset.features)
     gold, seen = evaluation.label_masks(dataset, gold_source)
     _write_effective(outdir, {"eval": {"gold": gold_source}})
     record = evaluation.mask_metrics(logits, gold, seen).to_dict()

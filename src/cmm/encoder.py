@@ -340,18 +340,15 @@ def _packed(x: np.ndarray, mask: np.ndarray, cmm_gammas: np.ndarray) -> _PackedD
 
 
 def _pack_documents(dataset: Dataset, cmm_gammas: np.ndarray) -> list[_PackedDoc]:
-    r_count = dataset.schema.relation_count
-    docs = []
-    for _, examples in dataset.iter_documents():
-        if not examples:
-            continue
-        x = np.stack([ex.features for ex in examples])
-        mask = np.zeros((len(examples), r_count), dtype=bool)
-        for i, ex in enumerate(examples):
-            for r in ex.labels.positives:
-                mask[i, r - 1] = True
-        docs.append(_packed(x, mask, cmm_gammas))
-    return docs
+    """One batch per non-empty document, in declared order; the stable sort
+    keeps each document's pairs in file order when documents interleave."""
+    order = np.argsort(dataset.doc_index, kind="stable")
+    x, mask = dataset.features[order], dataset.labels[order]
+    counts = np.bincount(dataset.doc_index, minlength=len(dataset.document_ids))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return [_packed(x[s:e], mask[s:e], cmm_gammas)
+            for s, e in zip(starts.tolist(), ends.tolist()) if e > s]
 
 
 def _group(docs: Sequence[_PackedDoc], cmm_gammas: np.ndarray) -> _PackedDoc:
@@ -395,8 +392,8 @@ class _Arms:
         self.decayed = [self.params[name] for name in init.decayed_names]
         cmm = [loss for loss in self.losses if loss.kind == "cmm"]
         self.n_cmm = len(cmm)
-        self.gammas = np.array([loss.gamma for loss in cmm])
-        self.ms = np.array([loss.m for loss in cmm]).reshape(-1, 1, 1)
+        self.gammas = np.array([loss.gamma for loss in cmm], dtype=np.float64)
+        self.ms = np.array([loss.m for loss in cmm], dtype=np.float64).reshape(-1, 1, 1)
         self.clamps = np.array([clamp_distance(loss.m) for loss in cmm]).reshape(-1, 1, 1)
         self.step = 0
 
@@ -457,7 +454,7 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
     single = isinstance(cfgs, TrainConfig)
     cfgs = [cfgs] if single else list(cfgs)
     _check_lockstep(cfgs)
-    if not dataset.examples:
+    if not len(dataset):
         raise SchemaError("training dataset is empty")
     if dataset.schema != dev.schema:
         raise SchemaError("train and dev datasets must share one schema")
@@ -467,8 +464,7 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
                               dataset.schema.relation_count, cfg.hidden_dim, cfg.seed),
                  [cfgs[k].loss for k in order])
     docs = _pack_documents(dataset, arms.gammas)
-    dev_features = (np.stack([ex.features for ex in dev.examples])
-                    if dev.examples else np.zeros((0, dataset.feature_dim)))
+    dev_features = dev.features if len(dev) else np.zeros((0, dataset.feature_dim))
     dev_gold, dev_seen = label_masks(dev)
     n_pairs_total = sum(d.features.shape[0] for d in docs)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]

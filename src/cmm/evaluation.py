@@ -53,23 +53,14 @@ def decode_counts(logits2d: np.ndarray) -> int:
 
 
 def label_masks(dataset, source: str = "labels") -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (n, R) gold and seen-in-train masks in example order.
+    """Boolean (n, R) gold and seen-in-train masks in pair order (read-only).
 
     Column r-1 holds relation r. Gold comes from either training labels or
     ground truth; seen marks the facts Ign-F1 removes.
     """
     if source not in ("labels", "true_labels"):
         raise ValueError(f"source must be 'labels' or 'true_labels', got {source!r}")
-    shape = (len(dataset.examples), dataset.schema.relation_count)
-    return (_mask([getattr(ex, source).positives for ex in dataset.examples], shape),
-            _mask([ex.seen_in_train for ex in dataset.examples], shape))
-
-
-def _mask(index_sets: Sequence[frozenset[int]], shape: tuple[int, int]) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    mask[[i for i, s in enumerate(index_sets) for _ in s],
-         [r - 1 for s in index_sets for r in s]] = True
-    return mask
+    return getattr(dataset, source), dataset.seen
 
 
 def mask_metrics(logits: np.ndarray, gold: np.ndarray, seen: np.ndarray) -> MetricsRecord:
@@ -156,10 +147,14 @@ def positive_count_trace(traces: Mapping[str, Sequence[Any]]) -> list[tuple[int,
 def default_d_grid(low: float = -5.0, high: float = 5.0, step: float = 0.05) -> np.ndarray:
     if not step > 0.0:
         raise ValueError(f"d step must be > 0, got {step}")
-    n_low = round(low / step)
-    n_high = round(high / step)
-    # re-round so grid points print as short decimals in the exported CSV
-    return np.round(np.arange(n_low, n_high + 1) * step, 12)
+    try:
+        n_low, n_high = round(low / step), round(high / step)
+        # re-round so grid points print as short decimals in the exported CSV
+        return np.round(np.arange(n_low, n_high + 1) * step, 12)
+    except (OverflowError, MemoryError) as exc:
+        # an infinite point count, or more points than numpy will allocate
+        raise ValueError(f"no d grid from {low} to {high} in steps of {step} "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
 def curve_export(gammas: Sequence[float] = GAMMA_GRID, d_grid: Sequence[float] | None = None,

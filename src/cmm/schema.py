@@ -2,8 +2,9 @@
 
 Relation indices are 1-based; index 0 is reserved for the learned threshold
 (TH) logit everywhere in the package, so a logit row of length R+1 can be
-indexed directly by relation index. All types are immutable after
-construction and safe to share across threads.
+indexed directly by relation index. A dataset holds its pairs as columns
+(arrays) and builds per-pair ``PairExample`` records only on demand. All
+types are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import math
 import numbers
 import os
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import partial
-from typing import IO, Any, Iterator, Mapping
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import IO, Any, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -128,9 +129,9 @@ class RelationSchema:
 class LabelSet:
     """Positive relation indices for one pair; negatives are the complement.
 
-    `negatives` may be passed explicitly (e.g. when reconstructing a
-    suspect record for validation); when omitted it is derived as
-    {1..R} minus positives.
+    `negatives` may be passed explicitly (e.g. to reconstruct a suspect
+    record, which a Dataset refuses to pack unless the two partition
+    {1..R}); when omitted it is derived as {1..R} minus positives.
     """
 
     relation_count: int
@@ -208,91 +209,164 @@ class PairExample:
             raise SchemaError(f"difficulty must be one of {DIFFICULTIES}, got {self.difficulty!r}")
 
 
-@dataclass(frozen=True)
+_ID_COLUMNS = ("pair_ids", "doc_ids")
+_MASK_COLUMNS = ("labels", "true_labels", "seen")
+_COLUMNS = _ID_COLUMNS + ("features",) + _MASK_COLUMNS + ("hard", "corrupted")
+
+
+def _mask(index_lists: Sequence[Collection[int]], relation_count: int) -> np.ndarray:
+    """Boolean (n, R) mask with row i's column r-1 set for each index r in index_lists[i]."""
+    mask = np.zeros((len(index_lists), relation_count), dtype=bool)
+    mask[[i for i, s in enumerate(index_lists) for _ in s],
+         [r - 1 for s in index_lists for r in s]] = True
+    return mask
+
+
+def _index_lists(mask: np.ndarray) -> list[list[int]]:
+    """The relation indices set in each row of a boolean (n, R) mask, ascending."""
+    lists: list[list[int]] = [[] for _ in range(len(mask))]
+    rows, cols = np.nonzero(mask)
+    for i, r in zip(rows.tolist(), (cols + 1).tolist()):
+        lists[i].append(r)
+    return lists
+
+
+def _stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The (n, F) stack of n feature rows; SchemaError unless they have one length."""
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        raise SchemaError(f"feature lengths differ between pairs: {widths}")
+    return np.stack(rows) if rows else np.zeros((0, 0))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """A schema, its examples, and their partition into document groups."""
+    """A schema, its pairs as read-only columns, and the declared document order.
+
+    Row i of each column is pair i: ``pair_ids`` and ``doc_ids`` (object
+    arrays of str), ``features`` (N, F), the boolean (N, R) masks ``labels``
+    (training labels), ``true_labels`` and ``seen`` (facts Ign-F1 removes),
+    column r-1 holding relation r, and the flags ``hard`` and ``corrupted``.
+    ``doc_index`` is each pair's position in ``document_ids``.
+
+    ``Dataset(schema, examples, document_ids, manifest)`` packs PairExample
+    records and ``Dataset.from_columns`` takes columns; either way they are
+    checked once: unique document and pair ids, declared doc ids, finite
+    features, and corrupted pairs whose labels are a proper subset of their
+    true labels.
+    """
 
     schema: RelationSchema
-    examples: tuple[PairExample, ...]
     document_ids: tuple[str, ...]
-    manifest: dict[str, Any] = field(default_factory=dict)
+    manifest: dict[str, Any]
+    pair_ids: np.ndarray
+    doc_ids: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+    true_labels: np.ndarray
+    seen: np.ndarray
+    hard: np.ndarray
+    corrupted: np.ndarray
+    doc_index: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "examples", tuple(self.examples))
-        object.__setattr__(self, "document_ids", tuple(self.document_ids))
+    def __init__(self, schema: RelationSchema, examples: Sequence[PairExample],
+                 document_ids: Sequence[str], manifest: dict[str, Any] | None = None):
+        examples = tuple(examples)
+        r_count = schema.relation_count
+        for ex in examples:     # what the masks cannot hold
+            for name in ("labels", "true_labels"):
+                labels = getattr(ex, name)
+                if labels.relation_count != r_count or not labels.is_consistent():
+                    raise SchemaError(f"pair {ex.pair_id!r}: {name} do not partition the "
+                                      f"relations 1..{r_count}")
+            if not ex.seen_in_train <= frozenset(range(1, r_count + 1)):
+                raise SchemaError(f"pair {ex.pair_id!r}: seen_in_train indices outside "
+                                  f"1..{r_count}")
+        self._set_checked(schema, document_ids, manifest,
+                          pair_ids=[ex.pair_id for ex in examples],
+                          doc_ids=[ex.doc_id for ex in examples],
+                          features=_stack_rows([ex.features for ex in examples]),
+                          labels=_mask([ex.labels.positives for ex in examples], r_count),
+                          true_labels=_mask([ex.true_labels.positives for ex in examples], r_count),
+                          seen=_mask([ex.seen_in_train for ex in examples], r_count),
+                          hard=[ex.difficulty == "hard" for ex in examples],
+                          corrupted=[ex.corrupted for ex in examples])
+
+    @classmethod
+    def from_columns(cls, schema: RelationSchema, document_ids: Sequence[str],
+                     manifest: dict[str, Any] | None = None, **columns: Any) -> "Dataset":
+        """A dataset of the given columns (each named as in the class docstring)."""
+        dataset = cls.__new__(cls)
+        dataset._set_checked(schema, document_ids, manifest, **columns)
+        return dataset
+
+    def _set_checked(self, schema: RelationSchema, document_ids: Sequence[str],
+                     manifest: dict[str, Any] | None, **columns: Any) -> None:
+        put = partial(object.__setattr__, self)
+        put("schema", schema)
+        put("document_ids", tuple(document_ids))
+        put("manifest", {} if manifest is None else manifest)
+        dtypes = {"features": np.float64, **dict.fromkeys(_ID_COLUMNS, object)}
+        for name in _COLUMNS:
+            arr = np.asarray(columns[name], dtype=dtypes.get(name, bool))
+            arr.flags.writeable = False
+            put(name, arr)
         if len(set(self.document_ids)) != len(self.document_ids):
             raise SchemaError("document ids must be unique")
+        if len(set(self.pair_ids)) != len(self.pair_ids):
+            duplicate = next(p for p, count in Counter(self.pair_ids).items() if count > 1)
+            raise SchemaError(f"duplicate pair_id {duplicate!r}")
+        position = {doc_id: i for i, doc_id in enumerate(self.document_ids)}
+        try:
+            doc_index = np.array([position[d] for d in self.doc_ids], dtype=np.intp)
+        except KeyError:
+            stray = sorted(set(self.doc_ids) - set(position))
+            raise SchemaError(f"doc_ids not listed in the documents: {stray[:3]}") from None
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise SchemaError(f"non-finite features in pair "
+                              f"{self.pair_ids[int(np.argmin(finite))]!r}")
+        bad = self.corrupted & ~((self.labels <= self.true_labels).all(axis=1)
+                                 & (self.labels != self.true_labels).any(axis=1))
+        if bad.any():
+            raise SchemaError(f"pair {self.pair_ids[int(np.argmax(bad))]!r} is flagged corrupted "
+                              f"but its labels are not a proper subset of its true labels")
+        doc_index.flags.writeable = False
+        put("doc_index", doc_index)
+
+    def __len__(self) -> int:
+        return len(self.pair_ids)
 
     @property
     def feature_dim(self) -> int:
-        if not self.examples:
-            return 0
-        return self.examples[0].features.size
+        return self.features.shape[1]
 
-    def iter_documents(self) -> Iterator[tuple[str, list[PairExample]]]:
-        """Yield (doc_id, examples) groups in declared document order."""
-        by_doc: dict[str, list[PairExample]] = {d: [] for d in self.document_ids}
-        for ex in self.examples:
-            by_doc[ex.doc_id].append(ex)
-        for doc_id in self.document_ids:
-            yield doc_id, by_doc[doc_id]
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The per-pair columns by name, as ``from_columns`` takes them."""
+        return {name: getattr(self, name) for name in _COLUMNS}
 
+    @cached_property
+    def examples(self) -> tuple[PairExample, ...]:
+        """One PairExample per pair, built on first use; equal index lists share
+        one ``LabelSet`` (or seen-in-train set)."""
+        cache: dict[tuple[bool, bytes], Any] = {}
+        label_set = partial(LabelSet, self.schema.relation_count)
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[tuple[str, str], ...]
+        def shared(row: np.ndarray, build) -> Any:
+            key = (build is frozenset, row.tobytes())
+            if key not in cache:
+                cache[key] = build(frozenset((np.flatnonzero(row) + 1).tolist()))
+            return cache[key]
 
-
-def _check_label_set(pair_id: str, name: str, labels: LabelSet, schema: RelationSchema,
-                     out: list[tuple[str, str]]) -> None:
-    if labels.relation_count != schema.relation_count:
-        out.append((pair_id, f"{name}: relation_count {labels.relation_count} != schema "
-                             f"{schema.relation_count}"))
-        return
-    overlap = labels.positives & labels.negatives
-    if overlap:
-        out.append((pair_id, f"{name}: positives and negatives overlap on {sorted(overlap)}"))
-    full = frozenset(range(1, schema.relation_count + 1))
-    missing = full - (labels.positives | labels.negatives)
-    if missing:
-        out.append((pair_id, f"{name}: indices {sorted(missing)} in neither positives "
-                             f"nor negatives"))
-    stray = (labels.positives | labels.negatives) - full
-    if stray:
-        out.append((pair_id, f"{name}: indices {sorted(stray)} outside [1, "
-                             f"{schema.relation_count}]"))
-
-
-def validate_dataset(dataset: Dataset) -> ValidationReport:
-    """Check every dataset invariant; violations are report entries, not failures."""
-    violations: list[tuple[str, str]] = []
-    doc_ids = set(dataset.document_ids)
-    seen_pair_ids: set[str] = set()
-    feature_dim: int | None = None
-
-    for ex in dataset.examples:
-        if ex.pair_id in seen_pair_ids:
-            violations.append((ex.pair_id, "duplicate pair_id"))
-        seen_pair_ids.add(ex.pair_id)
-        if ex.doc_id not in doc_ids:
-            violations.append((ex.pair_id, f"doc_id {ex.doc_id!r} not in dataset documents"))
-        if feature_dim is None:
-            feature_dim = ex.features.size
-        elif ex.features.size != feature_dim:
-            violations.append((ex.pair_id, f"feature dim {ex.features.size} != {feature_dim}"))
-        if not np.all(np.isfinite(ex.features)):
-            violations.append((ex.pair_id, "non-finite feature values"))
-        _check_label_set(ex.pair_id, "labels", ex.labels, dataset.schema, violations)
-        _check_label_set(ex.pair_id, "true_labels", ex.true_labels, dataset.schema, violations)
-        stray_seen = sorted(r for r in ex.seen_in_train
-                            if not 1 <= r <= dataset.schema.relation_count)
-        if stray_seen:
-            violations.append((ex.pair_id, f"seen_in_train indices out of range: {stray_seen}"))
-        if ex.corrupted and not (ex.true_labels.positives > ex.labels.positives):
-            violations.append((ex.pair_id, "corrupted=true but true_labels.positives is not a "
-                                           "proper superset of labels.positives"))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+        return tuple(
+            PairExample(pair_id=pair_id, doc_id=doc_id, features=x,
+                        labels=shared(labels, label_set), true_labels=shared(true, label_set),
+                        seen_in_train=shared(seen, frozenset), difficulty=DIFFICULTIES[hard],
+                        corrupted=corrupted)
+            for pair_id, doc_id, x, labels, true, seen, hard, corrupted in zip(
+                self.pair_ids, self.doc_ids, self.features, self.labels, self.true_labels,
+                self.seen, self.hard.tolist(), self.corrupted.tolist()))
 
 
 # --- JSONL serialization -------------------------------------------------
@@ -300,29 +374,35 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
 # One pair per line, keys in fixed order for byte-stable output; a header
 # line carries the schema, document order, and manifest.
 
-def _example_to_obj(ex: PairExample) -> dict[str, Any]:
-    return {
-        "pair_id": ex.pair_id,
-        "doc_id": ex.doc_id,
-        "features": [float(v) for v in ex.features],
-        "positives": sorted(ex.labels.positives),
-        "true_positives": sorted(ex.true_labels.positives),
-        "seen_in_train": sorted(ex.seen_in_train),
-        "difficulty": ex.difficulty,
-        "corrupted": ex.corrupted,
-    }
+# Pairs turned into Python lists at once when saving; bounds the lists' memory.
+_SAVE_BLOCK = 4096
 
 
 def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
-    header = {
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    yield dumps({
         "format": DATASET_FORMAT,
         "schema": dataset.schema.to_dict(),
         "documents": list(dataset.document_ids),
         "manifest": dataset.manifest,
-    }
-    yield json.dumps(header, separators=(",", ":"))
-    for ex in dataset.examples:
-        yield json.dumps(_example_to_obj(ex), separators=(",", ":"))
+    })
+    for start in range(0, len(dataset), _SAVE_BLOCK):
+        block = slice(start, start + _SAVE_BLOCK)
+        for pair_id, doc_id, features, positives, true, seen, hard, corrupted in zip(
+                dataset.pair_ids[block], dataset.doc_ids[block],
+                dataset.features[block].tolist(), _index_lists(dataset.labels[block]),
+                _index_lists(dataset.true_labels[block]), _index_lists(dataset.seen[block]),
+                dataset.hard[block].tolist(), dataset.corrupted[block].tolist()):
+            yield dumps({
+                "pair_id": pair_id,
+                "doc_id": doc_id,
+                "features": features,
+                "positives": positives,
+                "true_positives": true,
+                "seen_in_train": seen,
+                "difficulty": DIFFICULTIES[hard],
+                "corrupted": corrupted,
+            })
 
 
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
@@ -332,33 +412,31 @@ def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
             fh.write("\n")
 
 
-def _relation_indices(value: Any, name: str, relation_count: int) -> frozenset[int]:
-    """A JSON list of relation indices in 1..relation_count, as a frozenset."""
+def _relation_indices(value: Any, name: str, relation_count: int) -> tuple[int, ...]:
+    """A JSON list of relation indices in 1..relation_count, as a tuple."""
     if type(value) is not list or any(type(r) is not int for r in value):
         raise TypeError(f"{name!r} must be a list of integers, got {value!r}")
     stray = sorted(r for r in value if not 1 <= r <= relation_count)
     if stray:
         raise ValueError(f"{name!r} indices outside 1..{relation_count}: {stray}")
-    return frozenset(value)
+    return tuple(value)
 
 
 _NUMBER_TYPES = frozenset((int, float))
 
 
 def _features(value: Any) -> np.ndarray:
-    """A JSON list of numbers as a read-only float64 vector; TypeError on anything else."""
+    """A JSON list of numbers as a float64 vector; TypeError on anything else."""
     if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
         raise TypeError(f"'features' must be a list of numbers, got {value!r:.80}")
-    arr = np.array(value, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+    return np.array(value, dtype=np.float64)
 
 
 def load_dataset_jsonl(path: str) -> Dataset:
-    """Read a dataset; SchemaError on any record the evaluation masks could not represent.
+    """Read a dataset; SchemaError on any record the columns could not represent.
 
-    Pairs with equal index lists share one ``LabelSet`` (and one
-    ``seen_in_train`` set), built and checked once per distinct list.
+    Each line's features become a float64 row as the line is read; the rows
+    are stacked once. Index lists are checked once per distinct list.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -379,25 +457,19 @@ def load_dataset_jsonl(path: str) -> Dataset:
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
         r_count = schema.relation_count
-        label_sets: dict[str, LabelSet] = {}
-        seen_sets: dict[str, frozenset[int]] = {}
+        checked: dict[str, tuple[int, ...]] = {}
 
-        def shared(cache: dict, obj: dict, name: str, build):
-            """What build makes of the index list obj[name], once per distinct list.
-
-            Keyed by repr, which tells [1], [1.0] and [true] apart where ==
-            does not, so every distinct list is checked when first seen.
-            """
+        def indices(obj: dict, name: str) -> tuple[int, ...]:
+            # keyed by repr, which tells [1], [1.0] and [true] apart where ==
+            # does not, so every distinct list is checked when first seen
             value = obj[name]
             key = repr(value)
-            found = cache.get(key)
+            found = checked.get(key)
             if found is None:
-                found = cache[key] = build(_relation_indices(value, name, r_count))
+                found = checked[key] = _relation_indices(value, name, r_count)
             return found
 
-        label_set = partial(LabelSet, r_count)
-
-        examples = []
+        columns: dict[str, list] = {name: [] for name in _COLUMNS}
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -409,49 +481,25 @@ def load_dataset_jsonl(path: str) -> Dataset:
                                     f"and {doc_id!r}")
                 if type(corrupted) is not bool:
                     raise TypeError(f"'corrupted' must be true or false, got {corrupted!r}")
-                examples.append(PairExample(
-                    pair_id=pair_id,
-                    doc_id=doc_id,
-                    features=_features(obj["features"]),
-                    labels=shared(label_sets, obj, "positives", label_set),
-                    true_labels=shared(label_sets, obj, "true_positives", label_set),
-                    seen_in_train=shared(seen_sets, obj, "seen_in_train", frozenset),
-                    difficulty=obj["difficulty"],
-                    corrupted=corrupted,
-                ))
-            except (KeyError, TypeError, ValueError, OverflowError, SchemaError) as exc:
+                row = (_features(obj["features"]), indices(obj, "positives"),
+                       indices(obj, "true_positives"), indices(obj, "seen_in_train"))
+                difficulty = obj["difficulty"]
+                if difficulty not in DIFFICULTIES:
+                    raise ValueError(f"difficulty must be one of {DIFFICULTIES}, "
+                                     f"got {difficulty!r}")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"{path}:{lineno}: malformed pair record "
                                   f"({type(exc).__name__}: {exc})") from exc
-    dataset = Dataset(schema=schema, examples=tuple(examples),
-                      document_ids=tuple(document_ids), manifest=manifest)
-    _check_loaded(path, dataset)
-    return dataset
-
-
-def _check_loaded(path: str, dataset: Dataset) -> None:
-    """Whole-dataset checks, run once over all pairs rather than per line.
-
-    They keep the (n, R) masks and the (n, F) feature matrix built from a
-    loaded dataset equal to its per-pair records: pair ids are unique, every
-    row has one length and every feature is finite. Index lists are checked
-    per line, as each distinct list is first read.
-    """
-    examples = dataset.examples
-    pair_ids = [ex.pair_id for ex in examples]
-    if len(set(pair_ids)) != len(pair_ids):
-        duplicate = next(p for p, count in Counter(pair_ids).items() if count > 1)
-        raise SchemaError(f"{path}: duplicate pair_id {duplicate!r}")
-    stray_docs = sorted({ex.doc_id for ex in examples} - set(dataset.document_ids))
-    if stray_docs:
-        raise SchemaError(f"{path}: doc_ids not listed in the header: {stray_docs[:3]}")
-    lengths = sorted({ex.features.size for ex in examples})
-    if len(lengths) > 1:
-        raise SchemaError(f"{path}: feature lengths differ between pairs: {lengths}")
-    if examples:
-        finite = np.isfinite(np.stack([ex.features for ex in examples])).all(axis=1)
-        if not finite.all():
-            bad = examples[int(np.argmin(finite))].pair_id
-            raise SchemaError(f"{path}: non-finite features in pair {bad!r}")
+            for name, value in zip(_COLUMNS, (pair_id, doc_id) + row
+                                   + (difficulty == "hard", corrupted)):
+                columns[name].append(value)
+    try:
+        columns["features"] = _stack_rows(columns["features"])
+        for name in _MASK_COLUMNS:
+            columns[name] = _mask(columns[name], r_count)
+        return Dataset.from_columns(schema, document_ids, manifest, **columns)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def split_by_documents(dataset: Dataset, n_train_documents: int) -> tuple[Dataset, Dataset]:
@@ -461,15 +509,13 @@ def split_by_documents(dataset: Dataset, n_train_documents: int) -> tuple[Datase
             f"n_train_documents must be in (0, {len(dataset.document_ids)}), "
             f"got {n_train_documents}"
         )
-    train_ids = dataset.document_ids[:n_train_documents]
-    dev_ids = dataset.document_ids[n_train_documents:]
-    train_set = frozenset(train_ids)
-    train_ex = tuple(ex for ex in dataset.examples if ex.doc_id in train_set)
-    dev_ex = tuple(ex for ex in dataset.examples if ex.doc_id not in train_set)
+    in_train = dataset.doc_index < n_train_documents
 
-    def _mk(ids: tuple[str, ...], exs: tuple[PairExample, ...], role: str) -> Dataset:
+    def _mk(ids: tuple[str, ...], rows: np.ndarray, role: str) -> Dataset:
         manifest = dict(dataset.manifest)
         manifest["split"] = {"role": role, "documents": [ids[0], ids[-1]], "count": len(ids)}
-        return Dataset(schema=dataset.schema, examples=exs, document_ids=ids, manifest=manifest)
+        return Dataset.from_columns(dataset.schema, ids, manifest,
+                                    **{name: col[rows] for name, col in dataset.columns.items()})
 
-    return _mk(train_ids, train_ex, "train"), _mk(dev_ids, dev_ex, "dev")
+    return (_mk(dataset.document_ids[:n_train_documents], in_train, "train"),
+            _mk(dataset.document_ids[n_train_documents:], ~in_train, "dev"))

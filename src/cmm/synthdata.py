@@ -15,6 +15,9 @@ for easy pairs and to +/-uniform(0, margin/2) for hard pairs, with the sign
 fixed by the assigned label. Relation counts are allocated by quota
 (largest-remainder rounding of the Zipf weights), which keeps the realized
 calibration exact and deterministic rather than merely expected.
+
+Generation writes each document's block into dataset columns allocated
+once; injection and the distribution report work on the label masks.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import Any
 import numpy as np
 
 from .errors import GenerationError
-from .schema import (Dataset, LabelSet, PairExample, RelationSchema, require_finite,
-                     require_int)
+from .schema import Dataset, RelationSchema, require_finite, require_int
 
 # Tuned once at |R|=20: head share ~0.42, tail share ~0.0035, inside the
 # calibration bands with slack on both sides.
@@ -124,8 +126,8 @@ def _orthonormal_teacher(rng: np.random.Generator, relation_count: int,
 
 
 def _assign_facts(rng: np.random.Generator, cfg: GenConfig,
-                  n_pairs: int) -> tuple[np.ndarray, list[frozenset[int]], np.ndarray]:
-    """Pick positive slots, their relation sets, and hard slots."""
+                  n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The boolean (n_pairs, R) positive mask and the (n_pairs,) hard flags."""
     n_pos = round(cfg.positive_rate * n_pairs)
     if n_pos == 0 or abs(n_pos / n_pairs - cfg.positive_rate) > 0.1 * cfg.positive_rate:
         raise GenerationError(
@@ -145,18 +147,16 @@ def _assign_facts(rng: np.random.Generator, cfg: GenConfig,
             if extras[k] != primary[j] and extras[j] != primary[k]:
                 extras[j], extras[k] = extras[k], extras[j]
                 break
-    label_sets = []
-    for j in range(n_pos):
-        positives = {int(primary[j])}
-        if j < len(extras) and int(extras[j]) != int(primary[j]):
-            positives.add(int(extras[j]))
-        label_sets.append(frozenset(positives))
 
     pos_slots = rng.permutation(n_pairs)[:n_pos]
+    positives = np.zeros((n_pairs, cfg.relation_count), dtype=bool)
+    positives[pos_slots, primary - 1] = True
+    # an extra equal to its slot's primary relation adds nothing
+    positives[pos_slots[:len(extras)], extras - 1] = True
     n_hard = round(cfg.hard_fraction * n_pairs)
     hard_mask = np.zeros(n_pairs, dtype=bool)
     hard_mask[rng.permutation(n_pairs)[:n_hard]] = True
-    return pos_slots, label_sets, hard_mask
+    return positives, hard_mask
 
 
 def teacher_matrix(cfg: GenConfig) -> np.ndarray:
@@ -175,36 +175,23 @@ def generate(cfg: GenConfig) -> Dataset:
     ground-truth view stays available.
     """
     n_pairs = cfg.n_documents * cfg.pairs_per_document
+    r_count, ppd = cfg.relation_count, cfg.pairs_per_document
+    try:    # first, so that sizes numpy refuses fail before any work
+        features = np.empty((n_pairs, cfg.feature_dim))
+        seen = np.empty((n_pairs, r_count), dtype=bool)
+    except (ValueError, MemoryError) as exc:
+        raise GenerationError(f"cannot hold {n_pairs} pairs of {cfg.feature_dim} features "
+                              f"({type(exc).__name__}: {exc})") from None
     root = np.random.SeedSequence(cfg.seed)
     streams = root.spawn(2 + cfg.n_documents)
     teacher = _orthonormal_teacher(np.random.default_rng(streams[0]),
                                    cfg.relation_count, cfg.feature_dim)
-    pos_slots, label_sets, hard_mask = _assign_facts(np.random.default_rng(streams[1]),
-                                                     cfg, n_pairs)
-    positives_by_slot: dict[int, frozenset[int]] = {
-        int(slot): label_sets[j] for j, slot in enumerate(pos_slots)
-    }
-
-    schema = RelationSchema.with_default_names(cfg.relation_count)
-    r_count, ppd = cfg.relation_count, cfg.pairs_per_document
-    examples: list[PairExample] = []
-    document_ids: list[str] = []
-    empty = frozenset()
+    positives, hard_mask = _assign_facts(np.random.default_rng(streams[1]), cfg, n_pairs)
 
     for d in range(cfg.n_documents):
-        doc_id = f"doc{d:05d}"
-        document_ids.append(doc_id)
         rng = np.random.default_rng(streams[2 + d])
-        base = d * ppd
-
-        pos_mask = np.zeros((ppd, r_count), dtype=bool)
-        doc_positives: list[frozenset[int]] = []
-        for i in range(ppd):
-            positives = positives_by_slot.get(base + i, empty)
-            doc_positives.append(positives)
-            for r in positives:
-                pos_mask[i, r - 1] = True
-        hard = hard_mask[base:base + ppd]
+        block = slice(d * ppd, (d + 1) * ppd)
+        pos_mask, hard = positives[block], hard_mask[block]
 
         mag_easy = cfg.teacher_margin + rng.exponential(cfg.teacher_margin, (ppd, r_count))
         mag_hard = rng.uniform(0.0, cfg.teacher_margin / 2.0, (ppd, r_count))
@@ -212,62 +199,45 @@ def generate(cfg: GenConfig) -> Dataset:
 
         noise = NOISE_SCALE * rng.standard_normal((ppd, cfg.feature_dim))
         noise -= (noise @ teacher.T) @ teacher
-        features = scores @ teacher + noise
+        features[block] = scores @ teacher + noise
 
-        seen_draws = rng.random((ppd, r_count)) < cfg.seen_in_train_rate
+        seen[block] = pos_mask & (rng.random((ppd, r_count)) < cfg.seen_in_train_rate)
 
-        for i in range(ppd):
-            positives = doc_positives[i]
-            labels = LabelSet(r_count, positives)
-            seen = frozenset(r for r in positives if seen_draws[i, r - 1])
-            examples.append(PairExample(
-                pair_id=f"{doc_id}:{i:04d}",
-                doc_id=doc_id,
-                features=features[i],
-                labels=labels,
-                true_labels=labels,
-                seen_in_train=seen,
-                difficulty="hard" if hard[i] else "easy",
-                corrupted=False,
-            ))
-
-    manifest = {"generator": cfg.to_dict()}
-    return Dataset(schema=schema, examples=tuple(examples),
-                   document_ids=tuple(document_ids), manifest=manifest)
+    document_ids = [f"doc{d:05d}" for d in range(cfg.n_documents)]
+    return Dataset.from_columns(
+        RelationSchema.with_default_names(r_count), document_ids, {"generator": cfg.to_dict()},
+        pair_ids=[f"{doc_id}:{i:04d}" for doc_id in document_ids for i in range(ppd)],
+        doc_ids=np.repeat(np.array(document_ids, dtype=object), ppd),
+        features=features, labels=positives, true_labels=positives, seen=seen,
+        hard=hard_mask, corrupted=np.zeros(n_pairs, dtype=bool))
 
 
 def inject_false_negatives(dataset: Dataset, rate: float, seed: int) -> Dataset:
     """Independently demote each positive fact to negative with probability rate.
 
     Training labels shrink; ground truth and seen-in-train flags are left
-    untouched, and affected pairs are flagged corrupted.
+    untouched, and affected pairs are flagged corrupted. The facts draw in
+    (pair, relation) order, one uniform each from one stream.
     """
     if not 0.0 <= rate < 1.0:
         raise GenerationError(f"false-negative rate must be in [0, 1), got {rate}")
-    for ex in dataset.examples:
-        if ex.labels.positives != ex.true_labels.positives:
-            raise GenerationError(
-                f"dataset already corrupted (pair {ex.pair_id}); injection expects "
-                f"labels == true_labels"
-            )
-    rng = np.random.default_rng(seed)
-    new_examples = []
-    demoted_facts = 0
-    for ex in dataset.examples:
-        demote = frozenset(r for r in sorted(ex.labels.positives) if rng.random() < rate)
-        if not demote:
-            new_examples.append(ex)
-            continue
-        demoted_facts += len(demote)
-        new_examples.append(replace(
-            ex,
-            labels=LabelSet(ex.labels.relation_count, ex.labels.positives - demote),
-            corrupted=True,
-        ))
+    differs = (dataset.labels != dataset.true_labels).any(axis=1)
+    if differs.any():
+        raise GenerationError(
+            f"dataset already corrupted (pair {dataset.pair_ids[int(np.argmax(differs))]}); "
+            f"injection expects labels == true_labels"
+        )
+    rows, cols = np.nonzero(dataset.labels)
+    demote = np.random.default_rng(seed).random(rows.size) < rate
+    labels = dataset.labels.copy()
+    labels[rows[demote], cols[demote]] = False
+    corrupted = dataset.corrupted.copy()
+    corrupted[rows[demote]] = True
     manifest = dict(dataset.manifest)
-    manifest["false_negatives"] = {"rate": rate, "seed": seed, "demoted_facts": demoted_facts}
-    return Dataset(schema=dataset.schema, examples=tuple(new_examples),
-                   document_ids=dataset.document_ids, manifest=manifest)
+    manifest["false_negatives"] = {"rate": rate, "seed": seed,
+                                   "demoted_facts": int(np.count_nonzero(demote))}
+    return Dataset.from_columns(dataset.schema, dataset.document_ids, manifest,
+                                **{**dataset.columns, "labels": labels, "corrupted": corrupted})
 
 
 @dataclass(frozen=True)
@@ -299,25 +269,14 @@ class DistributionReport:
 
 
 def distribution_report(dataset: Dataset) -> DistributionReport:
-    """Label statistics of the training view; recomputable by brute-force scan."""
-    r_count = dataset.schema.relation_count
-    counts = {r: 0 for r in range(1, r_count + 1)}
-    n_positive_pairs = 0
-    n_hard = 0
-    n_corrupted = 0
-    for ex in dataset.examples:
-        if ex.labels.positives:
-            n_positive_pairs += 1
-        for r in ex.labels.positives:
-            counts[r] += 1
-        if ex.difficulty == "hard":
-            n_hard += 1
-        if ex.corrupted:
-            n_corrupted += 1
-    n_pairs = len(dataset.examples)
-    n_facts = sum(counts.values())
+    """Label statistics of the training view, as column sums of its masks."""
+    counts = dataset.labels.sum(axis=0).tolist()
+    n_pairs = len(dataset)
+    n_positive_pairs = int(np.count_nonzero(dataset.labels.any(axis=1)))
+    n_hard = int(np.count_nonzero(dataset.hard))
+    n_facts = sum(counts)
     shares = tuple(sorted(
-        ((r, c, c / n_facts if n_facts else 0.0) for r, c in counts.items()),
+        ((r, c, c / n_facts if n_facts else 0.0) for r, c in enumerate(counts, start=1)),
         key=lambda item: (-item[1], item[0]),
     ))
     return DistributionReport(
@@ -330,5 +289,5 @@ def distribution_report(dataset: Dataset) -> DistributionReport:
         tail_share=shares[-1][2] if shares else 0.0,
         n_easy=n_pairs - n_hard,
         n_hard=n_hard,
-        n_corrupted=n_corrupted,
+        n_corrupted=int(np.count_nonzero(dataset.corrupted)),
     )

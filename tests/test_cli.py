@@ -1,13 +1,15 @@
 import contextlib
+import copy
 import csv
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmm.cli import main
@@ -613,6 +615,19 @@ class TestMalformedInput:
         assert_one_line_error(capsys, run(["curves", cfg, "-o", tmp_path / "c"]), 1)
         assert list((tmp_path / "c").iterdir()) == []
 
+    @pytest.mark.parametrize("bounds", [{"d_min": -1e308}, {"d_max": 1e308},
+                                        {"d_min": -math.inf}, {"d_max": math.inf},
+                                        {"d_min": -1e12}, {"d_max": 1e12}],
+                             ids=["d_min_-1e308", "d_max_1e308", "d_min_-inf", "d_max_inf",
+                                  "d_min_-1e12", "d_max_1e12"])
+    def test_unbuildable_curve_grid_exits_1(self, tmp_path, capsys, bounds):
+        # 1e12 asks numpy for 146 TiB, which it refuses without allocating
+        cfg = write_config(tmp_path, "curves.json", bounds)
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["curves", cfg, "-o", tmp_path / "c"]), 1)
+        assert "no d grid" in err
+        assert list((tmp_path / "c").iterdir()) == []
+
     @pytest.mark.parametrize("grid", [{"kinds": ["bogus"]}, {"gammas": ["x"]}],
                              ids=["unknown_kind", "non_numeric_gamma"])
     def test_bad_compare_grid_exits_1(self, tmp_path, tiny_dataset, tiny_dev, capsys, grid):
@@ -727,5 +742,74 @@ class TestFuzzPairLines:
                 assert code in (1, 2)
                 assert len(err.getvalue().splitlines()) == 1
                 assert "Traceback" not in err.getvalue()
+
+        check()
+
+
+# 16 replacement values of other JSON types and ranges for one config field
+CONFIG_SWAPS = (None, True, False, 0, -1, 1, 10 ** 30, 1.5, -1e308, 1e308, float("nan"),
+                float("inf"), float("-inf"), "x", [], {})
+# valid at 10**30, where the command would run without end
+UNBOUNDED_WORK = ("epochs", "trials", "n_documents")
+SWEEP_TRAIN = {"epochs": 1, "seed": 0, "learning_rate": 1e-3, "beta1": 0.9, "beta2": 0.999,
+               "epsilon": 1e-8, "weight_decay": 0.01, "eval_every": 1,
+               "architecture": "linear", "hidden_dim": 4, "accumulate_documents": 1,
+               "loss": {"kind": "cmm", "gamma": 1.0, "m": 0.2,
+                        "aggregation": "per_document_sum", "plugin": None}}
+SWEEP_FIELDS = (
+    [("generate", (name,)) for name in (*TINY_GEN, "zipf_exponent", "teacher_margin",
+                                        "false_negative_rate", "preset")]
+    + [("train", (name,)) for name in ("dataset", "dev", "train", "arms")]
+    + [("train", ("train", name)) for name in SWEEP_TRAIN]
+    + [("train", ("train", "loss", name)) for name in SWEEP_TRAIN["loss"]]
+    + [("train", ("arms", 0, name)) for name in ("name", "loss")]
+    + [("compare", (name,)) for name in ("dataset", "dev", "train", "kinds", "gammas", "ms",
+                                         "seeds")]
+    + [("eval", (name,)) for name in ("dataset", "checkpoint", "gold")]
+    + [("gradcheck", (name,)) for name in ("trials", "tolerance", "seed", "gammas", "ms",
+                                           "logit_range", "relation_counts", "step")]
+    + [("curves", (name,)) for name in ("gammas", "d_min", "d_max", "d_step", "m")])
+
+
+class TestFuzzConfigFields:
+    """Each config field of every subcommand swapped for another type or range: exit 0,
+    or 1/2 with one stderr line, never a traceback."""
+
+    def test_config_field_swaps_never_crash(self, tmp_path, tiny_dataset, tiny_dev):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(str(ckpt), init_encoder("linear", TINY_GEN["feature_dim"],
+                                                TINY_GEN["relation_count"]), None)
+        data = {"dataset": str(tiny_dataset), "dev": str(tiny_dev)}
+        base = {
+            "generate": TINY_GEN,
+            "train": {**data, "train": SWEEP_TRAIN, "arms": [{"name": "cmm", "loss": None}]},
+            "compare": {**data, "train": SWEEP_TRAIN, "kinds": ["cmm", "plain_margin"],
+                        "gammas": [1.0], "ms": [0.2], "seeds": [0]},
+            "eval": {"dataset": str(tiny_dataset), "checkpoint": str(ckpt), "gold": "labels"},
+            "gradcheck": {"trials": 5, "tolerance": 1e-5, "seed": 0, "gammas": [1.0],
+                          "ms": [0.2], "logit_range": [-8.0, 8.0], "relation_counts": [3],
+                          "step": 1e-5},
+            "curves": {"gammas": [1.0], "d_min": -1.0, "d_max": 1.0, "d_step": 0.5, "m": 0.2},
+        }
+        out = tmp_path / "out"
+
+        @settings(max_examples=600, deadline=None, derandomize=True)
+        @given(st.sampled_from(SWEEP_FIELDS), st.sampled_from(CONFIG_SWAPS))
+        def check(field, value):
+            command, path = field
+            assume(not (path[-1] in UNBOUNDED_WORK and value == 10 ** 30))
+            config = copy.deepcopy(base[command])
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            cfg = write_config(tmp_path, "swapped.json", config)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run([command, cfg, "-o", out])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert len(err.getvalue().splitlines()) == 1
 
         check()

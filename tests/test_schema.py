@@ -12,7 +12,6 @@ from cmm.schema import (
     load_dataset_jsonl,
     save_dataset_jsonl,
     split_by_documents,
-    validate_dataset,
 )
 
 
@@ -114,48 +113,83 @@ class TestLogitRow:
             row.values[0] = 5.0
 
 
+def round_trip(ds, tmp_path):
+    path = tmp_path / "round_trip.jsonl"
+    save_dataset_jsonl(ds, str(path))
+    return load_dataset_jsonl(str(path))
+
+
 class TestValidateDataset:
-    def test_well_formed_passes(self):
+    """The checks a Dataset runs once when it is built, from records or from a file."""
+
+    def test_well_formed_passes(self, tmp_path):
         examples = [make_example(f"d0:{i}", "d0", {1 + i % 3}) for i in range(10)]
-        report = validate_dataset(make_dataset(examples))
-        assert report.ok
-        assert report.violations == ()
+        ds = make_dataset(examples)
+        assert len(ds) == 10
+        assert list(dataset_to_lines(round_trip(ds, tmp_path))) == list(dataset_to_lines(ds))
 
     def test_overlapping_labels_reported_with_pair_id(self):
         bad_labels = LabelSet(4, frozenset({1}), negatives=frozenset({1, 2, 3, 4}))
         ex = PairExample(pair_id="d0:bad", doc_id="d0", features=np.zeros(3),
                          labels=bad_labels, true_labels=LabelSet(4, frozenset({1})))
-        report = validate_dataset(make_dataset([ex]))
-        assert not report.ok
-        assert any(pid == "d0:bad" and "overlap" in msg for pid, msg in report.violations)
+        with pytest.raises(SchemaError, match="'d0:bad': labels do not partition"):
+            make_dataset([ex])
 
-    def test_corrupted_without_demotion_reported(self):
+    def test_corrupted_without_demotion_reported(self, tmp_path):
         ex = make_example("d0:c", "d0", {1}, true_positives={1}, corrupted=True)
-        report = validate_dataset(make_dataset([ex]))
-        assert not report.ok
-        assert any(pid == "d0:c" and "corrupted" in msg for pid, msg in report.violations)
+        with pytest.raises(SchemaError, match="'d0:c' is flagged corrupted"):
+            make_dataset([ex])
+        path = tmp_path / "d.jsonl"
+        save_dataset_jsonl(make_dataset([make_example("d0:c", "d0", {1})]), str(path))
+        path.write_text(path.read_text().replace('"corrupted":false', '"corrupted":true'))
+        with pytest.raises(SchemaError, match=f"{path}: pair 'd0:c' is flagged corrupted"):
+            load_dataset_jsonl(str(path))
 
-    def test_corrupted_with_proper_superset_ok(self):
+    def test_corrupted_with_proper_superset_ok(self, tmp_path):
         ex = make_example("d0:c", "d0", {1}, true_positives={1, 2}, corrupted=True)
-        assert validate_dataset(make_dataset([ex])).ok
+        loaded = round_trip(make_dataset([ex]), tmp_path).examples[0]
+        assert loaded.corrupted
+        assert loaded.labels.positives == {1} and loaded.true_labels.positives == {1, 2}
 
     def test_feature_dim_mismatch_reported(self):
         examples = [make_example("d0:0", "d0", {1}, feature_dim=3),
                     make_example("d0:1", "d0", {1}, feature_dim=4)]
-        report = validate_dataset(make_dataset(examples))
-        assert any(pid == "d0:1" and "feature dim" in msg for pid, msg in report.violations)
+        with pytest.raises(SchemaError, match=r"feature lengths differ between pairs: \[3, 4\]"):
+            make_dataset(examples)
 
     def test_duplicate_pair_id_reported(self):
         examples = [make_example("d0:0", "d0", {1}), make_example("d0:0", "d0", {2})]
-        report = validate_dataset(make_dataset(examples))
-        assert any("duplicate" in msg for _, msg in report.violations)
+        with pytest.raises(SchemaError, match="duplicate pair_id 'd0:0'"):
+            make_dataset(examples)
 
-    def test_pure_function(self):
-        examples = [make_example(f"d0:{i}", "d0", {1}) for i in range(4)]
-        ds = make_dataset(examples)
-        first = validate_dataset(ds)
-        second = validate_dataset(ds)
-        assert first == second
+    def test_pure_function(self, tmp_path):
+        examples = [make_example(f"d0:{i}", "d0", {1}, seen=(1,)) for i in range(4)]
+        first, second = make_dataset(examples), make_dataset(examples)
+        for name, column in first.columns.items():
+            assert np.array_equal(column, second.columns[name])
+            assert not column.flags.writeable
+        assert examples[0].seen_in_train == frozenset({1})
+        again = round_trip(first, tmp_path)
+        assert list(dataset_to_lines(again)) == list(dataset_to_lines(first))
+
+    def test_undeclared_doc_id_reported(self):
+        ex = make_example("d9:0", "d9", {1})
+        with pytest.raises(SchemaError, match=r"doc_ids not listed in the documents: \['d9'\]"):
+            Dataset(RelationSchema.with_default_names(4), [ex], ["d0"])
+
+    def test_non_finite_features_reported(self):
+        examples = [make_example("d0:0", "d0", {1}),
+                    make_example("d0:1", "d0", {1}, features=np.array([0.0, np.inf, 1.0]))]
+        with pytest.raises(SchemaError, match="non-finite features in pair 'd0:1'"):
+            make_dataset(examples)
+
+    def test_records_the_masks_cannot_hold_reported(self):
+        stray_seen = make_example("d0:0", "d0", {1}, seen=(5,))
+        with pytest.raises(SchemaError, match="'d0:0': seen_in_train indices outside 1..4"):
+            make_dataset([stray_seen])
+        wide = make_example("d0:0", "d0", {5}, relation_count=5)
+        with pytest.raises(SchemaError, match="'d0:0': labels do not partition"):
+            make_dataset([wide])
 
 
 class TestJsonl:

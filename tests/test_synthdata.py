@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from cmm.errors import GenerationError
-from cmm.schema import dataset_to_lines, validate_dataset
+from cmm.schema import dataset_to_lines, load_dataset_jsonl, save_dataset_jsonl
 from cmm.synthdata import (
     GenConfig,
     PRESETS,
@@ -20,6 +22,13 @@ def small_config(**overrides):
                 positive_rate=0.05, hard_fraction=0.3, teacher_margin=1.0, seed=7)
     base.update(overrides)
     return GenConfig(**base)
+
+
+def assert_round_trips(dataset, tmp_path):
+    """Saving and loading passes the loader's checks and gives back the same lines."""
+    path = tmp_path / "round_trip.jsonl"
+    save_dataset_jsonl(dataset, str(path))
+    assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == list(dataset_to_lines(dataset))
 
 
 def brute_force_report(dataset):
@@ -77,9 +86,10 @@ class TestGenerate:
         b = list(dataset_to_lines(generate(small_config(seed=2))))
         assert a != b
 
-    def test_valid_and_uncorrupted(self):
+    def test_valid_and_uncorrupted(self, tmp_path):
         ds = generate(small_config())
-        assert validate_dataset(ds).ok
+        assert_round_trips(ds, tmp_path)
+        assert np.array_equal(ds.labels, ds.true_labels) and not ds.corrupted.any()
         assert all(ex.labels.positives == ex.true_labels.positives for ex in ds.examples)
         assert all(not ex.corrupted for ex in ds.examples)
 
@@ -93,8 +103,8 @@ class TestGenerate:
         cfg = small_config(n_documents=5, pairs_per_document=11)
         ds = generate(cfg)
         assert len(ds.document_ids) == 5
-        for _, examples in ds.iter_documents():
-            assert len(examples) == 11
+        assert Counter(ds.doc_ids) == dict.fromkeys(ds.document_ids, 11)
+        assert np.array_equal(ds.doc_index, np.repeat(np.arange(5), 11))
 
     def test_manifest_regenerates_identically(self):
         ds = generate(small_config())
@@ -198,14 +208,14 @@ class TestInjectFalseNegatives:
         assert out.manifest["false_negatives"]["demoted_facts"] == demoted
         assert 0.28 * total_facts <= demoted <= 0.32 * total_facts
 
-    def test_only_shrinks_labels_never_true_labels(self):
+    def test_only_shrinks_labels_never_true_labels(self, tmp_path):
         ds = generate(small_config())
         out = inject_false_negatives(ds, 0.5, seed=2)
         for before, after in zip(ds.examples, out.examples):
             assert after.labels.positives <= before.labels.positives
             assert after.true_labels.positives == before.true_labels.positives
             assert after.corrupted == (after.labels.positives < after.true_labels.positives)
-        assert validate_dataset(out).ok
+        assert_round_trips(out, tmp_path)
 
     def test_deterministic(self):
         ds = generate(small_config())
