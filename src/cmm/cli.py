@@ -252,10 +252,10 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
         _grid_arms(base, kinds, gammas, ms, seeds)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad compare config: {exc}") from exc
+    rows = run_compare_grid(train_ds, dev_ds, base, kinds, gammas, ms, seeds)
     _write_effective(outdir, {"compare": {"train": _cfg_as_dict(base), "kinds": list(kinds),
                                           "gammas": list(gammas), "ms": list(ms),
                                           "seeds": list(seeds)}})
-    rows = run_compare_grid(train_ds, dev_ds, base, kinds, gammas, ms, seeds)
     best_idx = max(range(len(rows)), key=lambda i: rows[i].dev_f1) if rows else -1
     with open_atomic(outdir / "grid.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

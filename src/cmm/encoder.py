@@ -458,6 +458,9 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
         raise SchemaError("training dataset is empty")
     if dataset.schema != dev.schema:
         raise SchemaError("train and dev datasets must share one schema")
+    if len(dev) and dev.feature_dim != dataset.feature_dim:
+        raise SchemaError(f"train and dev datasets must share one feature width, got "
+                          f"{dataset.feature_dim} and {dev.feature_dim}")
     cfg = cfgs[0]
     order = sorted(range(len(cfgs)), key=lambda k: cfgs[k].loss.kind != "cmm")
     arms = _Arms(init_encoder(cfg.architecture, dataset.feature_dim,

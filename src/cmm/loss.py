@@ -22,8 +22,10 @@ concrete losses are provided:
 Each kind has one composition, ``batch_rows`` over a boolean (n, R)
 positive mask, which the trainer calls per optimizer step. The single-row
 functions are batches of one, except that cmm runs the same rank-agnostic
-code on the row itself so the row-by-row gradcheck oracle builds no mask,
-and the trainer runs it once on the (K, n, R+1) stack of all its cmm arms.
+code on the row itself, which saves the mask for one-row callers. The
+gradcheck oracle scores all finite-difference probes of one row as one
+batch, and the trainer runs the cmm kernel once on the (K, n, R+1) stack
+of all its cmm arms.
 Analytic gradients are exact and verified against central finite
 differences by the gradcheck module. Additional (value, gradient) pairs
 can be registered under ``kind="plugin"``.

@@ -50,9 +50,13 @@ def require_int(name: str, value: Any, minimum: int) -> None:
 
 
 def require_finite(name: str, value: Any) -> None:
-    """ValueError unless value is a finite real number, not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    """ValueError unless value is a finite real number, not a bool, that fits a float."""
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+    except OverflowError:   # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

@@ -481,6 +481,23 @@ BAD_OTHER = {
     "generate_bool_fraction": ("generate", {**TINY_GEN, "hard_fraction": True}),
     "gradcheck_scalar_range": ("gradcheck", {"logit_range": 5}),
     "gradcheck_bool_trials": ("gradcheck", {"trials": True}),
+    "gradcheck_nan_tolerance": ("gradcheck", {"tolerance": float("nan")}),
+    "gradcheck_infinite_tolerance": ("gradcheck", {"tolerance": float("inf")}),
+    "gradcheck_negative_tolerance": ("gradcheck", {"tolerance": -1e-5}),
+    "gradcheck_nan_step": ("gradcheck", {"step": float("nan")}),
+    "gradcheck_infinite_step": ("gradcheck", {"step": float("inf")}),
+    "gradcheck_zero_step": ("gradcheck", {"step": 0}),
+    "gradcheck_nan_range": ("gradcheck", {"logit_range": [float("nan"), 1.0]}),
+    "gradcheck_overflowing_range": ("gradcheck", {"logit_range": [-1e308, 1e308]}),
+    "gradcheck_beyond_float_range": ("gradcheck", {"logit_range": [-10 ** 400, 0]}),
+    "gradcheck_swapped_range": ("gradcheck", {"logit_range": [1.0, -1.0]}),
+    "gradcheck_empty_range": ("gradcheck", {"logit_range": [0.5, 0.5]}),
+    "gradcheck_float_relation_count": ("gradcheck", {"relation_counts": [2.5]}),
+    "gradcheck_zero_relation_count": ("gradcheck", {"relation_counts": [0]}),
+    "gradcheck_huge_relation_count": ("gradcheck", {"relation_counts": [5000]}),
+    "gradcheck_no_relation_counts": ("gradcheck", {"relation_counts": []}),
+    "gradcheck_no_gammas": ("gradcheck", {"gammas": []}),
+    "gradcheck_no_ms": ("gradcheck", {"ms": []}),
 }
 
 UNREGISTERED_PLUGIN = {"kind": "plugin", "plugin": "nope"}
@@ -597,6 +614,20 @@ class TestMalformedInput:
         out = tmp_path / "out"
         capsys.readouterr()
         assert_one_line_error(capsys, run([command, cfg, "-o", out]), 1)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_feature_width_mismatch_exits_2(self, tmp_path, tiny_dataset, capsys, command):
+        gen = write_config(tmp_path, "gen_wide.json",
+                           {**TINY_GEN, "n_documents": 4, "seed": 4, "feature_dim": 12})
+        assert run(["generate", gen, "-o", tmp_path / "wide"]) == 0
+        grid = {"kinds": ["cmm"], "gammas": [1.0], "ms": [0.2]} if command == "compare" else {}
+        cfg = self.data_config(tmp_path, tiny_dataset, tmp_path / "wide" / "dataset.jsonl",
+                               "cfg.json", {"train": {"epochs": 1}, **grid})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run([command, cfg, "-o", out]), 2)
+        assert "feature width" in err
         assert list(out.iterdir()) == []
 
     def test_overflowing_update_exits_2_in_one_line(self, tmp_path, tiny_dataset, tiny_dev,
@@ -768,6 +799,8 @@ SWEEP_FIELDS = (
     + [("eval", (name,)) for name in ("dataset", "checkpoint", "gold")]
     + [("gradcheck", (name,)) for name in ("trials", "tolerance", "seed", "gammas", "ms",
                                            "logit_range", "relation_counts", "step")]
+    + [("gradcheck", ("logit_range", 0)), ("gradcheck", ("logit_range", 1)),
+       ("gradcheck", ("relation_counts", 0))]
     + [("curves", (name,)) for name in ("gammas", "d_min", "d_max", "d_step", "m")])
 
 
@@ -811,5 +844,8 @@ class TestFuzzConfigFields:
             assert "Traceback" not in err.getvalue()
             if code != 0:
                 assert len(err.getvalue().splitlines()) == 1
+            if (command == "gradcheck" and path[-1] in ("tolerance", "step")
+                    and isinstance(value, float) and not math.isfinite(value)):
+                assert code == 1
 
         check()

@@ -351,6 +351,15 @@ class TestTrain:
         with pytest.raises(SchemaError):
             train(ds, dev, train_config(epochs=1))
 
+    def test_feature_width_mismatch_rejected_before_training(self, monkeypatch):
+        import cmm.encoder
+        ds = toy_dataset(seed=1, feature_dim=6)
+        dev = toy_dataset(seed=1, feature_dim=8)
+        monkeypatch.setattr(cmm.encoder, "_pack_documents",
+                            lambda *a: pytest.fail("training started"))
+        with pytest.raises(SchemaError, match="feature width"):
+            train(ds, dev, train_config(epochs=1))
+
     def test_accumulation_and_global_mean_run(self):
         ds = toy_dataset(seed=4, n_docs=8)
         loss = LossConfig(kind="cmm", gamma=1.0, m=0.2, aggregation="global_mean")
