@@ -326,9 +326,9 @@ def cmd_eval(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     if not len(dataset):
         raise SchemaError(f"{dataset_path}:1: dataset has no pair records to evaluate")
     logits = encoder.encode_batch(params, dataset.features)
-    gold, seen = evaluation.label_masks(dataset, gold_source)
     _write_effective(outdir, {"eval": {"gold": gold_source}})
-    record = evaluation.mask_metrics(logits, gold, seen).to_dict()
+    record = evaluation.mask_metrics(logits, getattr(dataset, gold_source),
+                                     dataset.seen).to_dict()
     _write_json(outdir / "metrics.json",
                 {"format": "cmm-metrics/1", "gold": gold_source, "metrics": record})
     return 0

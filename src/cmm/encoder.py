@@ -22,9 +22,9 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericError, SchemaError
-from .evaluation import label_masks, mask_metrics
-from .loss import LossConfig, _cmm_rows, batch_rows, clamp_distance, get_loss
-from .schema import Dataset, LabelSet, LogitRow, open_atomic, require_finite, require_int
+from .evaluation import mask_metrics
+from .loss import LossConfig, _cmm_rows, batch_rows, clamp_distance
+from .schema import Dataset, open_atomic, require_finite, require_int
 
 ARCHITECTURES = ("linear", "one_hidden")
 CHECKPOINT_FORMAT = "cmm-checkpoint/1"
@@ -181,37 +181,13 @@ def _stacked(params: "EncoderParams") -> dict[str, np.ndarray]:
     return {name: t[None] for name, t in params.tensors.items()}
 
 
-def encode(params: EncoderParams, features) -> LogitRow:
-    """Deterministic forward map for one pair; linear mode is W @ x + b."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.size != params.feature_dim:
-        raise SchemaError(f"expected feature vector of dim {params.feature_dim}, "
-                          f"got shape {x.shape}")
-    logits, _ = _forward(_stacked(params), x[None, :])
-    return LogitRow(logits[0, 0])
-
-
 def encode_batch(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+    """(n, R+1) logits of an (n, F) feature batch; linear mode is x @ W.T + b per row."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.feature_dim:
         raise SchemaError(f"expected (n, {params.feature_dim}) features, got shape {x.shape}")
     logits, _ = _forward(_stacked(params), x)
     return logits[0]
-
-
-def backward(params: EncoderParams, features, labels: LabelSet,
-             cfg: LossConfig) -> dict[str, np.ndarray]:
-    """Exact gradients of the configured loss w.r.t. every parameter tensor."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.size != params.feature_dim:
-        raise SchemaError(f"expected feature vector of dim {params.feature_dim}, "
-                          f"got shape {x.shape}")
-    tensors = _stacked(params)
-    logits, cache = _forward(tensors, x[None, :])
-    g_row = get_loss(cfg).grad(LogitRow(logits[0, 0]), labels, cfg)
-    grads = {name: np.empty_like(t) for name, t in tensors.items()}
-    _backward(tensors, cache, np.asarray(g_row, dtype=np.float64)[None, None, :], grads)
-    return {name: g[0] for name, g in grads.items()}
 
 
 # --- AdamW ----------------------------------------------------------------
@@ -468,7 +444,6 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
                  [cfgs[k].loss for k in order])
     docs = _pack_documents(dataset, arms.gammas)
     dev_features = dev.features if len(dev) else np.zeros((0, dataset.feature_dim))
-    dev_gold, dev_seen = label_masks(dev)
     n_pairs_total = sum(d.features.shape[0] for d in docs)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
 
@@ -480,7 +455,7 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
             arms.apply(cfg)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             for i, logits in enumerate(_forward(arms.params, dev_features)[0]):
-                scores = mask_metrics(logits, dev_gold, dev_seen)
+                scores = mask_metrics(logits, dev.labels, dev.seen)
                 traces[i].append(TraceRecord(
                     epoch=epoch, train_loss=float(epoch_loss[i] / n_pairs_total),
                     dev_f1=scores.f1, dev_ign_f1=scores.ign_f1,
@@ -542,14 +517,16 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[s
     try:
         arch = obj["architecture"]
         kind = arch["kind"]
-        dims = {"feature_dim": int(arch["feature_dim"]),
-                "relation_count": int(arch["relation_count"]),
-                "hidden_dim": int(arch["hidden_dim"])}
+        dims = {name: arch[name] for name in ("feature_dim", "relation_count", "hidden_dim")}
+        for name, value in dims.items():
+            require_int(name, value, 1 if name == "relation_count" else 0)
         if kind not in ARCHITECTURES:
             raise SchemaError(f"{path}: architecture kind must be one of {ARCHITECTURES}, "
                               f"got {kind!r}")
         shapes = _tensor_shapes(kind, **dims)
         tensors = {e["name"]: _tensor(e, e["shape"]) for e in obj["parameters"]}
+        if len(tensors) != len(obj["parameters"]):
+            raise SchemaError(f"{path}: a parameter name appears more than once")
         found = {name: t.shape for name, t in tensors.items()}
         if found != shapes:
             raise SchemaError(f"{path}: parameters {found} do not match the declared "

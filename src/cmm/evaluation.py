@@ -52,17 +52,6 @@ def decode_counts(logits2d: np.ndarray) -> int:
     return int((t[:, 1:] > t[:, :1]).sum())
 
 
-def label_masks(dataset, source: str = "labels") -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (n, R) gold and seen-in-train masks in pair order (read-only).
-
-    Column r-1 holds relation r. Gold comes from either training labels or
-    ground truth; seen marks the facts Ign-F1 removes.
-    """
-    if source not in ("labels", "true_labels"):
-        raise ValueError(f"source must be 'labels' or 'true_labels', got {source!r}")
-    return getattr(dataset, source), dataset.seen
-
-
 def mask_metrics(logits: np.ndarray, gold: np.ndarray, seen: np.ndarray) -> MetricsRecord:
     """Micro P/R/F1 of decoded (n, R+1) logits against (n, R) gold, plus Ign-F1.
 

@@ -19,13 +19,15 @@ concrete losses are provided:
   each positive is scored against positives-plus-TH, and TH is scored
   against negatives-plus-TH.
 
-Each kind has one composition, ``batch_rows`` over a boolean (n, R)
-positive mask, which the trainer calls per optimizer step. The single-row
-functions are batches of one, except that cmm runs the same rank-agnostic
-code on the row itself, which saves the mask for one-row callers. The
-gradcheck oracle scores all finite-difference probes of one row as one
-batch, and the trainer runs the cmm kernel once on the (K, n, R+1) stack
-of all its cmm arms.
+Every relation that is not a positive is scored as a negative: a
+``LabelSet`` derives its negatives as the complement of its positives, and
+a mask marks positives only. Each kind has one composition, ``batch_rows``
+over a boolean (n, R) positive mask, which the trainer calls per optimizer
+step. The single-row functions are batches of one, except that cmm runs
+the same rank-agnostic code on the row itself, which saves the mask for
+one-row callers. The gradcheck oracle scores all finite-difference probes
+of one row as one batch, and the trainer runs the cmm kernel once on the
+(K, n, R+1) stack of all its cmm arms.
 Analytic gradients are exact and verified against central finite
 differences by the gradcheck module. Additional (value, gradient) pairs
 can be registered under ``kind="plugin"``.
@@ -290,17 +292,9 @@ def _check_lengths(values: np.ndarray, labels: LabelSet) -> None:
 
 
 def _positive_columns(logits, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
-    """A checked logit row and the columns (relation - 1) of its positives.
-
-    The kernels score every relation that is not a positive as a negative,
-    so a label set that is not a partition of 1..R is rejected.
-    """
+    """A checked logit row and the columns (relation - 1) of its positives."""
     values = _as_values(logits)
     _check_lengths(values, labels)
-    if not labels.is_consistent():
-        raise SchemaError(f"label set is not a partition of 1..{labels.relation_count}: "
-                          f"positives {sorted(labels.positives)}, "
-                          f"negatives {sorted(labels.negatives)}")
     return values, np.array(sorted(labels.positives), dtype=np.intp) - 1
 
 

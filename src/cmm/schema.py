@@ -2,8 +2,10 @@
 
 Relation indices are 1-based; index 0 is reserved for the learned threshold
 (TH) logit everywhere in the package, so a logit row of length R+1 can be
-indexed directly by relation index. A dataset holds its pairs as columns
-(arrays) and builds per-pair ``PairExample`` records only on demand. All
+indexed directly by relation index. A label set's negatives are derived as
+the complement of its positives, so it always partitions 1..R. A dataset
+is built from its pairs' columns (arrays), which its one constructor
+checks, and builds per-pair ``PairExample`` records only on demand. All
 types are immutable after construction and safe to share across threads.
 """
 
@@ -15,7 +17,7 @@ import math
 import numbers
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import IO, Any, Collection, Iterator, Mapping, Sequence
 
@@ -131,16 +133,11 @@ class RelationSchema:
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Positive relation indices for one pair; negatives are the complement.
-
-    `negatives` may be passed explicitly (e.g. to reconstruct a suspect
-    record, which a Dataset refuses to pack unless the two partition
-    {1..R}); when omitted it is derived as {1..R} minus positives.
-    """
+    """Positive relation indices for one pair; `negatives` is always the rest of {1..R}."""
 
     relation_count: int
     positives: frozenset[int]
-    negatives: frozenset[int] | None = None
+    negatives: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
         pos = frozenset(int(r) for r in self.positives)
@@ -148,16 +145,7 @@ class LabelSet:
         bad = sorted(r for r in pos if not 1 <= r <= self.relation_count)
         if bad:
             raise SchemaError(f"positive indices out of range [1, {self.relation_count}]: {bad}")
-        if self.negatives is None:
-            neg = frozenset(range(1, self.relation_count + 1)) - pos
-        else:
-            neg = frozenset(int(r) for r in self.negatives)
-        object.__setattr__(self, "negatives", neg)
-
-    def is_consistent(self) -> bool:
-        """True when positives and negatives partition {1..R}."""
-        full = frozenset(range(1, self.relation_count + 1))
-        return (not self.positives & self.negatives) and (self.positives | self.negatives == full)
+        object.__setattr__(self, "negatives", frozenset(range(1, self.relation_count + 1)) - pos)
 
 
 @dataclass(frozen=True)
@@ -253,11 +241,10 @@ class Dataset:
     column r-1 holding relation r, and the flags ``hard`` and ``corrupted``.
     ``doc_index`` is each pair's position in ``document_ids``.
 
-    ``Dataset(schema, examples, document_ids, manifest)`` packs PairExample
-    records and ``Dataset.from_columns`` takes columns; either way they are
-    checked once: unique document and pair ids, declared doc ids, finite
-    features, and corrupted pairs whose labels are a proper subset of their
-    true labels.
+    ``Dataset(schema, document_ids, manifest, **columns)`` takes every column
+    by name and checks them once: the shapes above, unique document and pair
+    ids, declared doc ids, finite features, and corrupted pairs whose labels
+    are a proper subset of their true labels.
     """
 
     schema: RelationSchema
@@ -273,46 +260,25 @@ class Dataset:
     corrupted: np.ndarray
     doc_index: np.ndarray
 
-    def __init__(self, schema: RelationSchema, examples: Sequence[PairExample],
-                 document_ids: Sequence[str], manifest: dict[str, Any] | None = None):
-        examples = tuple(examples)
-        r_count = schema.relation_count
-        for ex in examples:     # what the masks cannot hold
-            for name in ("labels", "true_labels"):
-                labels = getattr(ex, name)
-                if labels.relation_count != r_count or not labels.is_consistent():
-                    raise SchemaError(f"pair {ex.pair_id!r}: {name} do not partition the "
-                                      f"relations 1..{r_count}")
-            if not ex.seen_in_train <= frozenset(range(1, r_count + 1)):
-                raise SchemaError(f"pair {ex.pair_id!r}: seen_in_train indices outside "
-                                  f"1..{r_count}")
-        self._set_checked(schema, document_ids, manifest,
-                          pair_ids=[ex.pair_id for ex in examples],
-                          doc_ids=[ex.doc_id for ex in examples],
-                          features=_stack_rows([ex.features for ex in examples]),
-                          labels=_mask([ex.labels.positives for ex in examples], r_count),
-                          true_labels=_mask([ex.true_labels.positives for ex in examples], r_count),
-                          seen=_mask([ex.seen_in_train for ex in examples], r_count),
-                          hard=[ex.difficulty == "hard" for ex in examples],
-                          corrupted=[ex.corrupted for ex in examples])
-
-    @classmethod
-    def from_columns(cls, schema: RelationSchema, document_ids: Sequence[str],
-                     manifest: dict[str, Any] | None = None, **columns: Any) -> "Dataset":
-        """A dataset of the given columns (each named as in the class docstring)."""
-        dataset = cls.__new__(cls)
-        dataset._set_checked(schema, document_ids, manifest, **columns)
-        return dataset
-
-    def _set_checked(self, schema: RelationSchema, document_ids: Sequence[str],
-                     manifest: dict[str, Any] | None, **columns: Any) -> None:
+    def __init__(self, schema: RelationSchema, document_ids: Sequence[str],
+                 manifest: dict[str, Any] | None = None, **columns: Any):
+        if columns.keys() != set(_COLUMNS):
+            raise TypeError(f"Dataset columns are {_COLUMNS}, got {tuple(columns)}")
         put = partial(object.__setattr__, self)
         put("schema", schema)
         put("document_ids", tuple(document_ids))
         put("manifest", {} if manifest is None else manifest)
+        n = len(columns["pair_ids"])
         dtypes = {"features": np.float64, **dict.fromkeys(_ID_COLUMNS, object)}
         for name in _COLUMNS:
             arr = np.asarray(columns[name], dtype=dtypes.get(name, bool))
+            if name == "features":
+                ok, want = arr.ndim == 2 and len(arr) == n, f"({n}, F)"
+            else:
+                shape = (n, schema.relation_count) if name in _MASK_COLUMNS else (n,)
+                ok, want = arr.shape == shape, str(shape)
+            if not ok:
+                raise SchemaError(f"column {name!r} has shape {arr.shape}, expected {want}")
             arr.flags.writeable = False
             put(name, arr)
         if len(set(self.document_ids)) != len(self.document_ids):
@@ -347,7 +313,7 @@ class Dataset:
 
     @property
     def columns(self) -> dict[str, np.ndarray]:
-        """The per-pair columns by name, as ``from_columns`` takes them."""
+        """The per-pair columns by name, as the constructor takes them."""
         return {name: getattr(self, name) for name in _COLUMNS}
 
     @cached_property
@@ -501,7 +467,7 @@ def load_dataset_jsonl(path: str) -> Dataset:
         columns["features"] = _stack_rows(columns["features"])
         for name in _MASK_COLUMNS:
             columns[name] = _mask(columns[name], r_count)
-        return Dataset.from_columns(schema, document_ids, manifest, **columns)
+        return Dataset(schema, document_ids, manifest, **columns)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -518,8 +484,8 @@ def split_by_documents(dataset: Dataset, n_train_documents: int) -> tuple[Datase
     def _mk(ids: tuple[str, ...], rows: np.ndarray, role: str) -> Dataset:
         manifest = dict(dataset.manifest)
         manifest["split"] = {"role": role, "documents": [ids[0], ids[-1]], "count": len(ids)}
-        return Dataset.from_columns(dataset.schema, ids, manifest,
-                                    **{name: col[rows] for name, col in dataset.columns.items()})
+        return Dataset(dataset.schema, ids, manifest,
+                       **{name: col[rows] for name, col in dataset.columns.items()})
 
     return (_mk(dataset.document_ids[:n_train_documents], in_train, "train"),
             _mk(dataset.document_ids[n_train_documents:], ~in_train, "dev"))

@@ -204,7 +204,7 @@ def generate(cfg: GenConfig) -> Dataset:
         seen[block] = pos_mask & (rng.random((ppd, r_count)) < cfg.seen_in_train_rate)
 
     document_ids = [f"doc{d:05d}" for d in range(cfg.n_documents)]
-    return Dataset.from_columns(
+    return Dataset(
         RelationSchema.with_default_names(r_count), document_ids, {"generator": cfg.to_dict()},
         pair_ids=[f"{doc_id}:{i:04d}" for doc_id in document_ids for i in range(ppd)],
         doc_ids=np.repeat(np.array(document_ids, dtype=object), ppd),
@@ -236,8 +236,8 @@ def inject_false_negatives(dataset: Dataset, rate: float, seed: int) -> Dataset:
     manifest = dict(dataset.manifest)
     manifest["false_negatives"] = {"rate": rate, "seed": seed,
                                    "demoted_facts": int(np.count_nonzero(demote))}
-    return Dataset.from_columns(dataset.schema, dataset.document_ids, manifest,
-                                **{**dataset.columns, "labels": labels, "corrupted": corrupted})
+    return Dataset(dataset.schema, dataset.document_ids, manifest,
+                   **{**dataset.columns, "labels": labels, "corrupted": corrupted})
 
 
 @dataclass(frozen=True)

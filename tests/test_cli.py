@@ -516,6 +516,12 @@ CHECKPOINT_MUTATIONS = {
     "unknown_architecture": lambda c: c["architecture"].update(kind="transformer"),
     "renamed_tensor": lambda c: c["parameters"][0].update(name="V"),
     "shape_not_declared": lambda c: c["architecture"].update(relation_count=4),
+    # architecture fields are integers, checked like config fields
+    "float_feature_dim": lambda c: c["architecture"].update(
+        feature_dim=c["architecture"]["feature_dim"] + 0.7),
+    "bool_relation_count": lambda c: c["architecture"].update(relation_count=True),
+    "string_hidden_dim": lambda c: c["architecture"].update(hidden_dim="0"),
+    "duplicate_name": lambda c: c["parameters"].append(dict(c["parameters"][-1])),
 }
 
 

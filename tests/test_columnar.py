@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmm.encoder import TrainConfig, train
-from cmm.evaluation import label_masks
 from cmm.loss import LossConfig
 from cmm.schema import (DATASET_FORMAT, LabelSet, dataset_to_lines, load_dataset_jsonl,
                         save_dataset_jsonl)
@@ -120,7 +119,7 @@ class TestColumnarEquivalence:
         ds = generated(cfg, rate)
         r_count = ds.schema.relation_count
         for source in ("labels", "true_labels"):
-            gold, seen = label_masks(ds, source)
+            gold, seen = getattr(ds, source), ds.seen
             for i, ex in enumerate(ds.examples):
                 for r in range(1, r_count + 1):
                     assert gold[i, r - 1] == (r in getattr(ex, source).positives)

@@ -6,9 +6,9 @@ import pytest
 from cmm.encoder import (
     EncoderParams,
     TrainConfig,
+    _Arms,
+    _packed,
     adamw_step,
-    backward,
-    encode,
     encode_batch,
     init_adamw_state,
     init_encoder,
@@ -18,7 +18,7 @@ from cmm.encoder import (
 )
 from cmm.errors import NumericError, SchemaError
 from cmm.loss import LossConfig
-from cmm.schema import Dataset, LabelSet, PairExample, RelationSchema
+from cmm.schema import Dataset, LabelSet, RelationSchema
 
 
 def linear_params(w, b):
@@ -40,123 +40,135 @@ def toy_dataset(seed=0, n_docs=20, pairs_per_doc=10, relation_count=2, feature_d
     rng = np.random.default_rng(seed)
     teacher = rng.standard_normal((relation_count, feature_dim))
     teacher /= np.linalg.norm(teacher, axis=1, keepdims=True)
-    examples = []
-    doc_ids = []
-    for d in range(n_docs):
-        doc_id = f"d{d:03d}"
-        doc_ids.append(doc_id)
-        for i in range(pairs_per_doc):
-            scores = rng.uniform(0.5, 2.0, relation_count) * margin
-            signs = np.where(rng.random(relation_count) < 0.3, 1.0, -1.0)
-            x = (signs * scores) @ teacher + 0.05 * rng.standard_normal(feature_dim)
-            positives = frozenset(int(r + 1) for r in range(relation_count)
-                                  if signs[r] > 0)
-            labels = LabelSet(relation_count, positives)
-            examples.append(PairExample(pair_id=f"{doc_id}:{i}", doc_id=doc_id,
-                                        features=x, labels=labels, true_labels=labels))
-    return Dataset(schema=RelationSchema.with_default_names(relation_count),
-                   examples=tuple(examples), document_ids=tuple(doc_ids))
+    features, labels = [], []
+    for _ in range(n_docs * pairs_per_doc):
+        scores = rng.uniform(0.5, 2.0, relation_count) * margin
+        signs = np.where(rng.random(relation_count) < 0.3, 1.0, -1.0)
+        features.append((signs * scores) @ teacher + 0.05 * rng.standard_normal(feature_dim))
+        labels.append(signs > 0)
+    doc_ids = [f"d{d:03d}" for d in range(n_docs)]
+    labels = np.array(labels, dtype=bool).reshape(-1, relation_count)
+    return Dataset(RelationSchema.with_default_names(relation_count), doc_ids,
+                   pair_ids=[f"{doc_id}:{i}" for doc_id in doc_ids for i in range(pairs_per_doc)],
+                   doc_ids=np.repeat(doc_ids, pairs_per_doc).astype(object),
+                   features=np.array(features).reshape(-1, feature_dim), labels=labels,
+                   true_labels=labels, seen=np.zeros_like(labels),
+                   hard=np.zeros(len(labels), bool), corrupted=np.zeros(len(labels), bool))
+
+
+def one_row(params, x):
+    """encode_batch on the one-row batch of feature vector x."""
+    return encode_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 class TestEncode:
     def test_zero_weights_return_bias(self):
         params = linear_params(np.zeros((3, 4)), [0.5, 0.25, -0.75])
-        row = encode(params, np.ones(4))
-        assert np.array_equal(row.values, [0.5, 0.25, -0.75])
+        assert np.array_equal(one_row(params, np.ones(4)), [0.5, 0.25, -0.75])
 
     def test_identity_map(self):
         params = linear_params(np.eye(3), np.zeros(3))
-        row = encode(params, np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(row.values, [1.0, 0.0, 0.0])
+        assert np.array_equal(one_row(params, [1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
 
     def test_matches_explicit_dot_products(self):
         rng = np.random.default_rng(7)
         params = init_encoder("linear", feature_dim=9, relation_count=4, seed=3)
         x = rng.standard_normal(9)
-        row = encode(params, x)
+        row = one_row(params, x)
         for i in range(5):
             expected = sum(params.tensors["W"][i, j] * x[j] for j in range(9))
             expected += params.tensors["b"][i]
-            assert row.values[i] == pytest.approx(expected, abs=1e-12)
+            assert row[i] == pytest.approx(expected, abs=1e-12)
 
     def test_one_hidden_matches_manual_forward(self):
         params = init_encoder("one_hidden", feature_dim=5, relation_count=3,
                               hidden_dim=4, seed=1)
         x = np.random.default_rng(2).standard_normal(5)
-        row = encode(params, x)
         h = np.tanh(params.tensors["W1"] @ x + params.tensors["b1"])
         expected = params.tensors["W2"] @ h + params.tensors["b2"]
-        assert np.allclose(row.values, expected, atol=1e-12)
+        assert np.allclose(one_row(params, x), expected, atol=1e-12)
 
     def test_output_dim_always_relations_plus_one(self):
         for arch in ("linear", "one_hidden"):
             params = init_encoder(arch, feature_dim=6, relation_count=5, seed=0)
-            assert encode(params, np.zeros(6)).values.size == 6
+            assert encode_batch(params, np.zeros((1, 6))).shape == (1, 6)
 
     def test_dimension_mismatch(self):
         params = init_encoder("linear", feature_dim=4, relation_count=2, seed=0)
-        with pytest.raises(SchemaError):
-            encode(params, np.zeros(5))
+        for features in (np.zeros((1, 5)), np.zeros(4), np.zeros((1, 1, 4))):
+            with pytest.raises(SchemaError):
+                encode_batch(params, features)
 
     def test_batch_matches_single(self):
         params = init_encoder("one_hidden", feature_dim=5, relation_count=3, seed=5)
         x = np.random.default_rng(4).standard_normal((7, 5))
         batch = encode_batch(params, x)
         for i in range(7):
-            assert np.allclose(batch[i], encode(params, x[i]).values, atol=1e-12)
+            assert np.allclose(batch[i], one_row(params, x[i]), atol=1e-12)
+
+
+def step_grads(params, x, pos_mask, losses):
+    """The arms of one stacked step from ``params`` and copies of their gradients
+    on the batch (x, pos_mask); cmm arms come first, as ``train`` orders them."""
+    arms = _Arms(params, losses)
+    arms.step_grads(_packed(x, pos_mask, arms.gammas))
+    return arms, {name: g.copy() for name, g in arms.grads.items()}
 
 
 class TestBackward:
+    """The trainer's backward pass, ``_Arms.step_grads``, on a stack of arms."""
+
     def test_all_clamped_negatives_zero_gradients(self):
         params = linear_params(np.zeros((3, 4)), [5.0, -5.0, -5.0])
-        labels = LabelSet(2, frozenset())  # d_neg = 10 >> clamp
-        grads = backward(params, np.ones(4), labels, LossConfig(kind="cmm", m=0.2))
+        # no positives, and every d_neg = 10 >> clamp
+        _, grads = step_grads(params, np.ones((1, 4)), np.zeros((1, 2), bool),
+                              [LossConfig(kind="cmm", m=0.2)])
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_linear_chain_rule_outer_product(self):
         from cmm.loss import cmm_loss_grad
         params = init_encoder("linear", feature_dim=6, relation_count=3, seed=8)
         x = np.random.default_rng(9).standard_normal(6)
-        labels = LabelSet(3, frozenset({2}))
         cfg = LossConfig(kind="cmm", gamma=1.4, m=0.3)
-        grads = backward(params, x, labels, cfg)
-        g_row = cmm_loss_grad(encode(params, x), labels, cfg)
-        assert np.allclose(grads["W"], np.outer(g_row, x), atol=1e-12)
-        assert np.allclose(grads["b"], g_row, atol=1e-12)
+        _, grads = step_grads(params, x[None, :], np.array([[False, True, False]]), [cfg])
+        g_row = cmm_loss_grad(one_row(params, x), LabelSet(3, frozenset({2})), cfg)
+        assert np.allclose(grads["W"][0], np.outer(g_row, x), atol=1e-12)
+        assert np.allclose(grads["b"][0], g_row, atol=1e-12)
 
     @pytest.mark.parametrize("arch,kind", [
         ("linear", "cmm"), ("one_hidden", "cmm"),
         ("linear", "plain_margin"), ("one_hidden", "atl_reference"),
     ])
     def test_matches_parameter_space_finite_differences(self, arch, kind):
-        from cmm.loss import get_loss
+        """Every arm's gradient against a central difference of its summed batch
+        loss; the stack holds two cmm arms, plain_margin and atl_reference, plus
+        a global_mean arm of ``kind``, whose loss is the batch mean."""
         rng = np.random.default_rng(13)
         params = init_encoder(arch, feature_dim=5, relation_count=3, hidden_dim=4, seed=13)
-        x = rng.standard_normal(5)
-        labels = LabelSet(3, frozenset({1, 3}))
-        cfg = LossConfig(kind=kind, gamma=1.2, m=0.2)
-        value_fn = get_loss(cfg).value
-        grads = backward(params, x, labels, cfg)
+        x = rng.standard_normal((6, 5))
+        pos_mask = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1], [0, 0, 0]],
+                            dtype=bool)
+        losses = sorted([LossConfig(kind="cmm", gamma=1.2, m=0.2),
+                         LossConfig(kind="cmm", gamma=2.0, m=0.4),
+                         LossConfig(kind="plain_margin"), LossConfig(kind="atl_reference"),
+                         LossConfig(kind=kind, gamma=1.4, m=0.3, aggregation="global_mean")],
+                        key=lambda loss: loss.kind != "cmm")
+        arms, _ = step_grads(params, x, pos_mask, losses)
+        analytic = arms.g.copy()
+        doc = _packed(x, pos_mask, arms.gammas)
+        scale = np.array([1.0 / len(x) if loss.aggregation == "global_mean" else 1.0
+                          for loss in losses])
         h = 1e-6
-
-        def loss_at(p):
-            return value_fn(encode(p, x), labels, cfg)
-
-        for name in params.parameter_names:
-            tensor = params.tensors[name]
-            it = np.nditer(tensor, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                saved = tensor[idx]
-                tensor[idx] = saved + h
-                up = loss_at(params)
-                tensor[idx] = saved - h
-                down = loss_at(params)
-                tensor[idx] = saved
-                numeric = (up - down) / (2 * h)
-                analytic = grads[name][idx]
-                denom = max(1.0, abs(numeric), abs(analytic))
-                assert abs(analytic - numeric) / denom < 1e-4, (name, idx)
+        for j in range(arms.p.shape[1]):    # coordinate j of every arm at once
+            saved = arms.p[:, j].copy()
+            arms.p[:, j] = saved + h
+            up = arms.step_grads(doc)
+            arms.p[:, j] = saved - h
+            down = arms.step_grads(doc)
+            arms.p[:, j] = saved
+            numeric = (up - down) / (2 * h) * scale
+            denom = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(analytic[:, j])))
+            assert np.all(np.abs(analytic[:, j] - numeric) / denom < 1e-4), j
 
 
 class TestAdamW:
@@ -340,8 +352,7 @@ class TestTrain:
         assert epochs == sorted(set(epochs))
 
     def test_empty_dataset_rejected(self):
-        schema = RelationSchema.with_default_names(2)
-        empty = Dataset(schema=schema, examples=(), document_ids=())
+        empty = toy_dataset(n_docs=0)
         with pytest.raises(SchemaError):
             train(empty, empty, train_config(epochs=1))
 

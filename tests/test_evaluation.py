@@ -11,7 +11,6 @@ from cmm.evaluation import (
     decode_counts,
     default_d_grid,
     ign_f1,
-    label_masks,
     mask_metrics,
     micro_f1,
     positive_count_trace,
@@ -188,16 +187,14 @@ class TestMaskMetrics:
 
 class TestGoldExtraction:
     def test_sources(self):
+        """Training and `cmm eval` score against these mask columns directly."""
         from tests.test_schema import make_dataset, make_example
         ds = make_dataset([make_example("d0:0", "d0", {1}, true_positives={1, 2},
                                         corrupted=True, seen=(1,))])
-        gold, seen = label_masks(ds, "labels")
-        true_gold, _ = label_masks(ds, "true_labels")
-        assert mask_rows(gold)["p0"] == frozenset({1})
-        assert mask_rows(true_gold)["p0"] == frozenset({1, 2})
-        assert mask_rows(seen)["p0"] == frozenset({1})
-        with pytest.raises(ValueError):
-            label_masks(ds, "guesses")
+        assert mask_rows(ds.labels)["p0"] == frozenset({1})
+        assert mask_rows(ds.true_labels)["p0"] == frozenset({1, 2})
+        assert mask_rows(ds.seen)["p0"] == frozenset({1})
+        assert ds.labels.shape == ds.true_labels.shape == ds.seen.shape == (1, 4)
 
 
 class FakeRecord:

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from cmm.errors import SchemaError
 from cmm.schema import (
+    DATASET_FORMAT,
     Dataset,
     LabelSet,
     LogitRow,
@@ -28,14 +31,44 @@ def make_example(pair_id, doc_id, positives, relation_count=4, feature_dim=3,
                        difficulty=difficulty, corrupted=corrupted)
 
 
+def masks(index_sets, relation_count):
+    mask = np.zeros((len(index_sets), relation_count), dtype=bool)
+    for i, indices in enumerate(index_sets):
+        mask[i, [r - 1 for r in indices]] = True
+    return mask
+
+
+def record_columns(examples, relation_count=4):
+    """The Dataset columns of PairExample records, one row per record."""
+    return dict(
+        pair_ids=[ex.pair_id for ex in examples], doc_ids=[ex.doc_id for ex in examples],
+        features=np.array([ex.features for ex in examples]),
+        labels=masks([ex.labels.positives for ex in examples], relation_count),
+        true_labels=masks([ex.true_labels.positives for ex in examples], relation_count),
+        seen=masks([ex.seen_in_train for ex in examples], relation_count),
+        hard=[ex.difficulty == "hard" for ex in examples],
+        corrupted=[ex.corrupted for ex in examples])
+
+
 def make_dataset(examples, relation_count=4):
-    doc_ids = []
-    for ex in examples:
-        if ex.doc_id not in doc_ids:
-            doc_ids.append(ex.doc_id)
-    return Dataset(schema=RelationSchema.with_default_names(relation_count),
-                   examples=tuple(examples), document_ids=tuple(doc_ids),
-                   manifest={"generator": {"seed": 1}})
+    """A Dataset of PairExample records, documents declared in first-seen order."""
+    return Dataset(RelationSchema.with_default_names(relation_count),
+                   list(dict.fromkeys(ex.doc_id for ex in examples)), {"generator": {"seed": 1}},
+                   **record_columns(examples, relation_count))
+
+
+def write_records(path, records):
+    """A file of one document "d0" at R=4 and one line per record (dicts of JSON
+    fields over defaults)."""
+    header = {"format": DATASET_FORMAT, "schema": RelationSchema.with_default_names(4).to_dict(),
+              "documents": ["d0"], "manifest": {}}
+    defaults = {"doc_id": "d0", "features": [0.0, 1.0, 2.0], "positives": [],
+                "true_positives": [], "seen_in_train": [], "difficulty": "easy",
+                "corrupted": False}
+    lines = [header] + [{**defaults, "pair_id": f"d0:{i}", **rec}
+                        for i, rec in enumerate(records)]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return str(path)
 
 
 class TestRelationSchema:
@@ -65,7 +98,6 @@ class TestLabelSet:
     def test_complement_derivation(self):
         ls = LabelSet(5, frozenset({2, 4}))
         assert ls.negatives == frozenset({1, 3, 5})
-        assert ls.is_consistent()
 
     def test_empty_positives_full_negatives(self):
         ls = LabelSet(3, frozenset())
@@ -83,10 +115,6 @@ class TestLabelSet:
             LabelSet(3, frozenset({0}))
         with pytest.raises(SchemaError):
             LabelSet(3, frozenset({4}))
-
-    def test_explicit_negatives_kept_for_validation(self):
-        ls = LabelSet(3, frozenset({1}), negatives=frozenset({1, 2}))
-        assert not ls.is_consistent()
 
 
 class TestLogitRow:
@@ -128,13 +156,6 @@ class TestValidateDataset:
         assert len(ds) == 10
         assert list(dataset_to_lines(round_trip(ds, tmp_path))) == list(dataset_to_lines(ds))
 
-    def test_overlapping_labels_reported_with_pair_id(self):
-        bad_labels = LabelSet(4, frozenset({1}), negatives=frozenset({1, 2, 3, 4}))
-        ex = PairExample(pair_id="d0:bad", doc_id="d0", features=np.zeros(3),
-                         labels=bad_labels, true_labels=LabelSet(4, frozenset({1})))
-        with pytest.raises(SchemaError, match="'d0:bad': labels do not partition"):
-            make_dataset([ex])
-
     def test_corrupted_without_demotion_reported(self, tmp_path):
         ex = make_example("d0:c", "d0", {1}, true_positives={1}, corrupted=True)
         with pytest.raises(SchemaError, match="'d0:c' is flagged corrupted"):
@@ -151,11 +172,12 @@ class TestValidateDataset:
         assert loaded.corrupted
         assert loaded.labels.positives == {1} and loaded.true_labels.positives == {1, 2}
 
-    def test_feature_dim_mismatch_reported(self):
-        examples = [make_example("d0:0", "d0", {1}, feature_dim=3),
-                    make_example("d0:1", "d0", {1}, feature_dim=4)]
-        with pytest.raises(SchemaError, match=r"feature lengths differ between pairs: \[3, 4\]"):
-            make_dataset(examples)
+    def test_feature_dim_mismatch_reported(self, tmp_path):
+        path = write_records(tmp_path / "d.jsonl", [{"features": [0.0, 1.0, 2.0]},
+                                                    {"features": [0.0, 1.0, 2.0, 3.0]}])
+        with pytest.raises(SchemaError,
+                           match=r"d.jsonl: feature lengths differ between pairs: \[3, 4\]"):
+            load_dataset_jsonl(path)
 
     def test_duplicate_pair_id_reported(self):
         examples = [make_example("d0:0", "d0", {1}), make_example("d0:0", "d0", {2})]
@@ -173,9 +195,9 @@ class TestValidateDataset:
         assert list(dataset_to_lines(again)) == list(dataset_to_lines(first))
 
     def test_undeclared_doc_id_reported(self):
-        ex = make_example("d9:0", "d9", {1})
+        columns = record_columns([make_example("d9:0", "d9", {1})])
         with pytest.raises(SchemaError, match=r"doc_ids not listed in the documents: \['d9'\]"):
-            Dataset(RelationSchema.with_default_names(4), [ex], ["d0"])
+            Dataset(RelationSchema.with_default_names(4), ["d0"], **columns)
 
     def test_non_finite_features_reported(self):
         examples = [make_example("d0:0", "d0", {1}),
@@ -183,13 +205,50 @@ class TestValidateDataset:
         with pytest.raises(SchemaError, match="non-finite features in pair 'd0:1'"):
             make_dataset(examples)
 
-    def test_records_the_masks_cannot_hold_reported(self):
-        stray_seen = make_example("d0:0", "d0", {1}, seen=(5,))
-        with pytest.raises(SchemaError, match="'d0:0': seen_in_train indices outside 1..4"):
-            make_dataset([stray_seen])
-        wide = make_example("d0:0", "d0", {5}, relation_count=5)
-        with pytest.raises(SchemaError, match="'d0:0': labels do not partition"):
-            make_dataset([wide])
+    def test_records_the_masks_cannot_hold_reported(self, tmp_path):
+        stray_seen = write_records(tmp_path / "seen.jsonl", [{"positives": [1],
+                                                              "seen_in_train": [5]}])
+        with pytest.raises(SchemaError, match=r"seen.jsonl:2: .*'seen_in_train' indices "
+                                              r"outside 1..4: \[5\]"):
+            load_dataset_jsonl(stray_seen)
+        wide = write_records(tmp_path / "wide.jsonl", [{"positives": [5], "true_positives": [5]}])
+        with pytest.raises(SchemaError, match=r"wide.jsonl:2: .*'positives' indices "
+                                              r"outside 1..4: \[5\]"):
+            load_dataset_jsonl(wide)
+
+    # case: (column, value in a two-pair dataset at R=4, message)
+    COLUMN_SHAPES = {
+        "pair_ids_2d": ("pair_ids", [["a", "b"], ["c", "d"]],
+                        r"'pair_ids' has shape \(2, 2\), expected \(2,\)"),
+        "doc_ids_rows": ("doc_ids", ["d0"] * 3, r"'doc_ids' has shape \(3,\), expected \(2,\)"),
+        "features_rows": ("features", np.zeros((3, 3)),
+                          r"'features' has shape \(3, 3\), expected \(2, F\)"),
+        "features_1d": ("features", np.zeros(2), r"'features' has shape \(2,\), expected \(2, F\)"),
+        "labels_width": ("labels", np.zeros((2, 5), bool),
+                         r"'labels' has shape \(2, 5\), expected \(2, 4\)"),
+        "true_labels_rows": ("true_labels", np.zeros((1, 4), bool),
+                             r"'true_labels' has shape \(1, 4\), expected \(2, 4\)"),
+        "seen_1d": ("seen", np.zeros(2, bool), r"'seen' has shape \(2,\), expected \(2, 4\)"),
+        "hard_rows": ("hard", [False], r"'hard' has shape \(1,\), expected \(2,\)"),
+        "corrupted_2d": ("corrupted", [[False], [False]],
+                         r"'corrupted' has shape \(2, 1\), expected \(2,\)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COLUMN_SHAPES))
+    def test_column_shapes_checked(self, case):
+        name, value, message = self.COLUMN_SHAPES[case]
+        columns = record_columns([make_example("d0:0", "d0", {1}), make_example("d0:1", "d0", {2})])
+        columns[name] = value
+        with pytest.raises(SchemaError, match=message):
+            Dataset(RelationSchema.with_default_names(4), ["d0"], **columns)
+
+    def test_every_column_named_once(self):
+        columns = record_columns([make_example("d0:0", "d0", {1})])
+        with pytest.raises(TypeError, match="columns"):
+            Dataset(RelationSchema.with_default_names(4), ["d0"],
+                    **{k: v for k, v in columns.items() if k != "seen"})
+        with pytest.raises(TypeError, match="columns"):
+            Dataset(RelationSchema.with_default_names(4), ["d0"], **columns, weights=[1.0])
 
 
 class TestJsonl:

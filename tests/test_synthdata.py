@@ -257,15 +257,10 @@ class TestDistributionReport:
     def test_degenerate_no_positives(self):
         ds = inject_false_negatives(generate(small_config()), 0.999999, seed=0)
         # force a fully empty view by rebuilding with everything demoted
-        from dataclasses import replace
-        from cmm.schema import Dataset, LabelSet
-        empty = tuple(
-            replace(ex, labels=LabelSet(ex.labels.relation_count, frozenset()),
-                    corrupted=bool(ex.true_labels.positives))
-            for ex in ds.examples
-        )
-        ds_empty = Dataset(schema=ds.schema, examples=empty,
-                           document_ids=ds.document_ids, manifest=dict(ds.manifest))
+        from cmm.schema import Dataset
+        ds_empty = Dataset(ds.schema, ds.document_ids, dict(ds.manifest),
+                           **{**ds.columns, "labels": np.zeros_like(ds.labels),
+                              "corrupted": ds.true_labels.any(axis=1)})
         report = distribution_report(ds_empty)
         assert report.positive_pair_fraction == 0.0
         assert report.n_facts == 0
