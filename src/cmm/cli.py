@@ -43,7 +43,7 @@ def _load_config(path: Path) -> tuple[dict[str, Any], bytes]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # JSONDecodeError, or UnicodeDecodeError on bytes
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")

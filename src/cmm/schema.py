@@ -22,6 +22,7 @@ from functools import cached_property, partial
 from typing import IO, Any, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import SchemaError
 
@@ -124,11 +125,11 @@ class RelationSchema:
         names = d["relation_names"]
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise TypeError(f"'relation_names' must be a list of strings, got {names!r}")
-        return cls(
-            relation_count=int(d["relation_count"]),
-            relation_names=tuple(names),
-            th_index=int(d.get("th_index", TH_INDEX)),
-        )
+        relation_count, th_index = d["relation_count"], d.get("th_index", TH_INDEX)
+        require_int("relation_count", relation_count, 1)
+        require_int("th_index", th_index, TH_INDEX)
+        return cls(relation_count=relation_count, relation_names=tuple(names),
+                   th_index=th_index)
 
 
 @dataclass(frozen=True)
@@ -405,15 +406,20 @@ def _features(value: Any) -> np.ndarray:
 def load_dataset_jsonl(path: str) -> Dataset:
     """Read a dataset; SchemaError on any record the columns could not represent.
 
-    Each line's features become a float64 row as the line is read; the rows
-    are stacked once. Index lists are checked once per distinct list.
+    The file is read as bytes. The header line is decoded as UTF-8 and parsed
+    with ``json``, which keeps integers of any width in its manifest; each
+    pair line is parsed with ``orjson``, whose floats are the correctly
+    rounded doubles ``json`` gives and which rejects invalid UTF-8, NaN,
+    Infinity and numbers beyond the float range. Each line's features become
+    a float64 row as the line is read; the rows are stacked once. Index
+    lists are checked once per distinct list.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
             raise SchemaError(f"{path}: empty dataset file")
         try:
-            header = json.loads(header_line)
+            header = json.loads(header_line.decode("utf-8"))
             if not isinstance(header, dict):
                 raise TypeError("header must be a JSON object")
             if header.get("format") != DATASET_FORMAT:
@@ -444,7 +450,7 @@ def load_dataset_jsonl(path: str) -> Dataset:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = orjson.loads(line)
                 pair_id, doc_id, corrupted = obj["pair_id"], obj["doc_id"], obj["corrupted"]
                 if type(pair_id) is not str or type(doc_id) is not str:
                     raise TypeError(f"pair_id and doc_id must be strings, got {pair_id!r} "

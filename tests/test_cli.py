@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -439,6 +440,13 @@ MUTATED_LINE = {"seen_index_zero": 2, "seen_index_past_r": 2, "missing_difficult
                 "feature_string": 2, "feature_bool": 2, "feature_null": 2, "feature_nested": 2,
                 "feature_huge_int": 2, "features_object": 2}
 
+
+def with_schema_field(name, value):
+    """A header mutation that sets one field of the header's schema."""
+    return lambda h: json.dumps({**json.loads(h),
+                                 "schema": {**json.loads(h)["schema"], name: value}})
+
+
 HEADER_MUTATIONS = {
     "not_json": lambda h: h[:-1],
     "not_an_object": lambda h: "[" + h + "]",
@@ -446,8 +454,14 @@ HEADER_MUTATIONS = {
                                             if k != "schema"}),
     "schema_not_an_object": lambda h: json.dumps({**json.loads(h), "schema": 5}),
     "documents_not_a_list": lambda h: json.dumps({**json.loads(h), "documents": "d000"}),
-    "relation_names_string": lambda h: json.dumps({**json.loads(h), "schema": {
-        **json.loads(h)["schema"], "relation_names": "abcde"}}),
+    "relation_names_string": with_schema_field("relation_names", "abcde"),
+    # schema integers are checked like config fields, not truncated by int()
+    "relation_count_float": with_schema_field("relation_count",
+                                              TINY_GEN["relation_count"] + 0.9),
+    "relation_count_bool": with_schema_field("relation_count", True),
+    "relation_count_string": with_schema_field("relation_count",
+                                               str(TINY_GEN["relation_count"])),
+    "th_index_float": with_schema_field("th_index", 0.7),
 }
 
 # each train config is rejected before anything is written
@@ -567,6 +581,49 @@ class TestMalformedInput:
         capsys.readouterr()
         err = assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
         assert f"{bad}:1" in err
+
+    @pytest.mark.parametrize("where", ["header", "line_2", "past_8_kib"])
+    def test_invalid_utf8_exits_2(self, tmp_path, tiny_dev, capsys, where):
+        lines = Path(tiny_dev).read_bytes().splitlines(keepends=True)
+        offsets = np.cumsum([len(line) for line in lines])
+        index = {"header": 0, "line_2": 1,
+                 "past_8_kib": int(np.searchsorted(offsets, 8192, side="right")) + 1}[where]
+        assert index < len(lines)
+        lines[index] = lines[index].replace(b'":"', b'":"\xff', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines))
+        cfg = self.eval_config(tmp_path, bad)
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+        assert f"{bad}:{index + 1}:" in err
+        assert "utf-8" in err.lower()
+
+    # the parser rejects each token as it reads the line, which it names
+    @pytest.mark.parametrize("field,token", [
+        ("features", "NaN"), ("features", "Infinity"), ("features", "-Infinity"),
+        ("features", "1e400"), ("features", "9" * 400), ("pair_id", '"\\ud800"')],
+        ids=["nan", "infinity", "minus_infinity", "1e400", "400_digit_int", "lone_surrogate"])
+    def test_unrepresentable_value_exits_2(self, tmp_path, tiny_dev, capsys, field, token):
+        lines = Path(tiny_dev).read_text().splitlines()
+        # the field's value, or the first number of its list
+        lines[2], count = re.subn(rf'("{field}":\[?)[^,\]]+', lambda m: m[1] + token, lines[2],
+                                  count=1)
+        assert count == 1
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = self.eval_config(tmp_path, bad)
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+        assert f"{bad}:3:" in err
+
+    def test_invalid_utf8_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "gradcheck.json"
+        cfg.write_bytes(b'{"trials": 2, "seed": "\xff"}')
+        out = tmp_path / "out"
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["gradcheck", cfg, "-o", out]), 1)
+        assert err.startswith("config error:") and str(cfg) in err
+        assert not out.exists()
 
     def test_header_only_dataset_exits_2(self, tmp_path, tiny_dev, capsys):
         bad = tmp_path / "bad.jsonl"

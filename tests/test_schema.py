@@ -1,7 +1,11 @@
+import decimal
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cmm.errors import SchemaError
 from cmm.schema import (
@@ -16,6 +20,7 @@ from cmm.schema import (
     save_dataset_jsonl,
     split_by_documents,
 )
+from cmm.synthdata import GenConfig, generate, inject_false_negatives
 
 
 def make_example(pair_id, doc_id, positives, relation_count=4, feature_dim=3,
@@ -57,6 +62,32 @@ def make_dataset(examples, relation_count=4):
                    **record_columns(examples, relation_count))
 
 
+# Decimal text that float repr never writes: 17-40 significant digits, exponents
+# from -330 (below the smallest subnormal) to 308
+LONG_DECIMALS = st.builds(
+    lambda sign, digits, exponent: f"{sign}{digits[0]}.{digits[1:]}e{exponent}",
+    st.sampled_from(["", "-"]), st.text("0123456789", min_size=17, max_size=40),
+    st.integers(-330, 308)).filter(lambda t: math.isfinite(float(t)))
+
+
+@st.composite
+def near_halfway(draw):
+    """Text at or next to the exact midpoint of two adjacent doubles."""
+    low = draw(st.floats(0.0, allow_infinity=False))
+    high = math.nextafter(low, math.inf)
+    assume(math.isfinite(high))
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        mid = (decimal.Decimal(low) + decimal.Decimal(high)) / 2
+    digits = draw(st.integers(17, 40))
+    rounding = draw(st.sampled_from([None, decimal.ROUND_DOWN, decimal.ROUND_UP]))
+    if rounding is not None:
+        mid = decimal.Context(prec=digits, rounding=rounding).plus(mid)
+    return f"{mid:e}"
+
+
+NEAR_HALFWAY = near_halfway()
+
+
 def write_records(path, records):
     """A file of one document "d0" at R=4 and one line per record (dicts of JSON
     fields over defaults)."""
@@ -92,6 +123,14 @@ class TestRelationSchema:
     def test_round_trip(self):
         schema = RelationSchema.with_default_names(5)
         assert RelationSchema.from_dict(schema.to_dict()) == schema
+
+    @pytest.mark.parametrize("field,value,names", [
+        ("relation_count", 2.9, 2), ("relation_count", True, 1), ("relation_count", "2", 2),
+        ("th_index", 0.7, 2)])
+    def test_from_dict_requires_integers(self, field, value, names):
+        d = {**RelationSchema.with_default_names(names).to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RelationSchema.from_dict(d)
 
 
 class TestLabelSet:
@@ -328,6 +367,64 @@ class TestJsonl:
         save_dataset_jsonl(ds, str(path))
         loaded = load_dataset_jsonl(str(path))
         assert np.array_equal(loaded.examples[0].features, feats)
+
+    @settings(max_examples=200)
+    @example([5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0, -0.0,
+              1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+    def test_every_finite_double_round_trips_bitwise(self, tmp_path_factory, values):
+        feats = np.array(values, dtype=np.float64)
+        ds = make_dataset([make_example("d0:0", "d0", {1}, feature_dim=len(values),
+                                        features=feats)])
+        path = tmp_path_factory.getbasetemp() / "doubles.jsonl"
+        save_dataset_jsonl(ds, str(path))
+        loaded = load_dataset_jsonl(str(path)).features[0]
+        assert loaded.view(np.uint64).tolist() == feats.view(np.uint64).tolist()
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(LONG_DECIMALS, NEAR_HALFWAY), min_size=1, max_size=8))
+    def test_decimal_text_parses_like_float(self, tmp_path_factory, tokens):
+        path = tmp_path_factory.getbasetemp() / "decimals.jsonl"
+        write_records(path, [{"features": "@"}])
+        path.write_text(path.read_text().replace('"@"', "[" + ",".join(tokens) + "]"))
+        loaded = load_dataset_jsonl(str(path)).features[0]
+        expected = np.array([float(t) for t in tokens])
+        assert loaded.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_benchmark_shaped_file_loads_as_stdlib_json_reads_it(self, tmp_path):
+        shape = dict(n_documents=20, pairs_per_document=150, relation_count=20, feature_dim=64,
+                     positive_rate=0.03, hard_fraction=0.25, teacher_margin=2.0,
+                     seen_in_train_rate=0.35, seed=2024)
+        train, _ = split_by_documents(generate(GenConfig(**shape)), 17)
+        path = tmp_path / "train.jsonl"
+        save_dataset_jsonl(inject_false_negatives(train, 0.3, seed=2024), str(path))
+        loaded = load_dataset_jsonl(str(path)).columns
+        reference = stdlib_json_columns(path)
+        assert loaded.keys() == reference.keys()
+        for name, column in reference.items():
+            assert loaded[name].dtype == column.dtype, name
+            assert loaded[name].shape == column.shape, name
+            if column.dtype == np.float64:
+                column, loaded[name] = column.view(np.uint64), loaded[name].view(np.uint64)
+            assert np.array_equal(loaded[name], column), name
+
+
+def stdlib_json_columns(path):
+    """A dataset file's columns, each line parsed with the standard library's json."""
+    with open(path, encoding="utf-8") as fh:
+        header, *pairs = map(json.loads, fh)
+    r_count = header["schema"]["relation_count"]
+    column = {"pair_ids": "pair_id", "doc_ids": "doc_id", "labels": "positives",
+              "true_labels": "true_positives", "seen": "seen_in_train"}
+    return {
+        **{name: np.array([p[column[name]] for p in pairs], dtype=object)
+           for name in ("pair_ids", "doc_ids")},
+        "features": np.array([p["features"] for p in pairs], dtype=np.float64),
+        **{name: masks([p[column[name]] for p in pairs], r_count)
+           for name in ("labels", "true_labels", "seen")},
+        "hard": np.array([p["difficulty"] == "hard" for p in pairs]),
+        "corrupted": np.array([p["corrupted"] for p in pairs]),
+    }
 
 
 class TestSplit:
