@@ -19,6 +19,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii
 from typing import IO, Any, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -280,6 +281,7 @@ class Dataset:
                 ok, want = arr.shape == shape, str(shape)
             if not ok:
                 raise SchemaError(f"column {name!r} has shape {arr.shape}, expected {want}")
+            arr = arr.view()     # freezes the column, not an array the caller passed in
             arr.flags.writeable = False
             put(name, arr)
         if len(set(self.document_ids)) != len(self.document_ids):
@@ -345,11 +347,42 @@ class Dataset:
 # One pair per line, keys in fixed order for byte-stable output; a header
 # line carries the schema, document order, and manifest.
 
-# Pairs turned into Python lists at once when saving; bounds the lists' memory.
+# Pairs whose features are checked and whose index lists are built at once
+# when saving; bounds the memory those take.
 _SAVE_BLOCK = 4096
 
 
+def _orjson_rows(features: np.ndarray) -> np.ndarray:
+    """Rows whose every value is 0.0 or has 1e-4 <= |x| < 1e16.
+
+    ``orjson`` writes such a double as ``repr`` (and so ``json``) does; below
+    or above that range ``json`` switches to exponent form (``1e-05``,
+    ``1e+16``) where ``orjson`` writes ``0.00001`` or ``1e16``. NaN and the
+    infinities fail the condition. Only boolean temporaries are made.
+    """
+    plain = features >= 1e-4
+    plain |= features <= -1e-4
+    plain &= features < 1e16
+    plain &= features > -1e16
+    plain |= features == 0.0
+    return plain.all(axis=1)
+
+
+def _plain_string(value: Any) -> bool:
+    """True for a str that ``json`` writes unescaped, as ``orjson`` then does too."""
+    return type(value) is str and encode_basestring_ascii(value) == f'"{value}"'
+
+
 def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
+    """The dataset's JSONL lines, header first, as ``json.dumps`` with
+    separators ``(",", ":")`` writes them.
+
+    A pair line is encoded with ``orjson`` when that gives the same bytes:
+    every feature passes ``_orjson_rows`` and both ids are strings ``json``
+    writes unescaped (printable ASCII without ``"`` or ``\\``). Every other
+    pair line, and the header, whose manifest may hold integers wider than
+    64 bits, goes through ``json``.
+    """
     dumps = json.JSONEncoder(separators=(",", ":")).encode
     yield dumps({
         "format": DATASET_FORMAT,
@@ -359,24 +392,31 @@ def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
     })
     for start in range(0, len(dataset), _SAVE_BLOCK):
         block = slice(start, start + _SAVE_BLOCK)
-        for pair_id, doc_id, features, positives, true, seen, hard, corrupted in zip(
-                dataset.pair_ids[block], dataset.doc_ids[block],
-                dataset.features[block].tolist(), _index_lists(dataset.labels[block]),
+        features = np.ascontiguousarray(dataset.features[block])
+        for pair_id, doc_id, row, fast, positives, true, seen, hard, corrupted in zip(
+                dataset.pair_ids[block], dataset.doc_ids[block], features,
+                _orjson_rows(features).tolist(), _index_lists(dataset.labels[block]),
                 _index_lists(dataset.true_labels[block]), _index_lists(dataset.seen[block]),
                 dataset.hard[block].tolist(), dataset.corrupted[block].tolist()):
-            yield dumps({
+            record = {
                 "pair_id": pair_id,
                 "doc_id": doc_id,
-                "features": features,
+                "features": row,
                 "positives": positives,
                 "true_positives": true,
                 "seen_in_train": seen,
                 "difficulty": DIFFICULTIES[hard],
                 "corrupted": corrupted,
-            })
+            }
+            if fast and _plain_string(pair_id) and _plain_string(doc_id):
+                yield orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            else:
+                record["features"] = row.tolist()
+                yield dumps(record)
 
 
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
+    """Write ``dataset_to_lines`` to path, one line each, atomically (``open_atomic``)."""
     with open_atomic(path, "w", encoding="utf-8") as fh:
         for line in dataset_to_lines(dataset):
             fh.write(line)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from cmm.cli import main
 from cmm.encoder import init_encoder, save_checkpoint
+from cmm.schema import _orjson_rows, load_dataset_jsonl
 
 TINY_GEN = {
     "n_documents": 12,
@@ -359,6 +361,18 @@ class TestDeterminism:
         assert run(["generate", cfg, "-o", out_a]) == 0
         assert run(["generate", cfg, "-o", out_b]) == 0
         assert dir_bytes(out_a) == dir_bytes(out_b)
+
+    def test_generate_dataset_bytes_pinned(self, tmp_path):
+        # 480 pairs at 30% false negatives; pairs 181, 223 and 358 hold a feature
+        # outside the range orjson writes as json does, so both writer paths run
+        cfg = write_config(tmp_path, "gen.json", {"n_documents": 12, "pairs_per_document": 40,
+                                                  "false_negative_rate": 0.3, "seed": 2})
+        assert run(["generate", cfg, "-o", tmp_path / "out"]) == 0
+        path = tmp_path / "out" / "dataset.jsonl"
+        fallback = ~_orjson_rows(load_dataset_jsonl(str(path)).features)
+        assert np.flatnonzero(fallback).tolist() == [181, 223, 358]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "11bc8b70e6a51e5f785e9f2b2399fd28343931d2877548c90bfe18cf0e4e15a8")
 
     def test_train_rerun_byte_identical(self, tmp_path, tiny_dataset, tiny_dev):
         cfg = write_config(tmp_path, "train.json", {

@@ -1,8 +1,10 @@
 import decimal
 import json
 import math
+from functools import partial
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from cmm.schema import (
     LogitRow,
     PairExample,
     RelationSchema,
+    _orjson_rows,
     dataset_to_lines,
     load_dataset_jsonl,
     save_dataset_jsonl,
@@ -86,6 +89,49 @@ def near_halfway(draw):
 
 
 NEAR_HALFWAY = near_halfway()
+
+
+# Doubles orjson writes as repr does (see cmm.schema._orjson_rows), drawn often
+# enough that the writer's orjson branch runs
+PLAIN_DOUBLES = st.one_of(st.floats(1e-4, 1e16, exclude_max=True),
+                          st.floats(-1e16, -1e-4, exclude_min=True))
+FINITE_DOUBLES = st.one_of(PLAIN_DOUBLES, st.floats(allow_nan=False, allow_infinity=False))
+# One row per value: either side of both guard bounds, and the extremes
+WRITER_EDGE_VALUES = [[v] for v in (
+    0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e-4, float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0)))]
+# Characters json escapes (quote, backslash, controls, DEL) or writes as \u
+# escapes (non-ASCII), beside ones both writers leave alone
+ID_TEXT = st.one_of(st.text("ab:09", min_size=1, max_size=6),
+                    st.text(st.sampled_from('a:"\\\x00\n\x1f\x7f\xe9\u4e2d\U0001f600'),
+                            max_size=6),
+                    st.text(max_size=6))
+AWKWARD_IDS = ['q"uote', "back\\slash", "tab\t", "nul\x00", "del\x7f", "caf\xe9",
+               "\u4e2d", "\U0001f600", ""]
+
+
+@st.composite
+def writer_datasets(draw):
+    """(features, pair_ids, doc_ids) of 1-5 pairs with 1-4 finite features each."""
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    features = draw(st.lists(st.lists(FINITE_DOUBLES, min_size=width, max_size=width),
+                             min_size=n, max_size=n))
+    pair_ids = draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))
+    documents = draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True))
+    return features, pair_ids, draw(st.lists(st.sampled_from(documents), min_size=n, max_size=n))
+
+
+WRITER_DATASETS = writer_datasets()
+
+
+def writer_dataset(features, pair_ids, doc_ids):
+    """A Dataset at R=4 of these columns; pair i has positive 1 + i % 4 and is hard for odd i."""
+    n = len(pair_ids)
+    labels = masks([{1 + i % 4} for i in range(n)], 4)
+    return Dataset(RelationSchema.with_default_names(4), list(dict.fromkeys(doc_ids)),
+                   {"generator": {"seed": 1}}, pair_ids=pair_ids, doc_ids=doc_ids,
+                   features=features, labels=labels, true_labels=labels,
+                   seen=masks([{4}] * n, 4), hard=[i % 2 for i in range(n)], corrupted=[False] * n)
 
 
 def write_records(path, records):
@@ -232,6 +278,16 @@ class TestValidateDataset:
         assert examples[0].seen_in_train == frozenset({1})
         again = round_trip(first, tmp_path)
         assert list(dataset_to_lines(again)) == list(dataset_to_lines(first))
+
+    def test_columns_frozen_without_freezing_the_callers_arrays(self):
+        columns = record_columns([make_example("d0:0", "d0", {1}), make_example("d0:1", "d0", {2})])
+        features, labels = columns["features"], columns["labels"]
+        ds = Dataset(RelationSchema.with_default_names(4), ["d0"], **columns)
+        assert np.shares_memory(ds.features, features) and np.shares_memory(ds.labels, labels)
+        features[0, 0], labels[0, 0] = 7.0, False      # the caller's arrays stay writable
+        for column in (ds.features, ds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = column[0, 0]
 
     def test_undeclared_doc_id_reported(self):
         columns = record_columns([make_example("d9:0", "d9", {1})])
@@ -392,12 +448,8 @@ class TestJsonl:
         assert loaded.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_benchmark_shaped_file_loads_as_stdlib_json_reads_it(self, tmp_path):
-        shape = dict(n_documents=20, pairs_per_document=150, relation_count=20, feature_dim=64,
-                     positive_rate=0.03, hard_fraction=0.25, teacher_margin=2.0,
-                     seen_in_train_rate=0.35, seed=2024)
-        train, _ = split_by_documents(generate(GenConfig(**shape)), 17)
         path = tmp_path / "train.jsonl"
-        save_dataset_jsonl(inject_false_negatives(train, 0.3, seed=2024), str(path))
+        save_dataset_jsonl(benchmark_shaped_train(), str(path))
         loaded = load_dataset_jsonl(str(path)).columns
         reference = stdlib_json_columns(path)
         assert loaded.keys() == reference.keys()
@@ -407,6 +459,80 @@ class TestJsonl:
             if column.dtype == np.float64:
                 column, loaded[name] = column.view(np.uint64), loaded[name].view(np.uint64)
             assert np.array_equal(loaded[name], column), name
+
+    @settings(max_examples=300)
+    @example((WRITER_EDGE_VALUES, [f"p{i}" for i in range(len(WRITER_EDGE_VALUES))],
+              ["d0"] * len(WRITER_EDGE_VALUES)))
+    @example(([[0.5]] * len(AWKWARD_IDS), AWKWARD_IDS, AWKWARD_IDS))
+    @given(WRITER_DATASETS)
+    def test_writer_equals_stdlib_json(self, drawn):
+        features, pair_ids, doc_ids = drawn
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            ds = writer_dataset(layout(features, dtype=np.float64), pair_ids, doc_ids)
+            assert list(dataset_to_lines(ds)) == stdlib_json_lines(ds)
+
+    @settings(max_examples=500)
+    @example(1e-4)
+    @example(-1e-4)
+    @example(float(np.nextafter(1e16, 0)))
+    @example(-float(np.nextafter(1e16, 0)))
+    @example(0.0)
+    @example(-0.0)
+    @given(FINITE_DOUBLES)
+    def test_admitted_doubles_are_written_as_repr(self, x):
+        if _orjson_rows(np.array([[x]]))[0]:
+            assert orjson.dumps(x) == repr(x).encode()
+            assert orjson.dumps(np.array([x]), option=orjson.OPT_SERIALIZE_NUMPY) == (
+                f"[{x!r}]".encode())
+
+    def test_guard_bounds(self):
+        below, top = float(np.nextafter(1e-4, 0)), 1e16
+        admitted = [0.0, -0.0, 1e-4, -1e-4, float(np.nextafter(top, 0)), -1.0]
+        rejected = [below, -below, 5e-324, top, -top, 1.7976931348623157e308, np.nan, np.inf,
+                    -np.inf]
+        values = np.array(admitted + rejected)[:, None]
+        assert _orjson_rows(values).tolist() == [True] * len(admitted) + [False] * len(rejected)
+
+    def test_benchmark_shaped_rows_take_the_orjson_path(self, monkeypatch):
+        ds = benchmark_shaped_train()
+        dumps, calls = orjson.dumps, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr("cmm.schema.orjson.dumps", counting)
+        monkeypatch.setattr("cmm.schema._SAVE_BLOCK", 1000)     # three blocks, the last partial
+        assert list(dataset_to_lines(ds)) == stdlib_json_lines(ds)
+        assert len(calls) >= 0.99 * len(ds)
+
+
+def benchmark_shaped_train():
+    """The benchmark's train split at 20 documents: seed 2024, 30% false negatives."""
+    shape = dict(n_documents=20, pairs_per_document=150, relation_count=20, feature_dim=64,
+                 positive_rate=0.03, hard_fraction=0.25, teacher_margin=2.0,
+                 seen_in_train_rate=0.35, seed=2024)
+    train, _ = split_by_documents(generate(GenConfig(**shape)), 17)
+    return inject_false_negatives(train, 0.3, seed=2024)
+
+
+def stdlib_json_lines(ds):
+    """A dataset's JSONL lines as the standard library's json writes them, from its columns."""
+    dumps = partial(json.dumps, separators=(",", ":"))
+    header = dumps({"format": DATASET_FORMAT, "schema": ds.schema.to_dict(),
+                    "documents": list(ds.document_ids), "manifest": ds.manifest})
+
+    def indices(row):
+        return (np.flatnonzero(row) + 1).tolist()
+
+    return [header] + [
+        dumps({"pair_id": pair_id, "doc_id": doc_id, "features": x.tolist(),
+               "positives": indices(labels), "true_positives": indices(true),
+               "seen_in_train": indices(seen), "difficulty": "hard" if hard else "easy",
+               "corrupted": bool(corrupted)})
+        for pair_id, doc_id, x, labels, true, seen, hard, corrupted in zip(
+            ds.pair_ids, ds.doc_ids, ds.features, ds.labels, ds.true_labels, ds.seen, ds.hard,
+            ds.corrupted)]
 
 
 def stdlib_json_columns(path):
