@@ -219,23 +219,32 @@ def init_adamw_state(params: EncoderParams) -> AdamWState:
 
 
 def _adamw_update(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, step: int,
-                  cfg: "TrainConfig", decayed: Sequence[np.ndarray]) -> None:
+                  cfg: "TrainConfig", decayed: Sequence[np.ndarray],
+                  scratch: tuple[np.ndarray, np.ndarray]) -> None:
     """The AdamW update at ``step``, in place and elementwise on p, m and v.
 
-    ``decayed`` are the views of p holding weight matrices. The arrays may be
-    one packed vector or a (K, P) block of K arms' vectors: every operation is
-    elementwise, so each row gets exactly the update it would get alone.
+    ``decayed`` are the views of p holding weight matrices; ``scratch`` is two
+    arrays shaped like p that hold the temporaries, so the update allocates
+    nothing. The arrays may be one packed vector or a (K, P) block of K arms'
+    vectors: every operation is elementwise, so each row gets exactly the
+    update it would get alone.
     """
+    a, b = scratch
     c1 = 1.0 - cfg.beta1 ** step
     c2 = 1.0 - cfg.beta2 ** step
     if cfg.weight_decay != 0.0:
         for w in decayed:
             w *= 1.0 - cfg.learning_rate * cfg.weight_decay
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
+    m += np.multiply(1.0 - cfg.beta1, g, out=a)
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * g * g
-    p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+    np.multiply(1.0 - cfg.beta2, g, out=a)
+    v += np.multiply(a, g, out=a)
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
+    np.multiply(cfg.learning_rate, np.divide(m, c1, out=a), out=a)
+    np.sqrt(np.divide(v, c2, out=b), out=b)
+    b += cfg.epsilon
+    p -= np.divide(a, b, out=a)
 
 
 def adamw_step(params: EncoderParams, grads: dict[str, np.ndarray], cfg: "TrainConfig",
@@ -253,7 +262,8 @@ def adamw_step(params: EncoderParams, grads: dict[str, np.ndarray], cfg: "TrainC
         raise NumericError(f"non-finite gradient for parameter {bad!r}")
     state.step += 1
     _adamw_update(params.flat, state.m_flat, state.v_flat, g, state.step, cfg,
-                  [params.tensors[name] for name in params.decayed_names])
+                  [params.tensors[name] for name in params.decayed_names],
+                  (np.empty_like(g), np.empty_like(g)))
     return params, state
 
 
@@ -352,7 +362,7 @@ def _check_lockstep(cfgs: Sequence[TrainConfig]) -> None:
 
 
 class _Arms:
-    """K arms' parameters, AdamW moments and gradients as (K, P) blocks.
+    """K arms' parameters, AdamW moments, gradients and update scratch as (K, P) blocks.
 
     Row k holds arm k's packed vector in ``EncoderParams.flat`` layout;
     ``params`` and ``grads`` view the blocks as tensors with a leading arm
@@ -363,6 +373,7 @@ class _Arms:
         self.init, self.losses = init, list(losses)
         self.p = np.tile(init.flat, (len(self.losses), 1))
         self.m, self.v, self.g = np.zeros_like(self.p), np.zeros_like(self.p), np.empty_like(self.p)
+        self.scratch = (np.empty_like(self.p), np.empty_like(self.p))
         shapes = {name: t.shape for name, t in init.tensors.items()}
         self.params, self.grads = _views(self.p, shapes), _views(self.g, shapes)
         self.decayed = [self.params[name] for name in init.decayed_names]
@@ -403,7 +414,8 @@ class _Arms:
                                + (f" in the {self.losses[i].kind} arm"
                                   if len(self.losses) > 1 else ""))
         self.step += 1
-        _adamw_update(self.p, self.m, self.v, self.g, self.step, cfg, self.decayed)
+        _adamw_update(self.p, self.m, self.v, self.g, self.step, cfg, self.decayed,
+                      self.scratch)
 
     def encoder(self, i: int) -> EncoderParams:
         init = self.init

@@ -3,7 +3,9 @@
 The oracle is a central difference (L(t + h e_i) - L(t - h e_i)) / 2h over
 every logit coordinate, TH included. It is kept deliberately independent of
 the analytic gradient path: it only ever calls a loss *value* function, once
-per logit row, on the stacked 2n probes of all n coordinates.
+per stack of logit rows, on the 2n probes of all n coordinates of each row.
+``check_gradients`` scores all trials of one relation count together (in
+chunks of bounded size) with the stacked cmm kernel that training runs.
 
 Trials near the negative-side clamp boundary d = log((1-m)/m) are excluded
 coordinate-wise: the min() there is non-differentiable, so a one-sided
@@ -21,12 +23,16 @@ import numpy as np
 
 from .errors import NumericError
 # cmm_loss is not called here; the benchmark's traced replay wraps this module's name
-from .loss import (GAMMA_GRID, M_GRID, LossConfig, batch_rows, clamp_distance,  # noqa: F401
-                   cmm_loss, cmm_loss_grad)
-from .schema import LabelSet, require_finite, require_int
+from .loss import GAMMA_GRID, M_GRID, LossConfig, _cmm_rows, clamp_distance, cmm_loss  # noqa: F401
+from .schema import require_finite, require_int
 
 # one trial's probe matrix is (2R+2, R+1) float64: about 16 MiB at this R
 MAX_RELATIONS = 1024
+# trials of one relation count are scored in chunks whose probe stacks hold at
+# most this many floats (1 MiB; 16 MiB stacks ran up to 2x slower per trial at
+# R = 64-256). A larger trial is scored alone, so no stack outgrows one trial
+# at MAX_RELATIONS.
+PROBE_STACK_FLOATS = 2 ** 17
 
 
 def relative_error(a, n):
@@ -43,24 +49,31 @@ def _require_step(step) -> None:
 
 def finite_difference(value_rows: Callable[[np.ndarray], np.ndarray], logits,
                       step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate over every coordinate of one logit row.
+    """Central-difference gradient estimate over every coordinate of each logit row.
 
-    ``value_rows`` maps a (k, n) matrix of logit rows to their k loss values.
-    It is called once, on the n rows with coordinate i moved up by ``step``
-    followed by the n rows with it moved down.
+    ``logits`` is one row of n values or a stack (..., n) of rows.
+    ``value_rows`` maps the (..., 2n, n) stack of probe rows to their
+    (..., 2n) loss values. It is called once; each row's probes are the n
+    rows with coordinate i moved up by ``step`` followed by the n rows with
+    it moved down. A non-finite value raises NumericError naming the
+    coordinate of the first row, in stack order, that has one; the
+    exception's ``row`` is that row's flat index in the stack.
     """
     _require_step(step)
     values = np.asarray(getattr(logits, "values", logits), dtype=np.float64)
-    n = values.size
+    n = values.shape[-1]
     diag = np.arange(n)
-    probes = np.tile(values, (2 * n, 1))
-    probes[diag, diag] = values + step
-    probes[n + diag, diag] = values - step
+    probes = np.repeat(values[..., None, :], 2 * n, axis=-2)
+    probes[..., diag, diag] = values + step
+    probes[..., n + diag, diag] = values - step
     scores = np.asarray(value_rows(probes), dtype=np.float64)
-    up, down = scores[:n], scores[n:]
-    bad = ~(np.isfinite(up) & np.isfinite(down))
+    up, down = scores[..., :n], scores[..., n:]
+    bad = ~(np.isfinite(up) & np.isfinite(down)).reshape(-1, n)
     if bad.any():
-        raise NumericError(f"non-finite loss evaluation at coordinate {int(np.argmax(bad))}")
+        row = int(np.argmax(bad.any(axis=1)))
+        exc = NumericError(f"non-finite loss evaluation at coordinate {int(np.argmax(bad[row]))}")
+        exc.row = row
+        raise exc
     return (up - down) / (2.0 * step)
 
 
@@ -126,9 +139,13 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
     """Compare analytic and numeric cmm gradients over randomized trials.
 
     Each trial draws its own RNG stream from (seed, trial index), so reports
-    are deterministic and trials could be evaluated in parallel and merged
-    by index. Label sets include empty-positive cases. Each trial makes one
-    ``cmm_loss_grad`` call and one batched value call for its numeric side.
+    are deterministic and do not depend on how trials are scored together.
+    Label sets include empty-positive cases. Trials with one relation count
+    are scored in chunks, each with one analytic call of the stacked cmm
+    kernel the trainer runs for its arms (per-trial gamma, m and clamp) and
+    one value call on the chunk's central-difference probes. The report
+    lists failures in trial order; a non-finite probe raises NumericError
+    for the first such trial.
     """
     require_int("trials", trials, 1)
     require_finite("tolerance", tolerance)
@@ -157,9 +174,8 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
             require_finite(f"{name} entry", v)
     cfgs = [[LossConfig(kind="cmm", gamma=float(g), m=float(m)) for m in ms] for g in gammas]
 
-    max_err = 0.0
-    excluded = 0
-    failures: list[GradCheckFailure] = []
+    # draw: every trial from its own stream
+    drawn = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         r_count = int(relation_counts[rng.integers(len(relation_counts))])
@@ -167,37 +183,57 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
         # column j is relation j+1; rng.random(R) reads the stream as R single draws do
         pos_mask = (np.zeros(r_count, dtype=bool) if rng.random() < empty_positive_rate
                     else rng.random(r_count) < positive_rate)
-        cfg = cfgs[rng.integers(len(gammas))][rng.integers(len(ms))]
-        positives = tuple((np.flatnonzero(pos_mask) + 1).tolist())
+        drawn.append((values, pos_mask, cfgs[rng.integers(len(gammas))][rng.integers(len(ms))]))
 
-        analytic = cmm_loss_grad(values, LabelSet(r_count, frozenset(positives)), cfg)
-        probe_mask = np.broadcast_to(pos_mask, (2 * r_count + 2, r_count))
-        numeric = finite_difference(
-            lambda probes: batch_rows("cmm", probes, probe_mask, cfg, need_grad=False)[0],
-            values, step=step)
+    # score: one analytic and one value kernel call per chunk of trials with one
+    # relation count
+    scored, excluded, first_bad = [None] * trials, 0, None
+    groups: dict[int, list[int]] = {}
+    for trial, (values, _, _) in enumerate(drawn):
+        groups.setdefault(values.size, []).append(trial)
+    for n, members in groups.items():
+        size = max(1, PROBE_STACK_FLOATS // (2 * n * n))
+        for chunk in (members[i:i + size] for i in range(0, len(members), size)):
+            values = np.stack([drawn[t][0] for t in chunk])
+            pos_mask = np.stack([drawn[t][1] for t in chunk])
+            gamma = np.array([drawn[t][2].gamma for t in chunk])
+            m = np.array([drawn[t][2].m for t in chunk]).reshape(-1, 1, 1)
+            clamp = np.array([clamp_distance(drawn[t][2].m) for t in chunk]).reshape(-1, 1, 1)
+            pos = np.nonzero(pos_mask[:, None, :])
+            _, grads = _cmm_rows(values[:, None, :], pos, gamma[pos[0]], m,
+                                 need_grad=True, clamp=clamp)
+            probe_pos = np.nonzero(np.broadcast_to(pos_mask[:, None, :],
+                                                   (len(chunk), 2 * n, n - 1)))
+            try:
+                numeric = finite_difference(
+                    lambda probes: _cmm_rows(probes, probe_pos, gamma[probe_pos[0]], m,
+                                             need_grad=False, clamp=clamp)[0],
+                    values, step=step)
+            except NumericError as exc:     # raised below for the first such trial
+                if first_bad is None or chunk[exc.row] < first_bad[0]:
+                    first_bad = (chunk[exc.row], exc)
+                continue
+            # coordinates whose difference quotient straddles the clamp kink;
+            # perturbing TH shifts the same distance
+            near = ~pos_mask & (np.abs((values[:, :1] - values[:, 1:]) - clamp[:, 0])
+                                <= 10.0 * step)
+            kept = ~np.concatenate((near.any(axis=1, keepdims=True), near), axis=1)
+            excluded += int((~kept).sum())
+            errors = np.where(kept, relative_error(grads[:, 0], numeric), 0.0).max(axis=1)
+            for trial, *result in zip(chunk, grads[:, 0], numeric, errors.tolist()):
+                scored[trial] = result
+    if first_bad is not None:
+        raise first_bad[1]
 
-        # coordinates whose difference quotient straddles the clamp kink;
-        # perturbing TH shifts the same distance
-        near = ~pos_mask & (np.abs((values[0] - values[1:]) - clamp_distance(cfg.m))
-                            <= 10.0 * step)
-        kept = ~np.concatenate(([near.any()], near))
-        excluded += r_count + 1 - int(kept.sum())
-
-        trial_err = float(relative_error(analytic[kept], numeric[kept]).max(initial=0.0))
-        max_err = max(max_err, trial_err)
-        if trial_err > tolerance:
-            failures.append(GradCheckFailure(
-                trial=trial,
-                relation_count=r_count,
-                gamma=cfg.gamma,
-                m=cfg.m,
-                logits=tuple(values.tolist()),
-                positives=positives,
-                analytic=tuple(analytic.tolist()),
-                numeric=tuple(numeric.tolist()),
-                rel_error=trial_err,
-            ))
-
+    # report, in trial order
+    failures = tuple(
+        GradCheckFailure(trial=trial, relation_count=values.size - 1, gamma=cfg.gamma, m=cfg.m,
+                         logits=tuple(values.tolist()),
+                         positives=tuple((np.flatnonzero(pos_mask) + 1).tolist()),
+                         analytic=tuple(analytic.tolist()), numeric=tuple(numeric.tolist()),
+                         rel_error=err)
+        for trial, ((values, pos_mask, cfg), (analytic, numeric, err))
+        in enumerate(zip(drawn, scored)) if err > tolerance)
     return GradCheckReport(trials=trials, tolerance=tolerance, seed=seed, step=step,
-                           max_rel_error=max_err, excluded_coords=excluded,
-                           failures=tuple(failures))
+                           max_rel_error=max(0.0, *(err for *_, err in scored)),
+                           excluded_coords=excluded, failures=failures)

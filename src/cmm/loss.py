@@ -25,9 +25,9 @@ a mask marks positives only. Each kind has one composition, ``batch_rows``
 over a boolean (n, R) positive mask, which the trainer calls per optimizer
 step. The single-row functions are batches of one, except that cmm runs
 the same rank-agnostic code on the row itself, which saves the mask for
-one-row callers. The gradcheck oracle scores all finite-difference probes
-of one row as one batch, and the trainer runs the cmm kernel once on the
-(K, n, R+1) stack of all its cmm arms.
+one-row callers. The trainer runs the cmm kernel once on the (K, n, R+1)
+stack of all its cmm arms, and the gradcheck oracle runs it the same way
+on a stack of trials and on the stack of their finite-difference probes.
 Analytic gradients are exact and verified against central finite
 differences by the gradcheck module. Additional (value, gradient) pairs
 can be registered under ``kind="plugin"``.

@@ -233,6 +233,12 @@ def _stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(rows) if rows else np.zeros((0, 0))
 
 
+def _require_strings(what: str, values) -> None:
+    for value in values:
+        if not isinstance(value, str):
+            raise SchemaError(f"{what} must hold strings, got {value!r}")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Dataset:
     """A schema, its pairs as read-only columns, and the declared document order.
@@ -244,9 +250,9 @@ class Dataset:
     ``doc_index`` is each pair's position in ``document_ids``.
 
     ``Dataset(schema, document_ids, manifest, **columns)`` takes every column
-    by name and checks them once: the shapes above, unique document and pair
-    ids, declared doc ids, finite features, and corrupted pairs whose labels
-    are a proper subset of their true labels.
+    by name and checks them once: the shapes above, string document and pair
+    ids, unique document and pair ids, declared doc ids, finite features, and
+    corrupted pairs whose labels are a proper subset of their true labels.
     """
 
     schema: RelationSchema
@@ -281,9 +287,12 @@ class Dataset:
                 ok, want = arr.shape == shape, str(shape)
             if not ok:
                 raise SchemaError(f"column {name!r} has shape {arr.shape}, expected {want}")
+            if name in _ID_COLUMNS:     # the loader reads ids back only as strings
+                _require_strings(f"column {name!r}", arr)
             arr = arr.view()     # freezes the column, not an array the caller passed in
             arr.flags.writeable = False
             put(name, arr)
+        _require_strings("document ids", self.document_ids)
         if len(set(self.document_ids)) != len(self.document_ids):
             raise SchemaError("document ids must be unique")
         if len(set(self.pair_ids)) != len(self.pair_ids):

@@ -374,6 +374,14 @@ class TestDeterminism:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "11bc8b70e6a51e5f785e9f2b2399fd28343931d2877548c90bfe18cf0e4e15a8")
 
+    def test_gradcheck_report_bytes_pinned(self, tmp_path):
+        # the 1000 trials the benchmark runs; the report must not depend on how trials are batched
+        cfg = write_config(tmp_path, "gc.json", {"trials": 1000, "seed": 2024})
+        assert run(["gradcheck", cfg, "-o", tmp_path / "out"]) == 0
+        report = (tmp_path / "out" / "gradcheck.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "be360c8d80704bb1d53d1460c3b7cb3c3473cd64ad3de00f3bfcd01fbc48e93d")
+
     def test_train_rerun_byte_identical(self, tmp_path, tiny_dataset, tiny_dev):
         cfg = write_config(tmp_path, "train.json", {
             "dataset": str(tiny_dataset), "dev": str(tiny_dev),

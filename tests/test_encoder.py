@@ -262,24 +262,34 @@ class TestFlatAdamW:
     def test_stacked_arms_equal_per_tensor_loop_per_arm(self):
         """``_Arms.apply``, the trainer's update, moves each of K=3 stacked arms as
         the per-tensor reference moves that arm alone."""
+        self.check_arms_against_reference(3)
+
+    @pytest.mark.parametrize("n_arms", [1, 6, 22])
+    def test_arms_reuse_scratch_and_equal_per_tensor_loop(self, n_arms):
+        self.check_arms_against_reference(n_arms)
+
+    @staticmethod
+    def check_arms_against_reference(n_arms):
+        """Five ``_Arms.apply`` steps (each reusing the arms' scratch blocks) against
+        ``reference_adamw`` on each arm alone: p, m and v bit for bit."""
         params = init_encoder("one_hidden", feature_dim=5, relation_count=3,
                               hidden_dim=4, seed=3)
-        arms = _Arms(params, [LossConfig(kind="cmm", m=0.2), LossConfig(kind="cmm", m=0.4),
-                              LossConfig(kind="plain_margin")])
-        refs = [{k: v.copy() for k, v in params.tensors.items()} for _ in range(3)]
+        arms = _Arms(params, [LossConfig(kind="cmm", m=0.2 + 0.02 * k) for k in range(n_arms - 1)]
+                     + [LossConfig(kind="plain_margin")])
+        refs = [{k: v.copy() for k, v in params.tensors.items()} for _ in range(n_arms)]
         ref_m = [{k: np.zeros_like(v) for k, v in ref.items()} for ref in refs]
         ref_v = [{k: np.zeros_like(v) for k, v in ref.items()} for ref in refs]
         cfg = train_config(learning_rate=0.05, weight_decay=0.1)
         rng = np.random.default_rng(0)
         for step in range(1, 6):
             arms.g[:] = rng.standard_normal(arms.g.shape)
-            for k in range(3):
+            for k in range(n_arms):
                 reference_adamw(refs[k], {n: g[k] for n, g in arms.grads.items()}, ref_m[k],
                                 ref_v[k], step, cfg, ("W1", "W2"))
             arms.apply(cfg)
         shapes = {name: t.shape for name, t in params.tensors.items()}
         m, v = _views(arms.m, shapes), _views(arms.v, shapes)
-        for k in range(3):
+        for k in range(n_arms):
             for name in shapes:
                 assert np.array_equal(arms.params[name][k], refs[k][name]), (k, name)
                 assert np.array_equal(m[name][k], ref_m[k][name]), (k, name)

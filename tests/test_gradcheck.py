@@ -34,6 +34,8 @@ def row_by_row_difference(values, labels, cfg, step):
         up = cmm_loss(probe, labels, cfg)
         probe[i] = values[i] - step
         down = cmm_loss(probe, labels, cfg)
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise NumericError(f"non-finite loss evaluation at coordinate {i}")
         grad[i] = (up - down) / (2.0 * step)
     return grad
 
@@ -95,6 +97,29 @@ class TestFiniteDifference:
         expected = np.vstack([values + 0.5 * np.eye(3), values - 0.5 * np.eye(3)])
         assert np.array_equal(calls[0], expected)
 
+    def test_stack_equals_each_row(self):
+        rng = np.random.default_rng(8)
+        stack = rng.uniform(-3.0, 3.0, (2, 3, 5))
+        labels, cfg = LabelSet(4, frozenset({2})), cfg_cmm(1.4, 0.3)
+        value = batch_value("cmm", labels, cfg)
+        stacked = finite_difference(lambda probes: value(probes.reshape(-1, 5)).reshape(2, 3, 10),
+                                    stack, step=1e-4)
+        assert stacked.shape == (2, 3, 5)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(stacked[index], finite_difference(value, stack[index], 1e-4))
+
+    def test_non_finite_names_first_row_of_stack(self):
+        def exploding(probes):
+            # row 1 blows up at coordinate 2, row 2 at coordinate 0
+            scores = np.zeros(probes.shape[:-1])
+            scores[1, 2] = np.nan
+            scores[2, 3 + 0] = np.inf
+            return scores
+
+        with pytest.raises(NumericError, match="coordinate 2$") as info:
+            finite_difference(exploding, np.zeros((3, 3)))
+        assert info.value.row == 1
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(r_count=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
            step=st.sampled_from([1e-7, 1e-5, 1e-3, 0.05]),
@@ -114,11 +139,9 @@ class TestFiniteDifference:
         assert np.array_equal(batched, row_by_row_difference(values, labels, cfg, step))
 
 
-def per_coordinate_report(trials, tolerance, seed, gammas=(1.0, 1.2, 1.4, 1.6, 2.0),
-                          ms=(0.1, 0.2, 0.3, 0.4), logit_range=(-8.0, 8.0),
-                          relation_counts=(2, 3, 4, 6, 8, 10), step=1e-5):
-    """check_gradients(...).to_dict() as computed one coordinate and one negative at a time."""
-    max_err, excluded, failures = 0.0, 0, []
+def draw_trials(trials, seed, gammas=(1.0, 1.2, 1.4, 1.6, 2.0), ms=(0.1, 0.2, 0.3, 0.4),
+                logit_range=(-8.0, 8.0), relation_counts=(2, 3, 4, 6, 8, 10)):
+    """(values, labels, cfg) of each trial, drawn one value at a time as check_gradients does."""
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         r_count = int(relation_counts[rng.integers(len(relation_counts))])
@@ -127,9 +150,17 @@ def per_coordinate_report(trials, tolerance, seed, gammas=(1.0, 1.2, 1.4, 1.6, 2
             positives = frozenset()
         else:
             positives = frozenset(r for r in range(1, r_count + 1) if rng.random() < 0.35)
-        labels = LabelSet(r_count, positives)
         cfg = cfg_cmm(gamma=float(gammas[rng.integers(len(gammas))]),
                       m=float(ms[rng.integers(len(ms))]))
+        yield values, LabelSet(r_count, positives), cfg
+
+
+def per_coordinate_report(trials, tolerance, seed, step=1e-5, **draw):
+    """check_gradients(...).to_dict() as computed one trial, one coordinate and one
+    negative at a time."""
+    max_err, excluded, failures = 0.0, 0, []
+    for trial, (values, labels, cfg) in enumerate(draw_trials(trials, seed, **draw)):
+        r_count, positives = labels.relation_count, labels.positives
         analytic = cmm_loss_grad(values, labels, cfg)
         numeric = row_by_row_difference(values, labels, cfg, step)
         skip = np.zeros(r_count + 1, dtype=bool)
@@ -154,6 +185,18 @@ def per_coordinate_report(trials, tolerance, seed, gammas=(1.0, 1.2, 1.4, 1.6, 2
             "n_failures": len(failures), "failures": failures}
 
 
+def kernel_calls(monkeypatch):
+    """Record (need_grad, logits shape) of every kernel call cmm.gradcheck makes."""
+    calls, original = [], cmm.gradcheck._cmm_rows
+
+    def recorded(t, *args, need_grad, **kwargs):
+        calls.append((need_grad, t.shape))
+        return original(t, *args, need_grad=need_grad, **kwargs)
+
+    monkeypatch.setattr(cmm.gradcheck, "_cmm_rows", recorded)
+    return calls
+
+
 class TestAgainstPerCoordinateOracle:
     @pytest.mark.parametrize("kwargs", [
         {"trials": 300, "tolerance": 1e-5, "seed": 2024},
@@ -161,7 +204,10 @@ class TestAgainstPerCoordinateOracle:
         {"trials": 300, "tolerance": 10.0, "seed": 5, "ms": (0.2,),
          "logit_range": (-1.5, 1.5), "step": 0.05},
         {"trials": 200, "tolerance": 0.0, "seed": 2024},
-    ], ids=["seed_2024", "seed_20240", "widened_band", "tolerance_0"])
+        {"trials": 200, "tolerance": 1e-5, "seed": 77, "relation_counts": (7,)},
+        {"trials": 120, "tolerance": 1e-5, "seed": 78, "relation_counts": (1, 2, 64, 5)},
+    ], ids=["seed_2024", "seed_20240", "widened_band", "tolerance_0", "one_relation_count",
+            "mixed_relation_counts"])
     def test_report_equals_per_coordinate_algorithm(self, kwargs):
         expected = per_coordinate_report(**kwargs)
         assert check_gradients(**kwargs).to_dict() == expected
@@ -170,19 +216,68 @@ class TestAgainstPerCoordinateOracle:
         if "step" in kwargs:
             assert expected["excluded_coords"] > 0
 
-    def test_one_value_call_per_trial(self, monkeypatch):
-        shapes = []
-        original = cmm.gradcheck.batch_rows
+    def test_extreme_logit_range_raises_as_per_coordinate_algorithm(self):
+        kwargs = {"trials": 30, "tolerance": 1e-5, "seed": 6,
+                  "logit_range": (-8e307, 8e307), "relation_counts": (1, 2, 64, 5)}
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as expected:
+                per_coordinate_report(**kwargs)
+            with pytest.raises(NumericError) as raised:
+                check_gradients(**kwargs)
+        assert str(raised.value) == str(expected.value)
 
-        def counted(kind, probes, *args, **kwargs):
-            shapes.append(probes.shape)
-            return original(kind, probes, *args, **kwargs)
+    def test_non_finite_probe_named_for_first_trial_in_trial_order(self, monkeypatch):
+        # a trial whose TH logit exceeds 6 scores inf on its last coordinate's up
+        # probe; trial order and relation-count order disagree on the first one
+        kwargs = {"trials": 60, "seed": 4, "relation_counts": (1, 2, 64, 5)}
+        draws = list(draw_trials(kwargs["trials"], kwargs["seed"],
+                                 relation_counts=kwargs["relation_counts"]))
+        bad = [labels.relation_count for values, labels, _ in draws if values[0] > 6.0]
+        first_seen = list(dict.fromkeys(labels.relation_count for _, labels, _ in draws))
+        assert min(bad, key=first_seen.index) != bad[0]
+        original = cmm.gradcheck._cmm_rows
 
-        monkeypatch.setattr(cmm.gradcheck, "batch_rows", counted)
+        def poisoned(t, *args, need_grad, **kwargs):
+            rows, grads = original(t, *args, need_grad=need_grad, **kwargs)
+            if not need_grad:
+                n = t.shape[-1]
+                rows[t[:, -1, 0] > 6.0, n - 1] = np.inf
+            return rows, grads
+
+        monkeypatch.setattr(cmm.gradcheck, "_cmm_rows", poisoned)
+        with pytest.raises(NumericError, match=f"coordinate {bad[0]}$"):
+            check_gradients(**kwargs)
+
+    def test_one_value_call_per_relation_count(self, monkeypatch):
+        calls = kernel_calls(monkeypatch)
         report = check_gradients(trials=40, seed=3)
         assert report.ok
-        assert len(shapes) == 40
-        assert all(k == 2 * n for k, n in shapes)
+        sizes = [labels.relation_count + 1 for _, labels, _ in draw_trials(40, 3)]
+        value_calls = [shape for need_grad, shape in calls if not need_grad]
+        assert sorted(shape[0] for shape in value_calls) == sorted(
+            sizes.count(n) for n in set(sizes))
+        for t, k, n in value_calls:
+            assert k == 2 * n and t == sizes.count(n)
+        assert sorted(shape for need_grad, shape in calls if need_grad) == sorted(
+            (sizes.count(n), 1, n) for n in set(sizes))
+
+    @pytest.mark.parametrize("cap", [3 * 2 * 11 * 11, 1])
+    def test_chunks_bounded_and_report_unchanged(self, monkeypatch, cap):
+        kwargs = {"trials": 120, "tolerance": 0.0, "seed": 2024}
+        expected = check_gradients(**kwargs).to_dict()
+        calls = kernel_calls(monkeypatch)
+        monkeypatch.setattr(cmm.gradcheck, "PROBE_STACK_FLOATS", cap)
+        assert check_gradients(**kwargs).to_dict() == expected
+        sizes = [labels.relation_count + 1 for _, labels, _ in draw_trials(120, 2024)]
+        value_calls = [shape for need_grad, shape in calls if not need_grad]
+        # one value call per (relation count, chunk) whose probe rows total 2n per trial
+        assert sum(t * k for t, k, _ in value_calls) == sum(2 * n for n in sizes)
+        for t, k, n in value_calls:
+            assert k == 2 * n and t * k * n <= max(cap, k * n)
+        if cap == 1:
+            assert len(value_calls) == kwargs["trials"]
+        else:
+            assert len(value_calls) > len(set(sizes))
 
 
 class TestCheckGradients:

@@ -294,6 +294,19 @@ class TestValidateDataset:
         with pytest.raises(SchemaError, match=r"doc_ids not listed in the documents: \['d9'\]"):
             Dataset(RelationSchema.with_default_names(4), ["d0"], **columns)
 
+    @pytest.mark.parametrize("column, value, documents, message", [
+        ("pair_ids", [1, 2], ["d0"], r"column 'pair_ids' must hold strings, got 1$"),
+        ("pair_ids", ["d0:0", None], ["d0"], r"column 'pair_ids' must hold strings, got None$"),
+        ("doc_ids", [0, 0], [0], r"column 'doc_ids' must hold strings, got 0$"),
+        ("doc_ids", ["d0", "d0"], ["d0", 7], r"document ids must hold strings, got 7$"),
+    ], ids=["int_pair_ids", "none_pair_id", "int_doc_ids", "int_document_id"])
+    def test_non_string_ids_rejected(self, column, value, documents, message):
+        # such ids would be saved as JSON numbers, which the loader rejects
+        columns = record_columns([make_example("d0:0", "d0", {1}), make_example("d0:1", "d0", {2})])
+        columns[column] = value
+        with pytest.raises(SchemaError, match=message):
+            Dataset(RelationSchema.with_default_names(4), documents, **columns)
+
     def test_non_finite_features_reported(self):
         examples = [make_example("d0:0", "d0", {1}),
                     make_example("d0:1", "d0", {1}, features=np.array([0.0, np.inf, 1.0]))]
