@@ -2,10 +2,12 @@
 
 Flags only select the subcommand, config path, and output directory; every
 knob lives in the config file so runs are diffable and rerunnable. Each run
-that completes echoes its input config verbatim plus the fully resolved
-effective config into the output directory; a config error writes
-nothing there. Exit codes: 0 success, 1 config error, 2 runtime/numeric
-error.
+writes the fully resolved effective config first and echoes its input config
+verbatim, as ``config.json``, last; a config error writes nothing there. An
+output directory holds a complete run if and only if it holds
+``config.json``: a run removes the one a previous run left just before its
+own first write, so an interrupted rerun never looks complete. Exit codes:
+0 success, 1 config error, 2 runtime/numeric error.
 
 Set CMM_OUTPUT_ROOT to resolve relative output directories under a common
 root. Relative paths inside config files resolve against the config file's
@@ -111,6 +113,9 @@ def _write_json(path: Path, obj: dict[str, Any]) -> None:
 
 
 def _write_effective(outdir: Path, effective: dict[str, Any]) -> None:
+    """The first write of every run: remove the completion marker, then write
+    the effective config."""
+    (outdir / "config.json").unlink(missing_ok=True)
     _write_json(outdir / "effective_config.json", {"format": "cmm-config/1", **effective})
 
 
@@ -141,11 +146,11 @@ def cmd_generate(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     if gen_cfg.false_negative_rate > 0.0:
         dataset = synthdata.inject_false_negatives(dataset, gen_cfg.false_negative_rate,
                                                    seed=gen_cfg.seed)
+    _write_effective(outdir, {"generate": gen_cfg.to_dict()})
     save_dataset_jsonl(dataset, str(outdir / "dataset.jsonl"))
     report = synthdata.distribution_report(dataset)
     _write_json(outdir / "distribution_report.json",
                 {"format": "cmm-distribution/1", **report.to_dict()})
-    _write_effective(outdir, {"generate": gen_cfg.to_dict()})
     return 0
 
 
@@ -174,6 +179,8 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
         names.append(name)
         cfgs.append(replace(base, loss=loss_cfg))
     results = encoder.train(train_ds, dev_ds, cfgs)
+    _write_effective(outdir, {"train": {"arms": [
+        {"name": name, "train": _cfg_as_dict(cfg)} for name, cfg in zip(names, cfgs)]}})
     for name, cfg, (params, trace) in zip(names, cfgs, results):
         encoder.save_checkpoint(str(outdir / f"{name}.checkpoint.json"), params, None,
                                 config=_cfg_as_dict(cfg))
@@ -181,8 +188,6 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     traces = {name: trace for name, (_, trace) in zip(names, results)}
     evaluation.write_positive_count_csv(evaluation.positive_count_trace(traces),
                                         str(outdir / "positives.csv"))
-    _write_effective(outdir, {"train": {"arms": [
-        {"name": name, "train": _cfg_as_dict(cfg)} for name, cfg in zip(names, cfgs)]}})
     return 0
 
 
@@ -372,7 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the explicit finiteness checks report non-finite values, in one line
         with np.errstate(all="ignore"):
             code = HANDLERS[args.command](config, config_path.resolve().parent, outdir)
-        # echoed once the handler has parsed and run it: a rejected config leaves no copy
+        # the completion marker, written last: a rejected config leaves no copy
         with open_atomic(outdir / "config.json", "wb") as fh:
             fh.write(raw)
     except ConfigError as exc:

@@ -384,20 +384,25 @@ class _Arms:
         self.clamps = np.array([clamp_distance(loss.m) for loss in cmm]).reshape(-1, 1, 1)
         self.step = 0
 
-    def step_grads(self, doc: _PackedDoc) -> np.ndarray:
-        """Write every arm's gradient for one batch into ``self.g``; return the loss sums."""
+    def step_grads(self, doc: _PackedDoc, need_loss: bool = True) -> np.ndarray | None:
+        """Write every arm's gradient for one batch into ``self.g``; return the
+        arms' loss sums, or None without computing them when ``need_loss`` is
+        False. The gradients are the same to the bit either way."""
         n, c = doc.features.shape[0], self.n_cmm
         logits, cache = _forward(self.params, doc.features)
         g_t = np.empty_like(logits)
-        totals = np.empty(len(self.losses))
+        totals = np.empty(len(self.losses)) if need_loss else None
         if c:
             rows, _ = _cmm_rows(logits[:c], doc.stacked_pos, doc.stacked_gamma, self.ms,
-                                need_grad=True, clamp=self.clamps, grad_out=g_t[:c])
-            totals[:c] = rows.sum(axis=-1)
+                                need_grad=True, clamp=self.clamps, grad_out=g_t[:c],
+                                need_value=need_loss)
+            if need_loss:
+                totals[:c] = rows.sum(axis=-1)
         for i in range(c, len(self.losses)):
             rows, g_t[i] = batch_rows(self.losses[i].kind, logits[i], doc.pos_mask,
-                                      self.losses[i], need_grad=True)
-            totals[i] = rows.sum()
+                                      self.losses[i], need_grad=True, need_value=need_loss)
+            if need_loss:
+                totals[i] = rows.sum()
         for i, loss in enumerate(self.losses):
             if loss.aggregation == "global_mean":
                 g_t[i] /= n
@@ -435,9 +440,12 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
     AdamW pass over all arms' parameters. Each arm ends bit-identical to
     training it alone.
 
-    Returns the final parameters and one trace record per evaluated epoch
+    Returns the final parameters and one trace record per recorded epoch
     (every ``eval_every`` epochs, plus the final epoch); for a sequence of
-    configs, a list of those pairs in config order.
+    configs, a list of those pairs in config order. Loss values are computed
+    only in recorded epochs, the only ones whose ``train_loss`` is read; the
+    other epochs take gradient-only steps, which move the parameters exactly
+    as the steps of a recorded epoch do.
     """
     single = isinstance(cfgs, TrainConfig)
     cfgs = [cfgs] if single else list(cfgs)
@@ -461,11 +469,15 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
 
     for epoch in range(1, cfg.epochs + 1):
         perm = np.random.default_rng((cfg.seed, epoch)).permutation(len(docs))
+        recorded = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
         epoch_loss = np.zeros(len(cfgs))
         for group_idx in _chunk(list(perm), cfg.accumulate_documents):
-            epoch_loss += arms.step_grads(_group([docs[i] for i in group_idx], arms.gammas))
+            totals = arms.step_grads(_group([docs[i] for i in group_idx], arms.gammas),
+                                     need_loss=recorded)
+            if recorded:
+                epoch_loss += totals
             arms.apply(cfg)
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+        if recorded:
             for i, logits in enumerate(_forward(arms.params, dev_features)[0]):
                 scores = mask_metrics(logits, dev.labels, dev.seen)
                 traces[i].append(TraceRecord(

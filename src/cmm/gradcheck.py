@@ -201,7 +201,7 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
             clamp = np.array([clamp_distance(drawn[t][2].m) for t in chunk]).reshape(-1, 1, 1)
             pos = np.nonzero(pos_mask[:, None, :])
             _, grads = _cmm_rows(values[:, None, :], pos, gamma[pos[0]], m,
-                                 need_grad=True, clamp=clamp)
+                                 need_grad=True, clamp=clamp, need_value=False)
             probe_pos = np.nonzero(np.broadcast_to(pos_mask[:, None, :],
                                                    (len(chunk), 2 * n, n - 1)))
             try:

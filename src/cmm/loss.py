@@ -28,9 +28,12 @@ the same rank-agnostic code on the row itself, which saves the mask for
 one-row callers. The trainer runs the cmm kernel once on the (K, n, R+1)
 stack of all its cmm arms, and the gradcheck oracle runs it the same way
 on a stack of trials and on the stack of their finite-difference probes.
-Analytic gradients are exact and verified against central finite
-differences by the gradcheck module. Additional (value, gradient) pairs
-can be registered under ``kind="plugin"``.
+Each kernel computes the loss values and the gradient as separate halves
+(``need_value``, ``need_grad``), so a caller that reads only one pays only
+for it; the gradient is the same to the bit either way. Analytic gradients
+are exact and verified against central finite differences by the gradcheck
+module. Additional (value, gradient) pairs can be registered under
+``kind="plugin"``.
 """
 
 from __future__ import annotations
@@ -109,18 +112,17 @@ def clamp_distance(m: float) -> float:
     return math.log((1.0 - m) / m)
 
 
-def _positive_terms(d, gamma, need_grad: bool):
+def _positive_terms(d, gamma, need_grad: bool, need_value: bool = True):
     """Per-relation positive loss term -(1-q)**gamma * q with q = log(sigma(d)).
 
-    Returns (term, dterm/dd). (1-q) >= 1 always, so the power is taken as
-    exp(gamma * log1p(-q)), which supports non-integer gamma. ``gamma`` is
-    a float or one value per entry of d.
+    Returns (term, dterm/dd), with None for the half not asked for. (1-q) >= 1
+    always, so the power is taken as exp(gamma * log1p(-q)), which supports
+    non-integer gamma. ``gamma`` is a float or one value per entry of d.
     """
     d = np.asarray(d, dtype=np.float64)
     q = log_sigmoid(d)
     log1mq = np.log1p(-q)
-    powg = np.exp(gamma * log1mq)
-    term = powg * (-q)
+    term = np.exp(gamma * log1mq) * (-q) if need_value else None
     if not need_grad:
         return term, None
     powgm1 = np.exp((gamma - 1.0) * log1mq)
@@ -128,9 +130,10 @@ def _positive_terms(d, gamma, need_grad: bool):
     return term, dterm
 
 
-def _negative_terms(d, m, need_grad: bool, clamp=None):
+def _negative_terms(d, m, need_grad: bool, clamp=None, need_value: bool = True):
     """Per-relation negative loss term -log(min(sigma(d) + m, 1)).
 
+    Returns (term, dterm/dd), with None for the half not asked for.
     Exactly zero, with exactly zero derivative, for d >= log((1-m)/m).
     This sits on the training hot path, where most negatives are clamped
     once the data is separated, so the transcendentals run only on the live
@@ -152,11 +155,13 @@ def _negative_terms(d, m, need_grad: bool, clamp=None):
     low_side = dl <= 0.0
     en = np.exp(np.minimum(dl, 0.0))    # e^d on the low side, <= 1
     ep = np.exp(-np.maximum(dl, 0.0))   # e^-d on the high side, <= 1
-    q = np.where(low_side,
-                 np.log(m + (1.0 + m) * en) - np.log1p(en),
-                 np.log1p(m + m * ep) - np.log1p(ep))
-    term = np.zeros(shape)
-    term.reshape(d.shape)[live] = -q
+    term = None
+    if need_value:
+        q = np.where(low_side,
+                     np.log(m + (1.0 + m) * en) - np.log1p(en),
+                     np.log1p(m + m * ep) - np.log1p(ep))
+        term = np.zeros(shape)
+        term.reshape(d.shape)[live] = -q
     if not need_grad:
         return term, None
     s = np.where(low_side, en / (1.0 + en), 1.0 / (1.0 + ep))
@@ -177,7 +182,8 @@ def _logit_grad(ddist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _cmm_rows(t: np.ndarray, pos_idx, gamma, m, need_grad: bool, clamp=None,
-              grad_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+              grad_out: np.ndarray | None = None, need_value: bool = True
+              ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """cmm loss over the last axis of t: one logit row, a batch, or a stack of batches.
 
     ``pos_idx`` indexes the positive entries of ``t[..., 1:]``: an index
@@ -186,16 +192,19 @@ def _cmm_rows(t: np.ndarray, pos_idx, gamma, m, need_grad: bool, clamp=None,
     relation is a negative. ``gamma`` and ``m`` are floats, or for a stack
     one gamma per positive entry and one m per arm, shaped (K, 1, 1), with
     ``clamp`` the arms' clamp distances (see ``_negative_terms``). The
-    gradient is written into ``grad_out`` when given.
+    gradient is written into ``grad_out`` when given. Returns (rows, grad),
+    with None for the half not asked for.
     """
     dist = t[..., 1:] - t[..., :1]
     # positives are sparse: evaluate the negative side everywhere, then
     # overwrite the gathered positive entries
-    tn, gn = _negative_terms(-dist, m, need_grad, clamp)
-    tp, gp = _positive_terms(dist[pos_idx], gamma, need_grad)
-    terms = tn
-    terms[pos_idx] = tp
-    rows = terms.sum(axis=-1)
+    tn, gn = _negative_terms(-dist, m, need_grad, clamp, need_value)
+    tp, gp = _positive_terms(dist[pos_idx], gamma, need_grad, need_value)
+    rows = None
+    if need_value:
+        terms = tn
+        terms[pos_idx] = tp
+        rows = terms.sum(axis=-1)
     if not need_grad:
         return rows, None
     ddist = -gn             # a negative's distance is t_TH - t_r: the sign flips
@@ -208,8 +217,8 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
 
 
-def _atl_rows(t: np.ndarray, pos_mask: np.ndarray,
-              need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _atl_rows(t: np.ndarray, pos_mask: np.ndarray, need_grad: bool,
+              need_value: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     n = t.shape[0]
     th_col = np.ones((n, 1), dtype=bool)
     mask1 = np.concatenate([th_col, pos_mask], axis=1)
@@ -220,7 +229,9 @@ def _atl_rows(t: np.ndarray, pos_mask: np.ndarray,
     z1 = _logsumexp_rows(a1)
     z2 = _logsumexp_rows(a2)
     n_pos = pos_mask.sum(axis=1)
-    rows = (n_pos * z1 - np.where(pos_mask, t[:, 1:], 0.0).sum(axis=1)) + (z2 - t[:, 0])
+    rows = None
+    if need_value:
+        rows = (n_pos * z1 - np.where(pos_mask, t[:, 1:], 0.0).sum(axis=1)) + (z2 - t[:, 0])
     if not need_grad:
         return rows, None
     p1 = np.exp(a1 - z1[:, None])
@@ -231,22 +242,24 @@ def _atl_rows(t: np.ndarray, pos_mask: np.ndarray,
     return rows, grad
 
 
-def _plugin_rows(t: np.ndarray, pos_mask: np.ndarray, cfg: LossConfig,
-                 need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _plugin_rows(t: np.ndarray, pos_mask: np.ndarray, cfg: LossConfig, need_grad: bool,
+                 need_value: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
     fns = get_loss(cfg)
-    rows = np.empty(t.shape[0])
+    rows = np.empty(t.shape[0]) if need_value else None
     grad = np.empty_like(t) if need_grad else None
     for i, row_mask in enumerate(pos_mask):
         labels = LabelSet(t.shape[1] - 1, frozenset(np.flatnonzero(row_mask) + 1))
-        rows[i] = fns.value(t[i], labels, cfg)
+        if need_value:
+            rows[i] = fns.value(t[i], labels, cfg)
         if need_grad:
             grad[i] = fns.grad(t[i], labels, cfg)
     return rows, grad
 
 
 def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossConfig,
-               need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-row loss values (and optionally dL/dlogits) for a batch of pairs.
+               need_grad: bool, need_value: bool = True
+               ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Per-row loss values and dL/dlogits for a batch of pairs: (rows, grad).
 
     ``pos_mask`` is boolean (n, R), column j for relation j+1; every relation
     not in it is a negative. This is the one composition of every built-in
@@ -255,18 +268,27 @@ def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossC
     functions below are batches of one, and cmm shares its code with
     ``cmm_loss``/``cmm_loss_grad``. ``kind="plugin"`` calls the registered
     (value, gradient) pair row by row on label sets rebuilt from the mask.
+
+    ``need_grad`` and ``need_value`` select the halves to compute; the other
+    comes back as None. With ``need_value=False`` a kernel skips the work
+    only the value needs (a plugin's value function is not called), and the
+    gradient is computed by the same operations as with it, so it is
+    bit-identical.
     """
     t = np.asarray(logits2d, dtype=np.float64)
     if kind == "cmm":
-        return _cmm_rows(t, np.nonzero(pos_mask), cfg.gamma, cfg.m, need_grad)
+        return _cmm_rows(t, np.nonzero(pos_mask), cfg.gamma, cfg.m, need_grad,
+                         need_value=need_value)
     if kind == "atl_reference":
-        return _atl_rows(t, pos_mask, need_grad)
+        return _atl_rows(t, pos_mask, need_grad, need_value)
     if kind == "plugin":
-        return _plugin_rows(t, pos_mask, cfg, need_grad)
+        return _plugin_rows(t, pos_mask, cfg, need_grad, need_value)
     if kind != "plain_margin":
         raise ValueError(f"no loss kind {kind!r}")
-    dist = t[:, 1:] - t[:, :1]
-    rows = np.where(pos_mask, -dist, dist).sum(axis=1)
+    rows = None
+    if need_value:
+        dist = t[:, 1:] - t[:, :1]
+        rows = np.where(pos_mask, -dist, dist).sum(axis=1)
     if not need_grad:
         return rows, None
     return rows, _logit_grad(np.where(pos_mask, -1.0, 1.0))
@@ -411,7 +433,12 @@ _PLUGINS: dict[str, LossFunctions] = {}
 
 def register_loss(name: str, value_fn: Callable[..., float],
                   grad_fn: Callable[..., np.ndarray]) -> None:
-    """Register an external (value, gradient) pair usable via kind='plugin'."""
+    """Register an external (value, gradient) pair usable via kind='plugin'.
+
+    Each takes (logits, labels, cfg) for one row. ``batch_rows`` calls
+    ``value_fn`` only when values are asked for: the trainer asks in the
+    epochs that record a trace row, and calls ``grad_fn`` in every step.
+    """
     if name in _BUILTIN:
         raise ValueError(f"{name!r} shadows a built-in loss")
     _PLUGINS[name] = LossFunctions(value_fn, grad_fn)

@@ -382,6 +382,68 @@ class TestDeterminism:
         assert hashlib.sha256(report).hexdigest() == (
             "be360c8d80704bb1d53d1460c3b7cb3c3473cd64ad3de00f3bfcd01fbc48e93d")
 
+    # train: cmm, plain and ATL arms; compare: the default kinds over a 2 x 2 grid
+    TRAINING_BYTES = {
+        1: {
+            "compare/grid.csv":
+                "68af43cce64fdfa027b78da35260801f414d7d5d21ebdbc0bf0e0ba5db318a73",
+            "train/positives.csv":
+                "47a59b6a2ab7644f2f6fa3716bf5727db2bb62559d1413195d55228f494edd76",
+            "train/cmm.checkpoint.json":
+                "a5eae9911f4dcf2873a3e2898793174355d70074078c6d6038e27adcbbc87404",
+            "train/cmm.trace.csv":
+                "c2fca6e8ff74e0f24ec662acb74764c3f869ad6ba5a3835236cbe5259faca1a8",
+            "train/plain.checkpoint.json":
+                "d4d777b0c7519ee89e8ed8c3aebd256b712d26762793af6dbcab65618a1c6b72",
+            "train/plain.trace.csv":
+                "fa85f916412cec2013c956ac0e099fe361240649032b45ce0adb27261fbbf369",
+            "train/atl.checkpoint.json":
+                "bc674d10e76ad543d5430669ae09baa40aae19129c4c606f38c229c2ef81a096",
+            "train/atl.trace.csv":
+                "6dcb074ff865ae68fba84d52297945ff2bbf0a257504e7cddf5c6e6db06fec87",
+        },
+        4: {
+            "compare/grid.csv":
+                "68af43cce64fdfa027b78da35260801f414d7d5d21ebdbc0bf0e0ba5db318a73",
+            "train/positives.csv":
+                "b2a372be0caefa67c6722038674da99e3f34d7dd7d539f2fc4719988e37d5a19",
+            "train/cmm.checkpoint.json":
+                "56e54b9434c01a6f6ef866f776226d5dd3100980e5d5bee6b50f2a32eedef10a",
+            "train/cmm.trace.csv":
+                "3fabc60d1bab6f397077659a4381f00313777788424d33dca8493fa7cfeace94",
+            "train/plain.checkpoint.json":
+                "f6958c52407974676a1821f5e1d04f2039b3fb5bc03830355d1bfc9aceb9ecc8",
+            "train/plain.trace.csv":
+                "5aa6e17895875de560f3fa3e093e52d71c5dc77ed8b4e6698e605842ed206ee2",
+            "train/atl.checkpoint.json":
+                "2fffa43bb29911077a5f3e6d48a3895e60d36fc26e79c928bdf92e970f135120",
+            "train/atl.trace.csv":
+                "a17fc6b301f1185621a8b12b638c9b4591c6457f38efac2a5b270c23d8e2a272",
+        },
+    }
+
+    @pytest.mark.parametrize("eval_every", [1, 4])
+    def test_training_bytes_pinned(self, tmp_path, tiny_dataset, tiny_dev, eval_every):
+        # loss values are computed only in recorded epochs; every epoch records at
+        # eval_every 1, only the last at 4
+        data = {"dataset": str(tiny_dataset), "dev": str(tiny_dev)}
+        train = {"epochs": 4, "seed": 1, "eval_every": eval_every, "learning_rate": 0.01,
+                 "loss": {"kind": "cmm", "gamma": 1.2, "m": 0.3}}
+        arms = [{"name": "cmm"}, {"name": "plain", "loss": {"kind": "plain_margin"}},
+                {"name": "atl", "loss": {"kind": "atl_reference"}}]
+        assert run(["train", write_config(tmp_path, "t.json", {**data, "train": train,
+                                                               "arms": arms}),
+                    "-o", tmp_path / "train"]) == 0
+        assert run(["compare", write_config(tmp_path, "c.json", {
+            **data, "train": train, "gammas": [1.0, 2.0], "ms": [0.1, 0.4]}),
+            "-o", tmp_path / "compare"]) == 0
+        names = ["compare/grid.csv", "train/positives.csv"] + [
+            f"train/{arm['name']}.{suffix}" for arm in arms
+            for suffix in ("checkpoint.json", "trace.csv")]
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in names}
+        assert got == self.TRAINING_BYTES[eval_every]
+
     def test_train_rerun_byte_identical(self, tmp_path, tiny_dataset, tiny_dev):
         cfg = write_config(tmp_path, "train.json", {
             "dataset": str(tiny_dataset), "dev": str(tiny_dev),
@@ -807,6 +869,100 @@ class TestAtomicArtifacts:
             cli._write_json(path, {"a": 2})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+def rerun_configs(command, tiny_dataset, tiny_dev):
+    """(old, new) configs of one subcommand whose runs write the same file
+    names with different bytes, and a config of the new run that is rejected
+    only once the subcommand parses it."""
+    data = {"dataset": str(tiny_dataset), "dev": str(tiny_dev)}
+    train = {"epochs": 2, "seed": 1, "learning_rate": 1e-3}
+    if command in ("train", "compare"):
+        old = {**data, "train": train, **(
+            {"arms": [{"name": "a"}, {"name": "b", "loss": {"kind": "plain_margin"}}]}
+            if command == "train" else {"gammas": [1.0], "ms": [0.2]})}
+        new = {**old, "train": {**train, "learning_rate": 5e-2}}
+        return old, new, {**new, "train": {**new["train"], "bogus": 1}}
+    if command == "eval":
+        old = {"dataset": str(tiny_dev), "checkpoint": str(Path(tiny_dev).parent / "ckpt.json")}
+        save_checkpoint(old["checkpoint"], init_encoder("linear", 10, 5, seed=2), None)
+        new = {**old, "gold": "true_labels"}
+        return old, new, {**new, "gold": "bogus"}
+    old = {"generate": {**TINY_GEN, "n_documents": 3}, "gradcheck": {"trials": 20},
+           "curves": {"d_step": 0.5}}[command]
+    new = {**old, "seed": 7} if command != "curves" else {**old, "m": 0.3}
+    return old, new, {**new, "bogus": 1}
+
+
+class TestInterruptedRerun:
+    """An output directory holds a complete run if and only if it holds config.json."""
+
+    COMMANDS = ["generate", "train", "compare", "gradcheck", "curves", "eval"]
+
+    @staticmethod
+    def fail_at_write(monkeypatch, k, exc):
+        """Raise exc inside the k-th atomic write (1-based) of any module."""
+        from cmm import cli, encoder, evaluation, schema
+        calls, original = [], schema.open_atomic
+
+        @contextlib.contextmanager
+        def failing(path, *args, **kwargs):
+            calls.append(path)
+            with original(path, *args, **kwargs) as fh:
+                if len(calls) == k:
+                    raise exc
+                yield fh
+        for module in (cli, encoder, evaluation, schema):
+            monkeypatch.setattr(module, "open_atomic", failing)
+        return calls
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt(), OSError("disk full")],
+                             ids=["interrupt", "oserror"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fault_sweep_never_leaves_a_complete_looking_mix(self, tmp_path, tiny_dataset,
+                                                             tiny_dev, command, exc):
+        old, new, _ = rerun_configs(command, tiny_dataset, tiny_dev)
+        old_cfg, new_cfg = write_config(tmp_path, "old.json", old), write_config(
+            tmp_path, "new.json", new)
+        assert run([command, old_cfg, "-o", tmp_path / "old"]) == 0
+        assert run([command, new_cfg, "-o", tmp_path / "new"]) == 0
+        before, after = dir_bytes(tmp_path / "old"), dir_bytes(tmp_path / "new")
+        assert before.keys() == after.keys() and before != after
+        for k in range(1, len(after) + 2):
+            out = tmp_path / f"rerun{k}"
+            out.mkdir()
+            for name, data in before.items():
+                (out / name).write_bytes(data)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = self.fail_at_write(mp, k, exc)
+                try:
+                    run([command, new_cfg, "-o", out])
+                except type(exc):
+                    failed = True
+                else:
+                    failed = False
+            got = dir_bytes(out)
+            assert sorted(p.name for p in out.iterdir()) == list(got)    # no stray temporaries
+            if failed:
+                assert "config.json" not in got, k
+                assert all(data in (before[name], after[name]) for name, data in got.items())
+            else:
+                assert len(calls) == k - 1 == len(after) and got == after
+                break
+        else:
+            pytest.fail("the rerun never completed")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rejected_config_leaves_the_directory_as_it_was(self, tmp_path, tiny_dataset,
+                                                            tiny_dev, capsys, command):
+        old, _, bad = rerun_configs(command, tiny_dataset, tiny_dev)
+        out = tmp_path / "out"
+        assert run([command, write_config(tmp_path, "old.json", old), "-o", out]) == 0
+        before = dir_bytes(out)
+        capsys.readouterr()
+        assert_one_line_error(capsys, run([command, write_config(tmp_path, "bad.json", bad),
+                                           "-o", out]), 1)
+        assert dir_bytes(out) == before and "config.json" in before
 
 
 PAIR_FIELDS = ("pair_id", "doc_id", "features", "positives", "true_positives",

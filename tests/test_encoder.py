@@ -586,6 +586,49 @@ class TestLockstep:
                                                                plugin="nan_later"))])
 
 
+class TestRecordedEpochs:
+    """Loss values are computed only in epochs that record a trace row; the
+    gradient-only steps of the other epochs move the parameters exactly alike."""
+
+    @pytest.mark.parametrize("architecture, accumulate", [("linear", 1), ("one_hidden", 2)])
+    def test_eval_cadence_leaves_parameters_and_records_unchanged(self, architecture,
+                                                                  accumulate):
+        ds = toy_dataset(seed=13, n_docs=7, relation_count=4)
+        dev = toy_dataset(seed=14, n_docs=3, relation_count=4)
+        base = TrainConfig(loss=LossConfig(), epochs=4, seed=5, learning_rate=0.02,
+                           architecture=architecture, hidden_dim=5,
+                           accumulate_documents=accumulate)
+        runs = {every: train(ds, dev, [replace(base, eval_every=every, loss=loss)
+                                       for loss in lockstep_arms()])
+                for every in (1, 2, base.epochs)}
+        expected_epochs = {1: [1, 2, 3, 4], 2: [2, 4], 4: [4]}
+        for every, results in runs.items():
+            for (params, trace), (ref, ref_trace) in zip(results, runs[1]):
+                for name in params.parameter_names:
+                    assert np.array_equal(params.tensors[name], ref.tensors[name]), (every, name)
+                assert [r.epoch for r in trace] == expected_epochs[every]
+                by_epoch = {r.epoch: r for r in ref_trace}
+                assert all(r == by_epoch[r.epoch] for r in trace), every
+
+    def test_plugin_value_called_in_recorded_epochs_only(self):
+        from cmm.loss import plain_margin_grad, plain_margin_loss, register_loss
+        calls = {"value": 0, "grad": 0}
+
+        def value(logits, labels, cfg):
+            calls["value"] += 1
+            return plain_margin_loss(logits, labels)
+
+        def grad(logits, labels, cfg):
+            calls["grad"] += 1
+            return plain_margin_grad(logits, labels)
+        register_loss("counting_plain", value, grad)
+        ds = toy_dataset(seed=15, n_docs=5, pairs_per_doc=4)
+        loss = LossConfig(kind="plugin", plugin="counting_plain")
+        _, trace = train(ds, ds, TrainConfig(loss=loss, epochs=3, eval_every=3))
+        assert [r.epoch for r in trace] == [3]
+        assert calls == {"value": len(ds), "grad": 3 * len(ds)}
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 1.5), ("epochs", True), ("seed", -1), ("seed", 1.5), ("eval_every", 1.5),

@@ -1,15 +1,20 @@
 """Property tests for the loss family: invariances, monotonicity, clamping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmm.evaluation import decode
 from cmm.loss import (
     GAMMA_GRID,
     M_GRID,
     LossConfig,
+    _cmm_rows,
+    batch_rows,
     clamp_distance,
     cmm_loss,
     cmm_loss_grad,
@@ -154,3 +159,69 @@ class TestDecode:
         values = np.array(values)
         values[1] = values[0]
         assert 1 not in decode(values)
+
+
+def logit_entries(arm_ms):
+    """Logits that, beside a TH logit of +-0.0, put a negative's distance exactly
+    at each arm's clamp and one ulp either side of it; plus +-0.0, NaN and
+    ordinary values."""
+    special = [0.0, -0.0, math.nan]
+    for m in arm_ms:
+        c = clamp_distance(m)
+        special += [-c, math.nextafter(-c, -math.inf), math.nextafter(-c, math.inf)]
+    return st.one_of(st.sampled_from(special), st.floats(-30.0, 30.0))
+
+
+@st.composite
+def logit_stacks(draw, arm_ms, min_rows=0):
+    """(K, n, R+1) logits for K = len(arm_ms) arms and a (K, n, R) positive mask."""
+    k, n, r = len(arm_ms), draw(st.integers(min_rows, 4)), draw(st.integers(1, 6))
+    entry = logit_entries(arm_ms)
+    t = np.empty((k, n, r + 1))
+    t[..., 0] = draw(arrays(np.float64, (k, n), elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), entry)))
+    t[..., 1:] = draw(arrays(np.float64, (k, n, r), elements=entry))
+    return t, draw(arrays(bool, (k, n, r)))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()      # NaN payloads and the sign of zero too
+
+
+class TestValueGradientSplit:
+    """A kernel asked for its gradient alone returns the same bits as when it
+    computes the values too, and the values do not depend on the gradient."""
+
+    @pytest.mark.parametrize("kind", ["cmm", "plain_margin", "atl_reference"])
+    @given(data=st.data(), gamma=gammas, m=ms)
+    def test_batch_rows_gradient_alone_is_bit_identical(self, kind, data, gamma, m):
+        t, mask = data.draw(logit_stacks([m]))
+        cfg = LossConfig(kind=kind, gamma=gamma, m=m)
+        with np.errstate(all="ignore"):
+            rows, grad = batch_rows(kind, t[0], mask[0], cfg, need_grad=True)
+            no_rows, alone = batch_rows(kind, t[0], mask[0], cfg, need_grad=True,
+                                        need_value=False)
+            value_only, no_grad = batch_rows(kind, t[0], mask[0], cfg, need_grad=False)
+        assert no_rows is None and no_grad is None
+        assert_same_bits(alone, grad)
+        assert_same_bits(value_only, rows)
+
+    @given(data=st.data(), arm_ms=st.lists(ms, min_size=1, max_size=4))
+    def test_stacked_cmm_gradient_alone_is_bit_identical(self, data, arm_ms):
+        """The trainer's call: per-arm gamma, m and clamp on a (K, n, R+1) stack."""
+        t, mask = data.draw(logit_stacks(arm_ms, min_rows=1))
+        pos = np.nonzero(mask)
+        gamma = np.array(data.draw(st.lists(gammas, min_size=len(arm_ms),
+                                            max_size=len(arm_ms))))[pos[0]]
+        m = np.array(arm_ms).reshape(-1, 1, 1)
+        clamp = np.array([clamp_distance(x) for x in arm_ms]).reshape(-1, 1, 1)
+        out = np.empty_like(t)
+        with np.errstate(all="ignore"):
+            rows, grad = _cmm_rows(t, pos, gamma, m, need_grad=True, clamp=clamp)
+            no_rows, alone = _cmm_rows(t, pos, gamma, m, need_grad=True, clamp=clamp,
+                                       grad_out=out, need_value=False)
+            value_only, _ = _cmm_rows(t, pos, gamma, m, need_grad=False, clamp=clamp)
+        assert no_rows is None and alone is out
+        assert_same_bits(alone, grad)
+        assert_same_bits(value_only, rows)
