@@ -6,8 +6,10 @@ writes the fully resolved effective config first and echoes its input config
 verbatim, as ``config.json``, last; a config error writes nothing there. An
 output directory holds a complete run if and only if it holds
 ``config.json``: a run removes the one a previous run left just before its
-own first write, so an interrupted rerun never looks complete. Exit codes:
-0 success, 1 config error, 2 runtime/numeric error.
+own first write, so an interrupted rerun never looks complete; ``train``
+removes the previous run's arm checkpoints and traces with it. A field
+that a command does not know is a config error. Exit codes: 0 success,
+1 config error, 2 runtime/numeric error.
 
 Set CMM_OUTPUT_ROOT to resolve relative output directories under a common
 root. Relative paths inside config files resolve against the config file's
@@ -21,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -65,6 +67,12 @@ def _require(config: dict[str, Any], field: str) -> Any:
     return config[field]
 
 
+def _reject_unknown(config: dict[str, Any], allowed: Sequence[str], what: str) -> None:
+    unknown = set(config) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} config fields: {sorted(unknown)}")
+
+
 def _build_gen_config(obj: dict[str, Any]) -> synthdata.GenConfig:
     obj = dict(obj)
     preset = obj.pop("preset", None)
@@ -72,9 +80,7 @@ def _build_gen_config(obj: dict[str, Any]) -> synthdata.GenConfig:
         if preset is not None:
             return synthdata.preset_config(preset, **obj)
         return synthdata.GenConfig(**obj)
-    except TypeError as exc:
-        raise ConfigError(f"bad generator config: {exc}") from exc
-    except GenerationError as exc:
+    except (TypeError, GenerationError) as exc:
         raise ConfigError(f"bad generator config: {exc}") from exc
 
 
@@ -112,20 +118,22 @@ def _write_json(path: Path, obj: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def _write_effective(outdir: Path, effective: dict[str, Any]) -> None:
-    """The first write of every run: remove the completion marker, then write
-    the effective config."""
+def _write_effective(outdir: Path, effective: dict[str, Any], stale: Sequence[str] = ()
+                     ) -> None:
+    """The first write of every run: remove the completion marker and the files
+    matching the ``stale`` patterns that a previous run left, then write the
+    effective config."""
     (outdir / "config.json").unlink(missing_ok=True)
+    for pattern in stale:
+        for path in outdir.glob(pattern):
+            path.unlink()
     _write_json(outdir / "effective_config.json", {"format": "cmm-config/1", **effective})
 
 
 def _cfg_as_dict(train_cfg: encoder.TrainConfig) -> dict[str, Any]:
-    d = {k: getattr(train_cfg, k) for k in (
-        "epochs", "seed", "learning_rate", "beta1", "beta2", "epsilon", "weight_decay",
-        "eval_every", "architecture", "hidden_dim", "accumulate_documents")}
-    d["loss"] = {"kind": train_cfg.loss.kind, "gamma": train_cfg.loss.gamma,
-                 "m": train_cfg.loss.m, "aggregation": train_cfg.loss.aggregation,
-                 "plugin": train_cfg.loss.plugin}
+    """The config's fields in declared order, with ``loss`` moved last."""
+    d = asdict(train_cfg)
+    d["loss"] = d.pop("loss")
     return d
 
 
@@ -155,6 +163,7 @@ def cmd_generate(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
 
 
 def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
+    _reject_unknown(config, ("dataset", "dev", "train", "arms"), "train")
     train_ds = _load_dataset(_resolve_path(_require(config, "dataset"), config_dir, "dataset"),
                              "dataset")
     dev_ds = _load_dataset(_resolve_path(_require(config, "dev"), config_dir, "dev"), "dev")
@@ -169,6 +178,7 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     for arm in arms:
         if not isinstance(arm, dict):
             raise ConfigError("each arm must be a JSON object")
+        _reject_unknown(arm, ("name", "loss"), "arm")
         loss_cfg = base.loss if arm.get("loss") is None else _build_loss_config(arm["loss"])
         name = arm.get("name", loss_cfg.kind)
         if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
@@ -179,8 +189,10 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
         names.append(name)
         cfgs.append(replace(base, loss=loss_cfg))
     results = encoder.train(train_ds, dev_ds, cfgs)
+    # a previous run's arm files go with its marker, even those of arms not trained again
     _write_effective(outdir, {"train": {"arms": [
-        {"name": name, "train": _cfg_as_dict(cfg)} for name, cfg in zip(names, cfgs)]}})
+        {"name": name, "train": _cfg_as_dict(cfg)} for name, cfg in zip(names, cfgs)]}},
+        stale=("*.checkpoint.json", "*.trace.csv"))
     for name, cfg, (params, trace) in zip(names, cfgs, results):
         encoder.save_checkpoint(str(outdir / f"{name}.checkpoint.json"), params, None,
                                 config=_cfg_as_dict(cfg))
@@ -245,6 +257,8 @@ def run_compare_grid(train_ds, dev_ds, base: encoder.TrainConfig,
 
 
 def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
+    _reject_unknown(config, ("dataset", "dev", "train", "kinds", "gammas", "ms", "seeds"),
+                    "compare")
     train_ds = _load_dataset(_resolve_path(_require(config, "dataset"), config_dir, "dataset"),
                              "dataset")
     dev_ds = _load_dataset(_resolve_path(_require(config, "dev"), config_dir, "dev"), "dev")
@@ -277,16 +291,10 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
 
 
 def cmd_gradcheck(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
-    allowed = {"trials", "tolerance", "seed", "gammas", "ms", "logit_range",
-               "relation_counts", "step"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown gradcheck config fields: {sorted(unknown)}")
-    kwargs = dict(config)
+    _reject_unknown(config, ("trials", "tolerance", "seed", "gammas", "ms", "logit_range",
+                             "relation_counts", "step"), "gradcheck")
     try:
-        if "logit_range" in kwargs:
-            kwargs["logit_range"] = tuple(kwargs["logit_range"])
-        report = gradcheck.check_gradients(**kwargs)
+        report = gradcheck.check_gradients(**config)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad gradcheck config: {exc}") from exc
     _write_effective(outdir, {"gradcheck": {"trials": report.trials,
@@ -300,10 +308,7 @@ def cmd_gradcheck(config: dict[str, Any], config_dir: Path, outdir: Path) -> int
 
 
 def cmd_curves(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
-    allowed = {"gammas", "d_min", "d_max", "d_step", "m"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown curves config fields: {sorted(unknown)}")
+    _reject_unknown(config, ("gammas", "d_min", "d_max", "d_step", "m"), "curves")
     try:
         gammas = tuple(config.get("gammas", GAMMA_GRID))
         grid = evaluation.default_d_grid(config.get("d_min", -5.0), config.get("d_max", 5.0),
@@ -319,6 +324,7 @@ def cmd_curves(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
 
 
 def cmd_eval(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
+    _reject_unknown(config, ("dataset", "checkpoint", "gold"), "eval")
     dataset_path = _resolve_path(_require(config, "dataset"), config_dir, "dataset")
     dataset = _load_dataset(dataset_path, "dataset")
     ckpt_path = _resolve_path(_require(config, "checkpoint"), config_dir, "checkpoint")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericError, SchemaError
 from .evaluation import mask_metrics
-from .loss import LossConfig, _cmm_rows, batch_rows, clamp_distance
+from .loss import LossConfig, _cmm_arms, _cmm_rows, batch_rows
 from .schema import Dataset, open_atomic, require_finite, require_int
 
 ARCHITECTURES = ("linear", "one_hidden")
@@ -73,10 +73,6 @@ class EncoderParams:
             raise SchemaError(f"{self.architecture} parameters are {self.parameter_names}, "
                               f"got {tuple(self.tensors)}")
         self.flat, self.tensors = _pack({n: self.tensors[n] for n in self.parameter_names})
-
-    @property
-    def output_dim(self) -> int:
-        return self.relation_count + 1
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
@@ -316,16 +312,14 @@ class _PackedDoc:
     features: np.ndarray    # (n, F)
     pos_mask: np.ndarray    # (n, R) bool
     stacked_pos: tuple      # np.nonzero of pos_mask repeated once per cmm arm
-    stacked_gamma: np.ndarray   # the cmm arm's gamma at each entry of stacked_pos
 
 
-def _packed(x: np.ndarray, mask: np.ndarray, cmm_gammas: np.ndarray) -> _PackedDoc:
-    pos = np.nonzero(np.broadcast_to(mask, (cmm_gammas.size,) + mask.shape))
-    return _PackedDoc(features=x, pos_mask=mask, stacked_pos=pos,
-                      stacked_gamma=cmm_gammas[pos[0]])
+def _packed(x: np.ndarray, mask: np.ndarray, n_cmm: int) -> _PackedDoc:
+    return _PackedDoc(features=x, pos_mask=mask,
+                      stacked_pos=np.nonzero(np.broadcast_to(mask, (n_cmm,) + mask.shape)))
 
 
-def _pack_documents(dataset: Dataset, cmm_gammas: np.ndarray) -> list[_PackedDoc]:
+def _pack_documents(dataset: Dataset, n_cmm: int) -> list[_PackedDoc]:
     """One batch per non-empty document, in declared order; the stable sort
     keeps each document's pairs in file order when documents interleave."""
     order = np.argsort(dataset.doc_index, kind="stable")
@@ -333,16 +327,16 @@ def _pack_documents(dataset: Dataset, cmm_gammas: np.ndarray) -> list[_PackedDoc
     counts = np.bincount(dataset.doc_index, minlength=len(dataset.document_ids))
     ends = np.cumsum(counts)
     starts = ends - counts
-    return [_packed(x[s:e], mask[s:e], cmm_gammas)
+    return [_packed(x[s:e], mask[s:e], n_cmm)
             for s, e in zip(starts.tolist(), ends.tolist()) if e > s]
 
 
-def _group(docs: Sequence[_PackedDoc], cmm_gammas: np.ndarray) -> _PackedDoc:
+def _group(docs: Sequence[_PackedDoc], n_cmm: int) -> _PackedDoc:
     """The documents of one optimizer step as one batch."""
     if len(docs) == 1:
         return docs[0]
     return _packed(np.concatenate([d.features for d in docs]),
-                   np.concatenate([d.pos_mask for d in docs]), cmm_gammas)
+                   np.concatenate([d.pos_mask for d in docs]), n_cmm)
 
 
 def _chunk(seq: list, size: int) -> Iterator[list]:
@@ -379,9 +373,7 @@ class _Arms:
         self.decayed = [self.params[name] for name in init.decayed_names]
         cmm = [loss for loss in self.losses if loss.kind == "cmm"]
         self.n_cmm = len(cmm)
-        self.gammas = np.array([loss.gamma for loss in cmm], dtype=np.float64)
-        self.ms = np.array([loss.m for loss in cmm], dtype=np.float64).reshape(-1, 1, 1)
-        self.clamps = np.array([clamp_distance(loss.m) for loss in cmm]).reshape(-1, 1, 1)
+        self.gammas, self.ms, self.clamps = _cmm_arms(cmm)
         self.step = 0
 
     def step_grads(self, doc: _PackedDoc, need_loss: bool = True) -> np.ndarray | None:
@@ -393,9 +385,8 @@ class _Arms:
         g_t = np.empty_like(logits)
         totals = np.empty(len(self.losses)) if need_loss else None
         if c:
-            rows, _ = _cmm_rows(logits[:c], doc.stacked_pos, doc.stacked_gamma, self.ms,
-                                need_grad=True, clamp=self.clamps, grad_out=g_t[:c],
-                                need_value=need_loss)
+            rows, _ = _cmm_rows(logits[:c], doc.stacked_pos, self.gammas, self.ms, self.clamps,
+                                need_grad=True, grad_out=g_t[:c], need_value=need_loss)
             if need_loss:
                 totals[:c] = rows.sum(axis=-1)
         for i in range(c, len(self.losses)):
@@ -462,7 +453,7 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
     arms = _Arms(init_encoder(cfg.architecture, dataset.feature_dim,
                               dataset.schema.relation_count, cfg.hidden_dim, cfg.seed),
                  [cfgs[k].loss for k in order])
-    docs = _pack_documents(dataset, arms.gammas)
+    docs = _pack_documents(dataset, arms.n_cmm)
     dev_features = dev.features if len(dev) else np.zeros((0, dataset.feature_dim))
     n_pairs_total = sum(d.features.shape[0] for d in docs)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
@@ -472,7 +463,7 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
         recorded = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
         epoch_loss = np.zeros(len(cfgs))
         for group_idx in _chunk(list(perm), cfg.accumulate_documents):
-            totals = arms.step_grads(_group([docs[i] for i in group_idx], arms.gammas),
+            totals = arms.step_grads(_group([docs[i] for i in group_idx], arms.n_cmm),
                                      need_loss=recorded)
             if recorded:
                 epoch_loss += totals

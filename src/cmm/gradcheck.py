@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericError
 # cmm_loss is not called here; the benchmark's traced replay wraps this module's name
-from .loss import GAMMA_GRID, M_GRID, LossConfig, _cmm_rows, clamp_distance, cmm_loss  # noqa: F401
+from .loss import GAMMA_GRID, M_GRID, LossConfig, _cmm_arms, _cmm_rows, cmm_loss  # noqa: F401
 from .schema import require_finite, require_int
 
 # one trial's probe matrix is (2R+2, R+1) float64: about 16 MiB at this R
@@ -196,18 +196,15 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
         for chunk in (members[i:i + size] for i in range(0, len(members), size)):
             values = np.stack([drawn[t][0] for t in chunk])
             pos_mask = np.stack([drawn[t][1] for t in chunk])
-            gamma = np.array([drawn[t][2].gamma for t in chunk])
-            m = np.array([drawn[t][2].m for t in chunk]).reshape(-1, 1, 1)
-            clamp = np.array([clamp_distance(drawn[t][2].m) for t in chunk]).reshape(-1, 1, 1)
-            pos = np.nonzero(pos_mask[:, None, :])
-            _, grads = _cmm_rows(values[:, None, :], pos, gamma[pos[0]], m,
-                                 need_grad=True, clamp=clamp, need_value=False)
+            gamma, m, clamp = _cmm_arms([drawn[t][2] for t in chunk])
+            _, grads = _cmm_rows(values[:, None, :], np.nonzero(pos_mask[:, None, :]),
+                                 gamma, m, clamp, need_grad=True, need_value=False)
             probe_pos = np.nonzero(np.broadcast_to(pos_mask[:, None, :],
                                                    (len(chunk), 2 * n, n - 1)))
             try:
                 numeric = finite_difference(
-                    lambda probes: _cmm_rows(probes, probe_pos, gamma[probe_pos[0]], m,
-                                             need_grad=False, clamp=clamp)[0],
+                    lambda probes: _cmm_rows(probes, probe_pos, gamma, m, clamp,
+                                             need_grad=False)[0],
                     values, step=step)
             except NumericError as exc:     # raised below for the first such trial
                 if first_bad is None or chunk[exc.row] < first_bad[0]:

@@ -23,11 +23,11 @@ Every relation that is not a positive is scored as a negative: a
 ``LabelSet`` derives its negatives as the complement of its positives, and
 a mask marks positives only. Each kind has one composition, ``batch_rows``
 over a boolean (n, R) positive mask, which the trainer calls per optimizer
-step. The single-row functions are batches of one, except that cmm runs
-the same rank-agnostic code on the row itself, which saves the mask for
-one-row callers. The trainer runs the cmm kernel once on the (K, n, R+1)
-stack of all its cmm arms, and the gradcheck oracle runs it the same way
-on a stack of trials and on the stack of their finite-difference probes.
+step; the single-row functions are batches of one. The cmm kernel has one
+calling form, a (K, n, R+1) stack of K arms with the arms' parameters
+from ``_cmm_arms``: ``batch_rows`` passes a stack of one, the trainer the
+stack of all its cmm arms, and the gradcheck oracle a stack of trials and
+the stack of their finite-difference probes.
 Each kernel computes the loss values and the gradient as separate halves
 (``need_value``, ``need_grad``), so a caller that reads only one pays only
 for it; the gradient is the same to the bit either way. Analytic gradients
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,27 +130,31 @@ def _positive_terms(d, gamma, need_grad: bool, need_value: bool = True):
     return term, dterm
 
 
-def _negative_terms(d, m, need_grad: bool, clamp=None, need_value: bool = True):
-    """Per-relation negative loss term -log(min(sigma(d) + m, 1)).
+def _cmm_arms(losses: Sequence[LossConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cmm kernel's parameters for K arms' loss configs: their gamma as a
+    (K,) array, and their m and ``clamp_distance`` as (K, 1, 1) arrays."""
+    gamma = np.array([loss.gamma for loss in losses], dtype=np.float64)
+    m = np.array([loss.m for loss in losses], dtype=np.float64).reshape(-1, 1, 1)
+    return gamma, m, np.array([clamp_distance(loss.m) for loss in losses]).reshape(-1, 1, 1)
 
-    Returns (term, dterm/dd), with None for the half not asked for.
-    Exactly zero, with exactly zero derivative, for d >= log((1-m)/m).
-    This sits on the training hot path, where most negatives are clamped
-    once the data is separated, so the transcendentals run only on the live
-    entries; NaN counts as live and propagates. The two exponentials are
-    shared between the value and the sigmoid needed for the derivative.
-    Works on any rank, 0-d included.
 
-    ``m`` is a float, or for a (K, ...) stack of K arms' distances a
-    (K, 1, ..., 1) array of the arms' m, with ``clamp`` their
-    ``clamp_distance`` values shaped alike.
+def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray, need_grad: bool,
+                    need_value: bool = True):
+    """Per-relation negative loss term -log(min(sigma(d) + m, 1)) on a (K, ...)
+    stack of K arms' distances.
+
+    ``m`` and ``clamp`` are (K, 1, ..., 1) arrays of the arms' m and
+    ``clamp_distance`` values. Returns (term, dterm/dd), with None for the
+    half not asked for. Exactly zero, with exactly zero derivative, for
+    d >= log((1-m)/m). This sits on the training hot path, where most
+    negatives are clamped once the data is separated, so the
+    transcendentals run only on the live entries, indexed by flat position;
+    NaN counts as live and propagates. The two exponentials are shared
+    between the value and the sigmoid needed for the derivative.
     """
-    d = np.asarray(d, dtype=np.float64)
     shape = d.shape
-    live = ~(d >= (clamp_distance(m) if clamp is None else clamp))
-    if clamp is not None:   # a stack: index its few live entries by flat position
-        d, live = d.reshape(-1), np.flatnonzero(live)
-        m = m.ravel()[live // (d.size // m.size)]   # arm-major: equal spans per arm
+    d, live = d.reshape(-1), np.flatnonzero(~(d >= clamp))
+    m = m.ravel()[live // (d.size // m.size)]   # arm-major: equal spans per arm
     dl = d[live]
     low_side = dl <= 0.0
     en = np.exp(np.minimum(dl, 0.0))    # e^d on the low side, <= 1
@@ -161,12 +165,12 @@ def _negative_terms(d, m, need_grad: bool, clamp=None, need_value: bool = True):
                      np.log(m + (1.0 + m) * en) - np.log1p(en),
                      np.log1p(m + m * ep) - np.log1p(ep))
         term = np.zeros(shape)
-        term.reshape(d.shape)[live] = -q
+        term.reshape(-1)[live] = -q
     if not need_grad:
         return term, None
     s = np.where(low_side, en / (1.0 + en), 1.0 / (1.0 + ep))
     dterm = np.zeros(shape)
-    dterm.reshape(d.shape)[live] = -(s * (1.0 - s)) / (s + m)
+    dterm.reshape(-1)[live] = -(s * (1.0 - s)) / (s + m)
     return term, dterm
 
 
@@ -181,25 +185,23 @@ def _logit_grad(ddist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return grad
 
 
-def _cmm_rows(t: np.ndarray, pos_idx, gamma, m, need_grad: bool, clamp=None,
-              grad_out: np.ndarray | None = None, need_value: bool = True
-              ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """cmm loss over the last axis of t: one logit row, a batch, or a stack of batches.
+def _cmm_rows(t: np.ndarray, pos_idx: tuple, gamma: np.ndarray, m: np.ndarray,
+              clamp: np.ndarray, need_grad: bool, grad_out: np.ndarray | None = None,
+              need_value: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """cmm loss over the last axis of a (K, n, R+1) stack t of K arms' logit rows.
 
-    ``pos_idx`` indexes the positive entries of ``t[..., 1:]``: an index
-    array for one row, ``np.nonzero(pos_mask)`` for a batch, and the nonzero
-    of a (K, n, R) stacked mask for K arms trained in lockstep. Every other
-    relation is a negative. ``gamma`` and ``m`` are floats, or for a stack
-    one gamma per positive entry and one m per arm, shaped (K, 1, 1), with
-    ``clamp`` the arms' clamp distances (see ``_negative_terms``). The
-    gradient is written into ``grad_out`` when given. Returns (rows, grad),
-    with None for the half not asked for.
+    ``pos_idx`` is the nonzero of the arms' (K, n, R) positive mask, which
+    indexes the positive entries of ``t[..., 1:]``; every other relation is
+    a negative. ``gamma``, ``m`` and ``clamp`` are the arms' parameters from
+    ``_cmm_arms``. The gradient is written into ``grad_out`` when given.
+    Returns the (K, n) rows and the (K, n, R+1) gradient, with None for the
+    half not asked for.
     """
     dist = t[..., 1:] - t[..., :1]
     # positives are sparse: evaluate the negative side everywhere, then
     # overwrite the gathered positive entries
-    tn, gn = _negative_terms(-dist, m, need_grad, clamp, need_value)
-    tp, gp = _positive_terms(dist[pos_idx], gamma, need_grad, need_value)
+    tn, gn = _negative_terms(-dist, m, clamp, need_grad, need_value)
+    tp, gp = _positive_terms(dist[pos_idx], gamma[pos_idx[0]], need_grad, need_value)
     rows = None
     if need_value:
         terms = tn
@@ -264,10 +266,10 @@ def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossC
     ``pos_mask`` is boolean (n, R), column j for relation j+1; every relation
     not in it is a negative. This is the one composition of every built-in
     kind: the trainer calls it once per optimizer step and non-cmm arm
-    (its cmm arms share one ``_cmm_rows`` call), the single-row
-    functions below are batches of one, and cmm shares its code with
-    ``cmm_loss``/``cmm_loss_grad``. ``kind="plugin"`` calls the registered
-    (value, gradient) pair row by row on label sets rebuilt from the mask.
+    (its cmm arms share one ``_cmm_rows`` call), and the single-row
+    functions below are batches of one. cmm runs its kernel on a stack of
+    one arm. ``kind="plugin"`` calls the registered (value, gradient) pair
+    row by row on label sets rebuilt from the mask.
 
     ``need_grad`` and ``need_value`` select the halves to compute; the other
     comes back as None. With ``need_value=False`` a kernel skips the work
@@ -277,8 +279,9 @@ def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossC
     """
     t = np.asarray(logits2d, dtype=np.float64)
     if kind == "cmm":
-        return _cmm_rows(t, np.nonzero(pos_mask), cfg.gamma, cfg.m, need_grad,
-                         need_value=need_value)
+        rows, grad = _cmm_rows(t[None], np.nonzero(pos_mask[None]), *_cmm_arms([cfg]),
+                               need_grad=need_grad, need_value=need_value)
+        return (None if rows is None else rows[0]), (None if grad is None else grad[0])
     if kind == "atl_reference":
         return _atl_rows(t, pos_mask, need_grad, need_value)
     if kind == "plugin":
@@ -296,44 +299,35 @@ def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossC
 
 # --- single-row operations (public surface) -------------------------------
 
-def _as_values(logits) -> np.ndarray:
+def _checked_row(logits, labels: LabelSet) -> np.ndarray:
+    """The finite 1-D float64 logit row of ``logits``, one entry per relation plus TH."""
     values = np.asarray(getattr(logits, "values", logits), dtype=np.float64)
     if values.ndim != 1:
         raise SchemaError(f"expected a 1-D logit row, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise NumericError("logit row contains non-finite values")
-    return values
-
-
-def _check_lengths(values: np.ndarray, labels: LabelSet) -> None:
     if values.size != labels.relation_count + 1:
         raise SchemaError(
             f"logit row length {values.size} does not match relation_count "
             f"{labels.relation_count} (+1 for TH)"
         )
-
-
-def _positive_columns(logits, labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
-    """A checked logit row and the columns (relation - 1) of its positives."""
-    values = _as_values(logits)
-    _check_lengths(values, labels)
-    return values, np.array(sorted(labels.positives), dtype=np.intp) - 1
+    return values
 
 
 def _one_row(kind: str, logits, labels: LabelSet, cfg: LossConfig | None,
-             need_grad: bool) -> tuple[float, np.ndarray | None]:
-    """batch_rows on a batch of one row: (value, gradient or None)."""
-    values, pos_cols = _positive_columns(logits, labels)
+             need_grad: bool) -> float | np.ndarray:
+    """batch_rows on a batch of one row: its gradient if ``need_grad``, else its value."""
+    values = _checked_row(logits, labels)
     mask = np.zeros((1, values.size - 1), dtype=bool)
-    mask[0, pos_cols] = True
-    rows, grads = batch_rows(kind, values[None, :], mask, cfg, need_grad)
-    return float(rows[0]), None if grads is None else grads[0]
+    mask[0, np.array(sorted(labels.positives), dtype=np.intp) - 1] = True
+    rows, grads = batch_rows(kind, values[None, :], mask, cfg, need_grad,
+                             need_value=not need_grad)
+    return grads[0] if need_grad else float(rows[0])
 
 
 def margin_distances(logits, labels: LabelSet) -> DistanceSet:
     """Signed distances of every labeled relation logit to the TH logit."""
-    values = _as_values(logits)
-    _check_lengths(values, labels)
+    values = _checked_row(logits, labels)
     th = values[0]
     d_pos = {int(r): float(values[r] - th) for r in sorted(labels.positives)}
     d_neg = {int(r): float(th - values[r]) for r in sorted(labels.negatives)}
@@ -342,12 +336,12 @@ def margin_distances(logits, labels: LabelSet) -> DistanceSet:
 
 def plain_margin_loss(logits, labels: LabelSet, cfg: LossConfig | None = None) -> float:
     """Sum of negated distances over positives and negatives; unbounded below."""
-    return _one_row("plain_margin", logits, labels, cfg, need_grad=False)[0]
+    return _one_row("plain_margin", logits, labels, cfg, need_grad=False)
 
 
 def plain_margin_grad(logits, labels: LabelSet, cfg: LossConfig | None = None) -> np.ndarray:
     """Gradient of plain_margin_loss: -1 on positives, +1 on negatives, |P|-|N| on TH."""
-    return _one_row("plain_margin", logits, labels, cfg, need_grad=True)[1]
+    return _one_row("plain_margin", logits, labels, cfg, need_grad=True)
 
 
 def cmm_rescale(d: float, side: str, m: float | None = None) -> float:
@@ -361,8 +355,10 @@ def cmm_rescale(d: float, side: str, m: float | None = None) -> float:
     if side == NEGATIVE:
         if m is None or not 0.0 < m < 1.0:
             raise ValueError(f"negative side requires m in (0, 1), got {m}")
-        term, _ = _negative_terms(d, m, need_grad=False)
-        return 0.0 - float(term)    # +0.0, not -0.0, where the clamp zeroes the term
+        _, arm_m, clamp = _cmm_arms([LossConfig(m=m)])
+        term, _ = _negative_terms(np.full((1, 1, 1), d, dtype=np.float64), arm_m, clamp,
+                                  need_grad=False)
+        return 0.0 - float(term[0, 0, 0])   # +0.0, not -0.0, where the clamp zeroes the term
     raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}, got {side!r}")
 
 
@@ -379,8 +375,7 @@ def cmm_loss(logits, labels: LabelSet, cfg: LossConfig) -> float:
     separated. An empty positive set contributes nothing to the first sum.
     """
     _require_kind(cfg, "cmm")
-    values, pos_cols = _positive_columns(logits, labels)
-    return float(_cmm_rows(values, pos_cols, cfg.gamma, cfg.m, need_grad=False)[0])
+    return _one_row("cmm", logits, labels, cfg, need_grad=False)
 
 
 def cmm_loss_grad(logits, labels: LabelSet, cfg: LossConfig) -> np.ndarray:
@@ -390,8 +385,7 @@ def cmm_loss_grad(logits, labels: LabelSet, cfg: LossConfig) -> np.ndarray:
     sides; a clamped negative contributes exactly zero everywhere.
     """
     _require_kind(cfg, "cmm")
-    values, pos_cols = _positive_columns(logits, labels)
-    return _cmm_rows(values, pos_cols, cfg.gamma, cfg.m, need_grad=True)[1]
+    return _one_row("cmm", logits, labels, cfg, need_grad=True)
 
 
 def cmm_positive_term(d, gamma: float) -> np.ndarray:
@@ -407,12 +401,12 @@ def atl_reference_loss(logits, labels: LabelSet, cfg: LossConfig | None = None) 
     TH logit against negatives-plus-TH; the loss is the sum of the negated
     log-probabilities. Nonnegative; zero in the fully separated limit.
     """
-    return _one_row("atl_reference", logits, labels, cfg, need_grad=False)[0]
+    return _one_row("atl_reference", logits, labels, cfg, need_grad=False)
 
 
 def atl_reference_grad(logits, labels: LabelSet, cfg: LossConfig | None = None) -> np.ndarray:
     """Analytic gradient of atl_reference_loss (softmax derivatives)."""
-    return _one_row("atl_reference", logits, labels, cfg, need_grad=True)[1]
+    return _one_row("atl_reference", logits, labels, cfg, need_grad=True)
 
 
 # --- pluggable loss interface ---------------------------------------------

@@ -110,10 +110,6 @@ class RelationSchema:
         names = tuple(f"R{i:02d}" for i in range(1, relation_count + 1))
         return cls(relation_count=relation_count, relation_names=names)
 
-    def relation_indices(self) -> range:
-        """Valid relation indices, 1..relation_count inclusive."""
-        return range(1, self.relation_count + 1)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "relation_count": self.relation_count,

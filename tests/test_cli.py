@@ -168,6 +168,21 @@ class TestTrain:
         })
         assert run(["train", cfg, "-o", tmp_path / "o"]) == 2
 
+    def test_rerun_with_fewer_arms_leaves_no_old_arm_files(self, tmp_path, tiny_dataset,
+                                                           tiny_dev):
+        """Arms a and b, then a alone into the same directory: it ends as a fresh
+        run of a alone, without b's checkpoint and trace."""
+        data = {"dataset": str(tiny_dataset), "dev": str(tiny_dev), "train": {"epochs": 1}}
+        both = write_config(tmp_path, "both.json", {**data, "arms": [
+            {"name": "a"}, {"name": "b", "loss": {"kind": "plain_margin"}}]})
+        alone = write_config(tmp_path, "alone.json", {**data, "arms": [{"name": "a"}]})
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run(["train", both, "-o", out]) == 0
+        assert (out / "b.checkpoint.json").is_file() and (out / "b.trace.csv").is_file()
+        assert run(["train", alone, "-o", out]) == 0
+        assert run(["train", alone, "-o", fresh]) == 0
+        assert dir_bytes(out) == dir_bytes(fresh)
+
 
 class TestCompare:
     def test_grid_rows_and_best_flag(self, tmp_path, tiny_dataset, tiny_dev):
@@ -598,6 +613,18 @@ BAD_OTHER = {
     "gradcheck_no_ms": ("gradcheck", {"ms": []}),
 }
 
+# (command, config without its data paths, the misspelt field)
+UNKNOWN_FIELDS = {
+    "generate": ("generate", {**TINY_GEN, "n_document": 3}, "n_document"),
+    "train": ("train", {"train": {"epochs": 1}, "arm": [{"name": "a"}]}, "arm"),
+    "train_arm": ("train", {"train": {"epochs": 1},
+                            "arms": [{"name": "a", "los": {"kind": "plain_margin"}}]}, "los"),
+    "compare": ("compare", {"train": {"epochs": 1}, "gamma": [1.0]}, "gamma"),
+    "eval": ("eval", {"golds": "true_labels"}, "golds"),
+    "gradcheck": ("gradcheck", {"trial": 5}, "trial"),
+    "curves": ("curves", {"d_stp": 0.5}, "d_stp"),
+}
+
 UNREGISTERED_PLUGIN = {"kind": "plugin", "plugin": "nope"}
 PLUGIN_CONFIGS = {
     "train_loss": ("train", {"train": {"epochs": 1, "loss": UNREGISTERED_PLUGIN}}),
@@ -762,6 +789,27 @@ class TestMalformedInput:
         capsys.readouterr()
         assert_one_line_error(capsys, run([command, cfg, "-o", out]), 1)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_FIELDS))
+    def test_unknown_field_exits_1(self, tmp_path, tiny_dataset, tiny_dev, capsys, case):
+        """A misspelt field is rejected, not ignored in favour of a default, and
+        the directory keeps what a previous run left there."""
+        command, body, field = UNKNOWN_FIELDS[case]
+        if command == "eval":
+            ckpt = tmp_path / "ckpt.json"
+            save_checkpoint(str(ckpt), init_encoder("linear", TINY_GEN["feature_dim"],
+                                                    TINY_GEN["relation_count"]), None)
+            body = {"dataset": str(tiny_dev), "checkpoint": str(ckpt), **body}
+        elif command in ("train", "compare"):
+            body = {"dataset": str(tiny_dataset), "dev": str(tiny_dev), **body}
+        cfg = write_config(tmp_path, "cfg.json", body)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "config.json").write_text("{}")
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run([command, cfg, "-o", out]), 1)
+        assert repr(field) in err
+        assert dir_bytes(out) == {"config.json": b"{}"}
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_feature_width_mismatch_exits_2(self, tmp_path, tiny_dataset, capsys, command):

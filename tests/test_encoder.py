@@ -112,7 +112,7 @@ def step_grads(params, x, pos_mask, losses):
     """The arms of one stacked step from ``params`` and copies of their gradients
     on the batch (x, pos_mask); cmm arms come first, as ``train`` orders them."""
     arms = _Arms(params, losses)
-    arms.step_grads(_packed(x, pos_mask, arms.gammas))
+    arms.step_grads(_packed(x, pos_mask, arms.n_cmm))
     return arms, {name: g.copy() for name, g in arms.grads.items()}
 
 
@@ -156,7 +156,7 @@ class TestBackward:
                         key=lambda loss: loss.kind != "cmm")
         arms, _ = step_grads(params, x, pos_mask, losses)
         analytic = arms.g.copy()
-        doc = _packed(x, pos_mask, arms.gammas)
+        doc = _packed(x, pos_mask, arms.n_cmm)
         scale = np.array([1.0 / len(x) if loss.aggregation == "global_mean" else 1.0
                           for loss in losses])
         h = 1e-6

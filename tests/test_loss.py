@@ -23,6 +23,7 @@ from cmm.loss import (
     cmm_loss,
     cmm_loss_grad,
     cmm_positive_term,
+    _cmm_arms,
     _negative_terms,
     cmm_rescale,
     get_loss,
@@ -403,15 +404,21 @@ class TestLiveOnlyNegatives:
 
     @pytest.mark.parametrize("d", [-3.0, 0.7, 1.5, 6.0])
     def test_zero_d_matches_oracle(self, d):
+        """One distance, as a one-element stack of one arm."""
         m = 0.2                                   # clamp at log 4 ~ 1.386
-        term, dterm = _negative_terms(np.float64(d), m, need_grad=True)
-        assert term.shape == () and dterm.shape == ()
-        assert abs(float(term) - float(oracle_negative_term(d, "0.2"))) < 1e-12
+        _, arm_m, clamp = _cmm_arms([cfg_cmm(m=m)])
+        term, dterm = _negative_terms(np.full((1, 1, 1), d), arm_m, clamp, need_grad=True)
+        assert term.shape == (1, 1, 1) and dterm.shape == (1, 1, 1)
+        term, dterm = float(term[0, 0, 0]), float(dterm[0, 0, 0])
+        assert abs(term - float(oracle_negative_term(d, "0.2"))) < 1e-12
         h = mp.mpf("1e-20")
         want = (oracle_negative_term(mp.mpf(d) + h, "0.2")
                 - oracle_negative_term(mp.mpf(d) - h, "0.2")) / (2 * h)
-        assert abs(float(dterm) - float(want)) < 1e-12
-        assert cmm_rescale(d, "negative", m) == -float(term)
+        assert abs(dterm - float(want)) < 1e-12
+        rescaled = cmm_rescale(d, "negative", m)
+        assert rescaled == -term
+        if d >= clamp_distance(m):
+            assert math.copysign(1.0, rescaled) == 1.0      # +0.0, not -0.0
 
 
 class TestLabelPartition:

@@ -13,6 +13,7 @@ from cmm.loss import (
     GAMMA_GRID,
     M_GRID,
     LossConfig,
+    _cmm_arms,
     _cmm_rows,
     batch_rows,
     clamp_distance,
@@ -212,16 +213,31 @@ class TestValueGradientSplit:
         """The trainer's call: per-arm gamma, m and clamp on a (K, n, R+1) stack."""
         t, mask = data.draw(logit_stacks(arm_ms, min_rows=1))
         pos = np.nonzero(mask)
-        gamma = np.array(data.draw(st.lists(gammas, min_size=len(arm_ms),
-                                            max_size=len(arm_ms))))[pos[0]]
-        m = np.array(arm_ms).reshape(-1, 1, 1)
-        clamp = np.array([clamp_distance(x) for x in arm_ms]).reshape(-1, 1, 1)
+        arm_gammas = data.draw(st.lists(gammas, min_size=len(arm_ms), max_size=len(arm_ms)))
+        arms = _cmm_arms([LossConfig(gamma=g, m=m) for g, m in zip(arm_gammas, arm_ms)])
         out = np.empty_like(t)
         with np.errstate(all="ignore"):
-            rows, grad = _cmm_rows(t, pos, gamma, m, need_grad=True, clamp=clamp)
-            no_rows, alone = _cmm_rows(t, pos, gamma, m, need_grad=True, clamp=clamp,
-                                       grad_out=out, need_value=False)
-            value_only, _ = _cmm_rows(t, pos, gamma, m, need_grad=False, clamp=clamp)
+            rows, grad = _cmm_rows(t, pos, *arms, need_grad=True)
+            no_rows, alone = _cmm_rows(t, pos, *arms, need_grad=True, grad_out=out,
+                                       need_value=False)
+            value_only, _ = _cmm_rows(t, pos, *arms, need_grad=False)
         assert no_rows is None and alone is out
         assert_same_bits(alone, grad)
         assert_same_bits(value_only, rows)
+
+
+class TestStackedArms:
+    @given(data=st.data(), arm_ms=st.lists(ms, min_size=1, max_size=4, unique=True))
+    def test_each_arm_equals_batch_rows_alone(self, data, arm_ms):
+        """One K-arm kernel call, each arm with its own gamma and m, scores every
+        arm's rows as ``batch_rows`` scores that arm alone, to the bit."""
+        t, mask = data.draw(logit_stacks(arm_ms))
+        arm_gammas = data.draw(st.lists(gammas, min_size=len(arm_ms), max_size=len(arm_ms),
+                                        unique=True))
+        cfgs = [LossConfig(gamma=g, m=m) for g, m in zip(arm_gammas, arm_ms)]
+        with np.errstate(all="ignore"):
+            rows, grad = _cmm_rows(t, np.nonzero(mask), *_cmm_arms(cfgs), need_grad=True)
+            for k, cfg in enumerate(cfgs):
+                alone_rows, alone_grad = batch_rows("cmm", t[k], mask[k], cfg, need_grad=True)
+                assert_same_bits(rows[k], alone_rows)
+                assert_same_bits(grad[k], alone_grad)

@@ -154,7 +154,6 @@ class TestRelationSchema:
         assert schema.relation_count == 12
         assert len(set(schema.relation_names)) == 12
         assert schema.th_index == 0
-        assert list(schema.relation_indices()) == list(range(1, 13))
 
     def test_rejects_bad_counts(self):
         with pytest.raises(SchemaError):
