@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericError, SchemaError
 from .evaluation import mask_metrics
-from .loss import LossConfig, _cmm_arms, _cmm_rows, batch_rows
+from .loss import LossConfig, _cmm_arms, _cmm_rows, _label_rows, _labels
 from .schema import Dataset, open_atomic, require_finite, require_int
 
 ARCHITECTURES = ("linear", "one_hidden")
@@ -121,35 +121,27 @@ def init_encoder(architecture: str, feature_dim: int, relation_count: int,
                          tensors=tensors)
 
 
-def _matmuls(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[k] = a[k] @ b[k] per arm; a 2-D operand is shared by every arm.
-
-    One GEMM per arm: these are the BLAS calls of that arm alone, where one
-    GEMM over the arms' stacked weights picks other kernels for the wider
-    output and rounds differently.
-    """
-    for k in range(out.shape[0]):
-        np.matmul(a if a.ndim == 2 else a[k], b if b.ndim == 2 else b[k], out=out[k])
-    return out
-
-
 def _forward(tensors: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """(K, n, R+1) logits of the rows of x under K parameter sets, and the
     cache ``_backward`` needs.
 
     Every tensor carries a leading arm axis (``_stacked`` gives one encoder
-    an axis of 1). A linear encoder has the tensors W and b.
+    an axis of 1). A linear encoder has the tensors W and b. Each GEMM here
+    and in ``_backward`` is one ``np.matmul`` over the arm axis, which makes
+    the BLAS call of each arm alone; one GEMM over the arms' stacked
+    weights would pick other kernels for the wider output and round
+    differently.
     """
     if "W" in tensors:
         w, b = tensors["W"], tensors["b"]
-        logits = _matmuls(x, w.transpose(0, 2, 1), np.empty((len(w), len(x), w.shape[1])))
+        logits = np.matmul(x, w.transpose(0, 2, 1))
         logits += b[:, None, :]
         return logits, (x,)
     w1, w2 = tensors["W1"], tensors["W2"]
-    h = _matmuls(x, w1.transpose(0, 2, 1), np.empty((len(w1), len(x), w1.shape[1])))
+    h = np.matmul(x, w1.transpose(0, 2, 1))
     h += tensors["b1"][:, None, :]
     np.tanh(h, out=h)
-    logits = _matmuls(h, w2.transpose(0, 2, 1), np.empty((len(w2), len(x), w2.shape[1])))
+    logits = np.matmul(h, w2.transpose(0, 2, 1))
     logits += tensors["b2"][:, None, :]
     return logits, (x, h)
 
@@ -160,15 +152,15 @@ def _backward(tensors: dict[str, np.ndarray], cache: tuple, g_t: np.ndarray,
     ``out``, whose arrays carry the arm axis like ``tensors``."""
     if len(cache) == 1:
         (x,) = cache
-        _matmuls(g_t.transpose(0, 2, 1), x, out["W"])
+        np.matmul(g_t.transpose(0, 2, 1), x, out=out["W"])
         np.sum(g_t, axis=1, out=out["b"])
         return
     x, h = cache
-    g_z = _matmuls(g_t, tensors["W2"], np.empty_like(h))
+    g_z = np.matmul(g_t, tensors["W2"])
     g_z *= 1.0 - h * h
-    _matmuls(g_z.transpose(0, 2, 1), x, out["W1"])
+    np.matmul(g_z.transpose(0, 2, 1), x, out=out["W1"])
     np.sum(g_z, axis=1, out=out["b1"])
-    _matmuls(g_t.transpose(0, 2, 1), h, out["W2"])
+    np.matmul(g_t.transpose(0, 2, 1), h, out=out["W2"])
     np.sum(g_t, axis=1, out=out["b2"])
 
 
@@ -312,31 +304,40 @@ class _PackedDoc:
     features: np.ndarray    # (n, F)
     pos_mask: np.ndarray    # (n, R) bool
     stacked_pos: tuple      # np.nonzero of pos_mask repeated once per cmm arm
+    labels: dict            # loss._labels of pos_mask for each non-cmm kind present
 
 
-def _packed(x: np.ndarray, mask: np.ndarray, n_cmm: int) -> _PackedDoc:
-    return _PackedDoc(features=x, pos_mask=mask,
-                      stacked_pos=np.nonzero(np.broadcast_to(mask, (n_cmm,) + mask.shape)))
+def _packed(x: np.ndarray, mask: np.ndarray, kinds: list[str]) -> _PackedDoc:
+    """The batch (x, mask) with the label-only arrays of the arms' loss
+    ``kinds``, which steps only read: they are built read-only."""
+    doc = _PackedDoc(features=x, pos_mask=mask,
+                     stacked_pos=np.nonzero(np.broadcast_to(
+                         mask, (kinds.count("cmm"),) + mask.shape)),
+                     labels={kind: _labels(kind, mask) for kind in set(kinds) - {"cmm"}})
+    for a in (*doc.stacked_pos, *(a for arrays in doc.labels.values() for a in arrays)):
+        a.flags.writeable = False
+    return doc
 
 
-def _pack_documents(dataset: Dataset, n_cmm: int) -> list[_PackedDoc]:
+def _pack_documents(dataset: Dataset, kinds: list[str]) -> list[_PackedDoc]:
     """One batch per non-empty document, in declared order; the stable sort
     keeps each document's pairs in file order when documents interleave."""
     order = np.argsort(dataset.doc_index, kind="stable")
     x, mask = dataset.features[order], dataset.labels[order]
+    x.flags.writeable = mask.flags.writeable = False
     counts = np.bincount(dataset.doc_index, minlength=len(dataset.document_ids))
     ends = np.cumsum(counts)
     starts = ends - counts
-    return [_packed(x[s:e], mask[s:e], n_cmm)
+    return [_packed(x[s:e], mask[s:e], kinds)
             for s, e in zip(starts.tolist(), ends.tolist()) if e > s]
 
 
-def _group(docs: Sequence[_PackedDoc], n_cmm: int) -> _PackedDoc:
+def _group(docs: Sequence[_PackedDoc], kinds: list[str]) -> _PackedDoc:
     """The documents of one optimizer step as one batch."""
     if len(docs) == 1:
         return docs[0]
     return _packed(np.concatenate([d.features for d in docs]),
-                   np.concatenate([d.pos_mask for d in docs]), n_cmm)
+                   np.concatenate([d.pos_mask for d in docs]), kinds)
 
 
 def _chunk(seq: list, size: int) -> Iterator[list]:
@@ -365,15 +366,15 @@ class _Arms:
 
     def __init__(self, init: EncoderParams, losses: Sequence[LossConfig]):
         self.init, self.losses = init, list(losses)
+        self.kinds = [loss.kind for loss in self.losses]
         self.p = np.tile(init.flat, (len(self.losses), 1))
         self.m, self.v, self.g = np.zeros_like(self.p), np.zeros_like(self.p), np.empty_like(self.p)
         self.scratch = (np.empty_like(self.p), np.empty_like(self.p))
         shapes = {name: t.shape for name, t in init.tensors.items()}
         self.params, self.grads = _views(self.p, shapes), _views(self.g, shapes)
         self.decayed = [self.params[name] for name in init.decayed_names]
-        cmm = [loss for loss in self.losses if loss.kind == "cmm"]
-        self.n_cmm = len(cmm)
-        self.gammas, self.ms, self.clamps = _cmm_arms(cmm)
+        self.n_cmm = self.kinds.count("cmm")
+        self.gammas, self.ms, self.clamps = _cmm_arms(self.losses[:self.n_cmm])
         self.step = 0
 
     def step_grads(self, doc: _PackedDoc, need_loss: bool = True) -> np.ndarray | None:
@@ -390,8 +391,9 @@ class _Arms:
             if need_loss:
                 totals[:c] = rows.sum(axis=-1)
         for i in range(c, len(self.losses)):
-            rows, g_t[i] = batch_rows(self.losses[i].kind, logits[i], doc.pos_mask,
-                                      self.losses[i], need_grad=True, need_value=need_loss)
+            loss = self.losses[i]
+            rows, g_t[i] = _label_rows(loss.kind, logits[i], doc.pos_mask, doc.labels[loss.kind],
+                                       loss, need_grad=True, need_value=need_loss)
             if need_loss:
                 totals[i] = rows.sum()
         for i, loss in enumerate(self.losses):
@@ -426,10 +428,12 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
     ``cfgs`` is one TrainConfig or a sequence of configs that differ only in
     ``loss`` (ValueError otherwise). The seed alone sets the initial
     parameters and the document order, so every arm shares each document
-    step: a forward and a backward GEMM per arm, one cmm kernel call over
-    the stack of cmm arms, one ``batch_rows`` call per other arm, and one
-    AdamW pass over all arms' parameters. Each arm ends bit-identical to
-    training it alone.
+    step: each GEMM is one ``np.matmul`` over the arm axis, the cmm arms
+    share one kernel call, an ATL arm runs its kernel on the document's
+    label-only arrays (built once per run, or per step for groups of
+    ``accumulate_documents`` > 1), a plain_margin arm copies its cached
+    gradient, and one AdamW pass updates all arms' parameters. Each arm
+    ends bit-identical to training it alone.
 
     Returns the final parameters and one trace record per recorded epoch
     (every ``eval_every`` epochs, plus the final epoch); for a sequence of
@@ -453,7 +457,7 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
     arms = _Arms(init_encoder(cfg.architecture, dataset.feature_dim,
                               dataset.schema.relation_count, cfg.hidden_dim, cfg.seed),
                  [cfgs[k].loss for k in order])
-    docs = _pack_documents(dataset, arms.n_cmm)
+    docs = _pack_documents(dataset, arms.kinds)
     dev_features = dev.features if len(dev) else np.zeros((0, dataset.feature_dim))
     n_pairs_total = sum(d.features.shape[0] for d in docs)
     traces: list[list[TraceRecord]] = [[] for _ in cfgs]
@@ -463,7 +467,7 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
         recorded = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
         epoch_loss = np.zeros(len(cfgs))
         for group_idx in _chunk(list(perm), cfg.accumulate_documents):
-            totals = arms.step_grads(_group([docs[i] for i in group_idx], arms.n_cmm),
+            totals = arms.step_grads(_group([docs[i] for i in group_idx], arms.kinds),
                                      need_loss=recorded)
             if recorded:
                 epoch_loss += totals

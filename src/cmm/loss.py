@@ -22,12 +22,14 @@ concrete losses are provided:
 Every relation that is not a positive is scored as a negative: a
 ``LabelSet`` derives its negatives as the complement of its positives, and
 a mask marks positives only. Each kind has one composition, ``batch_rows``
-over a boolean (n, R) positive mask, which the trainer calls per optimizer
-step; the single-row functions are batches of one. The cmm kernel has one
-calling form, a (K, n, R+1) stack of K arms with the arms' parameters
-from ``_cmm_arms``: ``batch_rows`` passes a stack of one, the trainer the
-stack of all its cmm arms, and the gradcheck oracle a stack of trials and
-the stack of their finite-difference probes.
+over a boolean (n, R) positive mask; the single-row functions are batches
+of one. The cmm kernel has one calling form, a (K, n, R+1) stack of K arms
+with the arms' parameters from ``_cmm_arms``: ``batch_rows`` passes a stack
+of one, the trainer the stack of all its cmm arms, and the gradcheck
+oracle a stack of trials and the stack of their finite-difference probes.
+The other kinds' label-only work (``_labels``: plain_margin's whole
+gradient, ATL's masks) runs per call in ``batch_rows``, per document in
+the trainer; ATL's first softmax runs only on rows that hold a positive.
 Each kernel computes the loss values and the gradient as separate halves
 (``need_value``, ``need_grad``), so a caller that reads only one pays only
 for it; the gradient is the same to the bit either way. Analytic gradients
@@ -138,23 +140,26 @@ def _cmm_arms(losses: Sequence[LossConfig]) -> tuple[np.ndarray, np.ndarray, np.
     return gamma, m, np.array([clamp_distance(loss.m) for loss in losses]).reshape(-1, 1, 1)
 
 
-def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray, need_grad: bool,
-                    need_value: bool = True):
-    """Per-relation negative loss term -log(min(sigma(d) + m, 1)) on a (K, ...)
-    stack of K arms' distances.
+def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray,
+                    grad_out: np.ndarray | None = None, need_value: bool = True):
+    """Per-relation negative loss term -log(min(sigma(d) + m, 1)) on a (K, n, R)
+    stack of K arms' distances d = t_TH - t_r.
 
-    ``m`` and ``clamp`` are (K, 1, ..., 1) arrays of the arms' m and
-    ``clamp_distance`` values. Returns (term, dterm/dd), with None for the
-    half not asked for. Exactly zero, with exactly zero derivative, for
-    d >= log((1-m)/m). This sits on the training hot path, where most
-    negatives are clamped once the data is separated, so the
-    transcendentals run only on the live entries, indexed by flat position;
-    NaN counts as live and propagates. The two exponentials are shared
-    between the value and the sigmoid needed for the derivative.
+    ``m`` and ``clamp`` are (K, 1, 1) arrays of the arms' m and
+    ``clamp_distance`` values. Returns the (K, n, R) terms, or None without
+    ``need_value``. Given a C-contiguous (K, n, R+1) ``grad_out``, writes
+    the terms' derivatives by the logits t_r, -dterm/dd, into
+    ``grad_out[..., 1:]``. Exactly zero, with exactly zero derivative
+    (written as -0.0), for d >= log((1-m)/m). This sits on the training hot
+    path, where most negatives are clamped once the data is separated, so
+    the transcendentals run only on the live entries, indexed by flat
+    position; NaN counts as live and propagates. The two exponentials are
+    shared between the value and the sigmoid needed for the derivative.
     """
     shape = d.shape
     d, live = d.reshape(-1), np.flatnonzero(~(d >= clamp))
-    m = m.ravel()[live // (d.size // m.size)]   # arm-major: equal spans per arm
+    # arm-major: equal spans per arm; one arm's m is a scalar
+    m = m.item() if m.size == 1 else m.ravel()[live // (d.size // m.size)]
     dl = d[live]
     low_side = dl <= 0.0
     en = np.exp(np.minimum(dl, 0.0))    # e^d on the low side, <= 1
@@ -166,24 +171,15 @@ def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray, need_grad: 
                      np.log1p(m + m * ep) - np.log1p(ep))
         term = np.zeros(shape)
         term.reshape(-1)[live] = -q
-    if not need_grad:
-        return term, None
-    s = np.where(low_side, en / (1.0 + en), 1.0 / (1.0 + ep))
-    dterm = np.zeros(shape)
-    dterm.reshape(-1)[live] = -(s * (1.0 - s)) / (s + m)
-    return term, dterm
+    if grad_out is not None:
+        s = np.where(low_side, en / (1.0 + en), 1.0 / (1.0 + ep))
+        grad_out[..., 1:] = -0.0
+        # flat index of entry (k, i, r) of d in grad_out: one TH column per row
+        grad_out.reshape(-1)[live + live // shape[-1] + 1] = (s * (1.0 - s)) / (s + m)
+    return term
 
 
 # --- one composition per loss kind (column j of a mask <-> relation j+1) --
-
-def _logit_grad(ddist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """dL/dlogits from dL/d(t_r - t_TH), written into ``out`` when given; the
-    TH entry takes minus the row sum."""
-    grad = np.empty(ddist.shape[:-1] + (ddist.shape[-1] + 1,)) if out is None else out
-    grad[..., 1:] = ddist
-    grad[..., 0] = -ddist.sum(axis=-1)
-    return grad
-
 
 def _cmm_rows(t: np.ndarray, pos_idx: tuple, gamma: np.ndarray, m: np.ndarray,
               clamp: np.ndarray, need_grad: bool, grad_out: np.ndarray | None = None,
@@ -193,25 +189,28 @@ def _cmm_rows(t: np.ndarray, pos_idx: tuple, gamma: np.ndarray, m: np.ndarray,
     ``pos_idx`` is the nonzero of the arms' (K, n, R) positive mask, which
     indexes the positive entries of ``t[..., 1:]``; every other relation is
     a negative. ``gamma``, ``m`` and ``clamp`` are the arms' parameters from
-    ``_cmm_arms``. The gradient is written into ``grad_out`` when given.
-    Returns the (K, n) rows and the (K, n, R+1) gradient, with None for the
-    half not asked for.
+    ``_cmm_arms``. The gradient is written into ``grad_out`` (C-contiguous)
+    when given, else into a new array; the TH entry takes minus the row sum
+    of the others. Returns the (K, n) rows and the (K, n, R+1) gradient,
+    with None for the half not asked for.
     """
     dist = t[..., 1:] - t[..., :1]
+    if need_grad and grad_out is None:
+        grad_out = np.empty(t.shape)
     # positives are sparse: evaluate the negative side everywhere, then
     # overwrite the gathered positive entries
-    tn, gn = _negative_terms(-dist, m, clamp, need_grad, need_value)
+    terms = _negative_terms(-dist, m, clamp, grad_out if need_grad else None, need_value)
     tp, gp = _positive_terms(dist[pos_idx], gamma[pos_idx[0]], need_grad, need_value)
     rows = None
     if need_value:
-        terms = tn
         terms[pos_idx] = tp
         rows = terms.sum(axis=-1)
     if not need_grad:
         return rows, None
-    ddist = -gn             # a negative's distance is t_TH - t_r: the sign flips
+    ddist = grad_out[..., 1:]
     ddist[pos_idx] = gp
-    return rows, _logit_grad(ddist, grad_out)
+    grad_out[..., 0] = -ddist.sum(axis=-1)
+    return rows, grad_out
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -219,27 +218,38 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
 
 
-def _atl_rows(t: np.ndarray, pos_mask: np.ndarray, need_grad: bool,
+class _AtlLabels(NamedTuple):    # ATL's label-only arrays for an (n, R) positive mask
+    pos_rows: np.ndarray    # (p,) indices of the rows that hold a positive
+    n_pos: np.ndarray       # (p, 1) their positive counts
+    mask1: np.ndarray       # (p, R+1) their TH and positive columns
+    mask2: np.ndarray       # (n, R+1) every row's TH and negative columns
+
+
+def _atl_rows(t: np.ndarray, labels: _AtlLabels, need_grad: bool,
               need_value: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
-    n = t.shape[0]
-    th_col = np.ones((n, 1), dtype=bool)
-    mask1 = np.concatenate([th_col, pos_mask], axis=1)
-    mask2 = np.concatenate([th_col, ~pos_mask], axis=1)
-    neg_inf = -np.inf
-    a1 = np.where(mask1, t, neg_inf)
-    a2 = np.where(mask2, t, neg_inf)
+    """ATL over the rows of t. The first softmax runs on rows that hold a
+    positive only: on a positive-free row its term is 0 * z1 (z1 = t_TH for
+    finite t), so that row's value is z2 - t_TH and its gradient the second
+    softmax's, exactly as when the term is added."""
+    pos_rows, n_pos, mask1, mask2 = labels
+    t1 = t[pos_rows]
+    a1 = np.where(mask1, t1, -np.inf)
+    a2 = np.where(mask2, t, -np.inf)
     z1 = _logsumexp_rows(a1)
     z2 = _logsumexp_rows(a2)
-    n_pos = pos_mask.sum(axis=1)
     rows = None
     if need_value:
-        rows = (n_pos * z1 - np.where(pos_mask, t[:, 1:], 0.0).sum(axis=1)) + (z2 - t[:, 0])
+        # on positive-free rows n_pos * z1 minus the empty positive sum is
+        # +-0.0 and z2 - t_TH is never -0.0, so adding it changes no bit
+        rows = z2 - t[:, 0]
+        rows[pos_rows] = ((n_pos[:, 0] * z1 - np.where(mask1[:, 1:], t1[:, 1:], 0.0).sum(axis=1))
+                          + rows[pos_rows])
     if not need_grad:
         return rows, None
-    p1 = np.exp(a1 - z1[:, None])
-    p2 = np.exp(a2 - z2[:, None])
-    grad = n_pos[:, None] * p1 + p2
-    grad[:, 1:] -= pos_mask
+    grad = np.exp(a2 - z2[:, None])
+    grad1 = n_pos * np.exp(a1 - z1[:, None]) + grad[pos_rows]
+    grad1[:, 1:] -= mask1[:, 1:]
+    grad[pos_rows] = grad1
     grad[:, 0] -= 1.0
     return rows, grad
 
@@ -258,6 +268,42 @@ def _plugin_rows(t: np.ndarray, pos_mask: np.ndarray, cfg: LossConfig, need_grad
     return rows, grad
 
 
+def _labels(kind: str, pos_mask: np.ndarray) -> tuple:
+    """The label-only arrays of a non-cmm kind's kernel for an (n, R) positive
+    mask: ATL's ``_AtlLabels`` and plain_margin's whole logit gradient, a
+    constant of the labels (-1 on positives, +1 on negatives, the TH entry
+    minus their row sum); none for a plugin. The trainer builds them once
+    per document, ``batch_rows`` once per call."""
+    if kind == "plain_margin":
+        grad = np.empty((pos_mask.shape[0], pos_mask.shape[1] + 1))
+        grad[:, 1:] = np.where(pos_mask, -1.0, 1.0)
+        grad[:, 0] = -grad[:, 1:].sum(axis=1)
+        return (grad,)
+    if kind != "atl_reference":
+        return ()
+    n_pos = pos_mask.sum(axis=1)
+    pos_rows = np.flatnonzero(n_pos)
+    th_col = np.ones((len(pos_mask), 1), dtype=bool)
+    return _AtlLabels(pos_rows, n_pos[pos_rows, None],
+                      np.concatenate([th_col, pos_mask], axis=1)[pos_rows],
+                      np.concatenate([th_col, ~pos_mask], axis=1))
+
+
+def _label_rows(kind: str, t: np.ndarray, pos_mask: np.ndarray, labels: tuple,
+                cfg: LossConfig, need_grad: bool, need_value: bool
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``batch_rows`` of a non-cmm kind, given ``_labels(kind, pos_mask)``."""
+    if kind == "atl_reference":
+        return _atl_rows(t, labels, need_grad, need_value)
+    if kind == "plugin":
+        return _plugin_rows(t, pos_mask, cfg, need_grad, need_value)
+    rows = None
+    if need_value:
+        dist = t[:, 1:] - t[:, :1]
+        rows = np.where(pos_mask, -dist, dist).sum(axis=1)
+    return rows, (labels[0] if need_grad else None)
+
+
 def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossConfig,
                need_grad: bool, need_value: bool = True
                ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -265,11 +311,11 @@ def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossC
 
     ``pos_mask`` is boolean (n, R), column j for relation j+1; every relation
     not in it is a negative. This is the one composition of every built-in
-    kind: the trainer calls it once per optimizer step and non-cmm arm
-    (its cmm arms share one ``_cmm_rows`` call), and the single-row
-    functions below are batches of one. cmm runs its kernel on a stack of
-    one arm. ``kind="plugin"`` calls the registered (value, gradient) pair
-    row by row on label sets rebuilt from the mask.
+    kind, and the single-row functions below are batches of one. cmm runs
+    its kernel on a stack of one arm; the other kinds build their
+    ``_labels`` and call ``_label_rows``, as the trainer does with each
+    document's cached labels. ``kind="plugin"`` calls the registered
+    (value, gradient) pair row by row on label sets rebuilt from the mask.
 
     ``need_grad`` and ``need_value`` select the halves to compute; the other
     comes back as None. With ``need_value=False`` a kernel skips the work
@@ -282,19 +328,9 @@ def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossC
         rows, grad = _cmm_rows(t[None], np.nonzero(pos_mask[None]), *_cmm_arms([cfg]),
                                need_grad=need_grad, need_value=need_value)
         return (None if rows is None else rows[0]), (None if grad is None else grad[0])
-    if kind == "atl_reference":
-        return _atl_rows(t, pos_mask, need_grad, need_value)
-    if kind == "plugin":
-        return _plugin_rows(t, pos_mask, cfg, need_grad, need_value)
-    if kind != "plain_margin":
+    if kind not in LOSS_KINDS:
         raise ValueError(f"no loss kind {kind!r}")
-    rows = None
-    if need_value:
-        dist = t[:, 1:] - t[:, :1]
-        rows = np.where(pos_mask, -dist, dist).sum(axis=1)
-    if not need_grad:
-        return rows, None
-    return rows, _logit_grad(np.where(pos_mask, -1.0, 1.0))
+    return _label_rows(kind, t, pos_mask, _labels(kind, pos_mask), cfg, need_grad, need_value)
 
 
 # --- single-row operations (public surface) -------------------------------
@@ -356,8 +392,7 @@ def cmm_rescale(d: float, side: str, m: float | None = None) -> float:
         if m is None or not 0.0 < m < 1.0:
             raise ValueError(f"negative side requires m in (0, 1), got {m}")
         _, arm_m, clamp = _cmm_arms([LossConfig(m=m)])
-        term, _ = _negative_terms(np.full((1, 1, 1), d, dtype=np.float64), arm_m, clamp,
-                                  need_grad=False)
+        term = _negative_terms(np.full((1, 1, 1), d, dtype=np.float64), arm_m, clamp)
         return 0.0 - float(term[0, 0, 0])   # +0.0, not -0.0, where the clamp zeroes the term
     raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}, got {side!r}")
 

@@ -397,7 +397,16 @@ class TestDeterminism:
         assert hashlib.sha256(report).hexdigest() == (
             "be360c8d80704bb1d53d1460c3b7cb3c3473cd64ad3de00f3bfcd01fbc48e93d")
 
-    # train: cmm, plain and ATL arms; compare: the default kinds over a 2 x 2 grid
+    # train: cmm, plain and ATL arms; compare: the default kinds over a 2 x 2 grid.
+    # Each case's settings go into the train config and every arm's loss.
+    TRAINING_CASES = {
+        1: ({"eval_every": 1}, {}),
+        4: ({"eval_every": 4}, {}),
+        "one_hidden_accumulate2_global_mean": (
+            {"eval_every": 2, "architecture": "one_hidden", "hidden_dim": 6,
+             "accumulate_documents": 2},
+            {"aggregation": "global_mean"}),
+    }
     TRAINING_BYTES = {
         1: {
             "compare/grid.csv":
@@ -435,17 +444,36 @@ class TestDeterminism:
             "train/atl.trace.csv":
                 "a17fc6b301f1185621a8b12b638c9b4591c6457f38efac2a5b270c23d8e2a272",
         },
+        "one_hidden_accumulate2_global_mean": {
+            "compare/grid.csv":
+                "4682a4cd3d940f34cd876e6d4596afa15b5326371ec6c8d9df930b431a5dc18e",
+            "train/positives.csv":
+                "8b03dd296ceef71201555786bec5a9caf21cc3eac970691905aca5dbe082780e",
+            "train/cmm.checkpoint.json":
+                "dd844fe4b3836ede6acb8f76cbb05b3a395665ac3b93ff9943095b797f25787c",
+            "train/cmm.trace.csv":
+                "1e946a099101ddf958afab8132f1e2896779e9f96a0ef4b39bdf60dde4d74590",
+            "train/plain.checkpoint.json":
+                "352df45301822a09f7f622032b8e335b360117b8618dc7dc7824ce15075c8853",
+            "train/plain.trace.csv":
+                "8b84736a8f809f6bf4c347e5f45a6fd50611febe4dd5a08aaa5d490402f3f332",
+            "train/atl.checkpoint.json":
+                "f143518746f238f2e195748ce33dcd14606da7467c436767fbff4b1b94558c43",
+            "train/atl.trace.csv":
+                "60079de4a6c53811c7b27fa5164826c3527dcce176ac5fc053c3c1215a46fe5e",
+        },
     }
 
-    @pytest.mark.parametrize("eval_every", [1, 4])
-    def test_training_bytes_pinned(self, tmp_path, tiny_dataset, tiny_dev, eval_every):
+    @pytest.mark.parametrize("case", list(TRAINING_CASES))
+    def test_training_bytes_pinned(self, tmp_path, tiny_dataset, tiny_dev, case):
         # loss values are computed only in recorded epochs; every epoch records at
         # eval_every 1, only the last at 4
+        settings, loss = self.TRAINING_CASES[case]
         data = {"dataset": str(tiny_dataset), "dev": str(tiny_dev)}
-        train = {"epochs": 4, "seed": 1, "eval_every": eval_every, "learning_rate": 0.01,
-                 "loss": {"kind": "cmm", "gamma": 1.2, "m": 0.3}}
-        arms = [{"name": "cmm"}, {"name": "plain", "loss": {"kind": "plain_margin"}},
-                {"name": "atl", "loss": {"kind": "atl_reference"}}]
+        train = {"epochs": 4, "seed": 1, "learning_rate": 0.01, **settings,
+                 "loss": {"kind": "cmm", "gamma": 1.2, "m": 0.3, **loss}}
+        arms = [{"name": "cmm"}, {"name": "plain", "loss": {"kind": "plain_margin", **loss}},
+                {"name": "atl", "loss": {"kind": "atl_reference", **loss}}]
         assert run(["train", write_config(tmp_path, "t.json", {**data, "train": train,
                                                                "arms": arms}),
                     "-o", tmp_path / "train"]) == 0
@@ -457,7 +485,7 @@ class TestDeterminism:
             for suffix in ("checkpoint.json", "trace.csv")]
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in names}
-        assert got == self.TRAINING_BYTES[eval_every]
+        assert got == self.TRAINING_BYTES[case]
 
     def test_train_rerun_byte_identical(self, tmp_path, tiny_dataset, tiny_dev):
         cfg = write_config(tmp_path, "train.json", {

@@ -112,7 +112,7 @@ def step_grads(params, x, pos_mask, losses):
     """The arms of one stacked step from ``params`` and copies of their gradients
     on the batch (x, pos_mask); cmm arms come first, as ``train`` orders them."""
     arms = _Arms(params, losses)
-    arms.step_grads(_packed(x, pos_mask, arms.n_cmm))
+    arms.step_grads(_packed(x, pos_mask, arms.kinds))
     return arms, {name: g.copy() for name, g in arms.grads.items()}
 
 
@@ -156,7 +156,7 @@ class TestBackward:
                         key=lambda loss: loss.kind != "cmm")
         arms, _ = step_grads(params, x, pos_mask, losses)
         analytic = arms.g.copy()
-        doc = _packed(x, pos_mask, arms.n_cmm)
+        doc = _packed(x, pos_mask, arms.kinds)
         scale = np.array([1.0 / len(x) if loss.aggregation == "global_mean" else 1.0
                           for loss in losses])
         h = 1e-6
@@ -170,6 +170,30 @@ class TestBackward:
             numeric = (up - down) / (2 * h) * scale
             denom = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(analytic[:, j])))
             assert np.all(np.abs(analytic[:, j] - numeric) / denom < 1e-4), j
+
+
+class TestPackedDocuments:
+    def test_label_arrays_built_read_only_for_present_kinds(self):
+        x, mask = np.ones((3, 2)), np.array([[1, 0], [0, 0], [1, 1]], dtype=bool)
+        assert _packed(x, mask, ["cmm", "cmm"]).labels == {}
+        doc = _packed(x, mask, ["cmm", "plain_margin", "atl_reference"])
+        assert set(doc.labels) == {"plain_margin", "atl_reference"}
+        cached = [a for arrays in doc.labels.values() for a in arrays] + list(doc.stacked_pos)
+        assert all(not a.flags.writeable for a in cached)
+        (plain_grad,) = doc.labels["plain_margin"]
+        with pytest.raises(ValueError, match="read-only"):
+            plain_grad /= len(x)      # a global_mean division on the cache, not on a copy
+        assert x.flags.writeable and mask.flags.writeable   # the caller's arrays stay as given
+
+    def test_global_mean_step_leaves_cache_intact(self):
+        params = init_encoder("linear", feature_dim=2, relation_count=2, seed=3)
+        x, mask = np.ones((3, 2)), np.array([[1, 0], [0, 0], [1, 1]], dtype=bool)
+        arms = _Arms(params, [LossConfig(kind="plain_margin", aggregation="global_mean")])
+        doc = _packed(x, mask, arms.kinds)
+        before = doc.labels["plain_margin"][0].copy()
+        arms.step_grads(doc, need_loss=False)
+        arms.step_grads(doc, need_loss=False)
+        assert np.array_equal(doc.labels["plain_margin"][0], before)
 
 
 class TestAdamW:

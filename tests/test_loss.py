@@ -407,9 +407,10 @@ class TestLiveOnlyNegatives:
         """One distance, as a one-element stack of one arm."""
         m = 0.2                                   # clamp at log 4 ~ 1.386
         _, arm_m, clamp = _cmm_arms([cfg_cmm(m=m)])
-        term, dterm = _negative_terms(np.full((1, 1, 1), d), arm_m, clamp, need_grad=True)
-        assert term.shape == (1, 1, 1) and dterm.shape == (1, 1, 1)
-        term, dterm = float(term[0, 0, 0]), float(dterm[0, 0, 0])
+        grad = np.empty((1, 1, 2))      # written: dterm/dt_r = -dterm/dd, after the TH column
+        term = _negative_terms(np.full((1, 1, 1), d), arm_m, clamp, grad_out=grad)
+        assert term.shape == (1, 1, 1)
+        term, dterm = float(term[0, 0, 0]), -float(grad[0, 0, 1])
         assert abs(term - float(oracle_negative_term(d, "0.2"))) < 1e-12
         h = mp.mpf("1e-20")
         want = (oracle_negative_term(mp.mpf(d) + h, "0.2")

@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cmm.encoder import _packed
 from cmm.evaluation import decode
 from cmm.loss import (
     GAMMA_GRID,
@@ -15,6 +16,8 @@ from cmm.loss import (
     LossConfig,
     _cmm_arms,
     _cmm_rows,
+    _logsumexp_rows,
+    _positive_terms,
     batch_rows,
     clamp_distance,
     cmm_loss,
@@ -174,9 +177,10 @@ def logit_entries(arm_ms):
 
 
 @st.composite
-def logit_stacks(draw, arm_ms, min_rows=0):
+def logit_stacks(draw, arm_ms, min_rows=0, max_relations=6):
     """(K, n, R+1) logits for K = len(arm_ms) arms and a (K, n, R) positive mask."""
-    k, n, r = len(arm_ms), draw(st.integers(min_rows, 4)), draw(st.integers(1, 6))
+    k, n = len(arm_ms), draw(st.integers(min_rows, 4))
+    r = draw(st.integers(1, max_relations))
     entry = logit_entries(arm_ms)
     t = np.empty((k, n, r + 1))
     t[..., 0] = draw(arrays(np.float64, (k, n), elements=st.one_of(
@@ -241,3 +245,98 @@ class TestStackedArms:
                 alone_rows, alone_grad = batch_rows("cmm", t[k], mask[k], cfg, need_grad=True)
                 assert_same_bits(rows[k], alone_rows)
                 assert_same_bits(grad[k], alone_grad)
+
+
+def dense_atl_rows(t, pos_mask, need_grad):
+    """The ATL kernel with both softmaxes on every row, a row without
+    positives included."""
+    th_col = np.ones((t.shape[0], 1), dtype=bool)
+    a1 = np.where(np.concatenate([th_col, pos_mask], axis=1), t, -np.inf)
+    a2 = np.where(np.concatenate([th_col, ~pos_mask], axis=1), t, -np.inf)
+    z1, z2 = _logsumexp_rows(a1), _logsumexp_rows(a2)
+    n_pos = pos_mask.sum(axis=1)
+    rows = (n_pos * z1 - np.where(pos_mask, t[:, 1:], 0.0).sum(axis=1)) + (z2 - t[:, 0])
+    if not need_grad:
+        return rows, None
+    grad = n_pos[:, None] * np.exp(a1 - z1[:, None]) + np.exp(a2 - z2[:, None])
+    grad[:, 1:] -= pos_mask
+    grad[:, 0] -= 1.0
+    return rows, grad
+
+
+def dense_cmm_grad(t, pos_idx, gamma, m, clamp):
+    """The cmm gradient composed densely: every negative's derivative -gn
+    (+0.0 where clamped, so -0.0 after the flip), the positives' scattered
+    over it, and the TH column as minus the row sum."""
+    dist = t[..., 1:] - t[..., :1]
+    d = -dist
+    en, ep = np.exp(np.minimum(d, 0.0)), np.exp(-np.maximum(d, 0.0))
+    s = np.where(d <= 0.0, en / (1.0 + en), 1.0 / (1.0 + ep))
+    gn = np.where(~(d >= clamp), -(s * (1.0 - s)) / (s + m), 0.0)
+    _, gp = _positive_terms(dist[pos_idx], gamma[pos_idx[0]], need_grad=True, need_value=False)
+    ddist = -gn
+    ddist[pos_idx] = gp
+    grad = np.empty(t.shape)
+    grad[..., 1:] = ddist
+    grad[..., 0] = -ddist.sum(axis=-1)
+    return grad
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def atl_batches(draw):
+    """(n, R+1) finite logits, +-0.0 among them, up to 1e3 in magnitude, and an
+    (n, R) mask whose rows hold no, one, several or all positives."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3),
+                      st.floats(-5.0, 5.0))
+    t = draw(arrays(np.float64, (n, r + 1), elements=entry))
+    mask = np.zeros((n, r), dtype=bool)
+    for i in range(n):
+        count = draw(st.sampled_from([0, 1, r, draw(st.integers(0, r))]))
+        mask[i, draw(st.permutations(range(r)))[:count]] = True
+    return t, mask
+
+
+class TestLabelOnlyKernels:
+    """The kernels that work from label-only arrays, and the cmm gradient
+    written straight into its output, give the bits of their dense
+    compositions."""
+
+    @given(atl_batches(), st.booleans())
+    def test_atl_matches_dense_kernel(self, batch, need_value):
+        t, mask = batch
+        want_rows, want_grad = dense_atl_rows(t, mask, need_grad=True)
+        rows, grad = batch_rows("atl_reference", t, mask, LossConfig(kind="atl_reference"),
+                                need_grad=True, need_value=need_value)
+        assert same_bits(grad, want_grad)
+        if need_value:
+            assert same_bits(rows, want_rows)
+        value_only, _ = batch_rows("atl_reference", t, mask, LossConfig(kind="atl_reference"),
+                                   need_grad=False)
+        assert same_bits(value_only, want_rows)
+
+    @given(atl_batches())
+    def test_cached_plain_margin_gradient(self, batch):
+        t, mask = batch
+        cached = _packed(np.zeros((len(t), 1)), mask, ["plain_margin"]).labels["plain_margin"][0]
+        _, grad = batch_rows("plain_margin", t, mask, LossConfig(kind="plain_margin"),
+                             need_grad=True)
+        want = np.empty(t.shape)
+        want[:, 1:] = np.where(mask, -1.0, 1.0)
+        want[:, 0] = -want[:, 1:].copy().sum(axis=1)
+        assert same_bits(cached, grad) and same_bits(grad, want)
+
+    @given(data=st.data(), arm_ms=st.lists(ms, min_size=1, max_size=3))
+    def test_cmm_gradient_matches_dense_composition(self, data, arm_ms):
+        t, mask = data.draw(logit_stacks(arm_ms, max_relations=40))
+        pos = np.nonzero(mask)
+        arm_gammas = data.draw(st.lists(gammas, min_size=len(arm_ms), max_size=len(arm_ms)))
+        arms = _cmm_arms([LossConfig(gamma=g, m=m) for g, m in zip(arm_gammas, arm_ms)])
+        with np.errstate(all="ignore"):
+            want = dense_cmm_grad(t, pos, *arms)
+            _, grad = _cmm_rows(t, pos, *arms, need_grad=True, need_value=False)
+        assert same_bits(grad, want)
