@@ -19,7 +19,6 @@ directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -32,7 +31,7 @@ import numpy as np
 from . import encoder, evaluation, gradcheck, synthdata
 from .errors import CmmError, ConfigError, GenerationError, SchemaError
 from .loss import GAMMA_GRID, M_GRID, LossConfig, get_loss
-from .schema import load_dataset_jsonl, open_atomic, save_dataset_jsonl
+from .schema import load_dataset_jsonl, open_atomic, save_dataset_jsonl, write_csv, write_json
 
 TRACE_HEADER = ("epoch", "train_loss", "dev_f1", "dev_ign_f1", "dev_positives")
 GRID_HEADER = ("kind", "gamma", "m", "seed", "dev_f1", "dev_ign_f1", "dev_positives", "best")
@@ -106,16 +105,12 @@ def _build_train_config(obj: Any) -> encoder.TrainConfig:
         raise ConfigError(f"bad train config: {exc}") from exc
 
 
-def _load_dataset(path: Path, field: str):
+def _load_dataset(config: dict[str, Any], config_dir: Path, field: str):
+    """The dataset that the path in config field ``field`` names."""
+    path = _resolve_path(_require(config, field), config_dir, field)
     if not path.is_file():
         raise ConfigError(f"config field {field!r}: no such file {path}")
     return load_dataset_jsonl(str(path))
-
-
-def _write_json(path: Path, obj: dict[str, Any]) -> None:
-    with open_atomic(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
 
 
 def _write_effective(outdir: Path, effective: dict[str, Any], stale: Sequence[str] = ()
@@ -127,7 +122,7 @@ def _write_effective(outdir: Path, effective: dict[str, Any], stale: Sequence[st
     for pattern in stale:
         for path in outdir.glob(pattern):
             path.unlink()
-    _write_json(outdir / "effective_config.json", {"format": "cmm-config/1", **effective})
+    write_json(outdir / "effective_config.json", {"format": "cmm-config/1", **effective})
 
 
 def _cfg_as_dict(train_cfg: encoder.TrainConfig) -> dict[str, Any]:
@@ -135,15 +130,6 @@ def _cfg_as_dict(train_cfg: encoder.TrainConfig) -> dict[str, Any]:
     d = asdict(train_cfg)
     d["loss"] = d.pop("loss")
     return d
-
-
-def _write_trace_csv(path: Path, trace: Sequence[encoder.TraceRecord]) -> None:
-    with open_atomic(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rec in trace:
-            writer.writerow([rec.epoch, float(rec.train_loss), float(rec.dev_f1),
-                             float(rec.dev_ign_f1), rec.dev_positives])
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -157,16 +143,15 @@ def cmd_generate(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     _write_effective(outdir, {"generate": gen_cfg.to_dict()})
     save_dataset_jsonl(dataset, str(outdir / "dataset.jsonl"))
     report = synthdata.distribution_report(dataset)
-    _write_json(outdir / "distribution_report.json",
-                {"format": "cmm-distribution/1", **report.to_dict()})
+    write_json(outdir / "distribution_report.json",
+               {"format": "cmm-distribution/1", **report.to_dict()})
     return 0
 
 
 def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     _reject_unknown(config, ("dataset", "dev", "train", "arms"), "train")
-    train_ds = _load_dataset(_resolve_path(_require(config, "dataset"), config_dir, "dataset"),
-                             "dataset")
-    dev_ds = _load_dataset(_resolve_path(_require(config, "dev"), config_dir, "dev"), "dev")
+    train_ds = _load_dataset(config, config_dir, "dataset")
+    dev_ds = _load_dataset(config, config_dir, "dev")
     base = _build_train_config(_require(config, "train"))
     arms = config.get("arms")
     if arms is None:
@@ -196,10 +181,12 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     for name, cfg, (params, trace) in zip(names, cfgs, results):
         encoder.save_checkpoint(str(outdir / f"{name}.checkpoint.json"), params, None,
                                 config=_cfg_as_dict(cfg))
-        _write_trace_csv(outdir / f"{name}.trace.csv", trace)
+        write_csv(outdir / f"{name}.trace.csv", TRACE_HEADER,
+                  ([rec.epoch, float(rec.train_loss), float(rec.dev_f1), float(rec.dev_ign_f1),
+                    rec.dev_positives] for rec in trace))
     traces = {name: trace for name, (_, trace) in zip(names, results)}
-    evaluation.write_positive_count_csv(evaluation.positive_count_trace(traces),
-                                        str(outdir / "positives.csv"))
+    write_csv(outdir / "positives.csv", evaluation.POSITIVES_HEADER,
+              evaluation.positive_count_trace(traces))
     return 0
 
 
@@ -259,9 +246,8 @@ def run_compare_grid(train_ds, dev_ds, base: encoder.TrainConfig,
 def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     _reject_unknown(config, ("dataset", "dev", "train", "kinds", "gammas", "ms", "seeds"),
                     "compare")
-    train_ds = _load_dataset(_resolve_path(_require(config, "dataset"), config_dir, "dataset"),
-                             "dataset")
-    dev_ds = _load_dataset(_resolve_path(_require(config, "dev"), config_dir, "dev"), "dev")
+    train_ds = _load_dataset(config, config_dir, "dataset")
+    dev_ds = _load_dataset(config, config_dir, "dev")
     base = _build_train_config(_require(config, "train"))
     try:
         kinds = tuple(config.get("kinds", DEFAULT_COMPARE_KINDS))
@@ -276,17 +262,11 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
                                           "gammas": list(gammas), "ms": list(ms),
                                           "seeds": list(seeds)}})
     best_idx = max(range(len(rows)), key=lambda i: rows[i].dev_f1) if rows else -1
-    with open_atomic(outdir / "grid.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_HEADER)
-        for i, row in enumerate(rows):
-            writer.writerow([
-                row.kind,
-                "" if row.gamma is None else float(row.gamma),
-                "" if row.m is None else float(row.m),
-                row.seed, float(row.dev_f1), float(row.dev_ign_f1), row.dev_positives,
-                1 if i == best_idx else 0,
-            ])
+    write_csv(outdir / "grid.csv", GRID_HEADER, (
+        [row.kind, "" if row.gamma is None else float(row.gamma),
+         "" if row.m is None else float(row.m), row.seed, float(row.dev_f1),
+         float(row.dev_ign_f1), row.dev_positives, 1 if i == best_idx else 0]
+        for i, row in enumerate(rows)))
     return 0
 
 
@@ -300,7 +280,7 @@ def cmd_gradcheck(config: dict[str, Any], config_dir: Path, outdir: Path) -> int
     _write_effective(outdir, {"gradcheck": {"trials": report.trials,
                                             "tolerance": report.tolerance,
                                             "seed": report.seed, "step": report.step}})
-    _write_json(outdir / "gradcheck.json", {"format": "cmm-gradcheck/1", **report.to_dict()})
+    write_json(outdir / "gradcheck.json", {"format": "cmm-gradcheck/1", **report.to_dict()})
     if not report.ok:
         print(f"error: {len(report.failures)} of {report.trials} gradient trials exceed "
               f"tolerance {report.tolerance}", file=sys.stderr)
@@ -319,14 +299,13 @@ def cmd_curves(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     _write_effective(outdir, {"curves": {"gammas": [float(g) for g in gammas],
                                          "d_points": len(grid),
                                          "m": config.get("m", 0.2)}})
-    evaluation.write_curve_csv(rows, str(outdir / "curves.csv"))
+    write_csv(outdir / "curves.csv", evaluation.CURVE_HEADER, rows)
     return 0
 
 
 def cmd_eval(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     _reject_unknown(config, ("dataset", "checkpoint", "gold"), "eval")
-    dataset_path = _resolve_path(_require(config, "dataset"), config_dir, "dataset")
-    dataset = _load_dataset(dataset_path, "dataset")
+    dataset = _load_dataset(config, config_dir, "dataset")
     ckpt_path = _resolve_path(_require(config, "checkpoint"), config_dir, "checkpoint")
     if not ckpt_path.is_file():
         raise ConfigError(f"config field 'checkpoint': no such file {ckpt_path}")
@@ -335,13 +314,14 @@ def cmd_eval(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
         raise ConfigError(f"'gold' must be 'labels' or 'true_labels', got {gold_source!r}")
     params, _, _ = encoder.load_checkpoint(str(ckpt_path))
     if not len(dataset):
-        raise SchemaError(f"{dataset_path}:1: dataset has no pair records to evaluate")
+        raise SchemaError(f"{_resolve_path(config['dataset'], config_dir, 'dataset')}:1: "
+                          f"dataset has no pair records to evaluate")
     logits = encoder.encode_batch(params, dataset.features)
     _write_effective(outdir, {"eval": {"gold": gold_source}})
     record = evaluation.mask_metrics(logits, getattr(dataset, gold_source),
                                      dataset.seen).to_dict()
-    _write_json(outdir / "metrics.json",
-                {"format": "cmm-metrics/1", "gold": gold_source, "metrics": record})
+    write_json(outdir / "metrics.json",
+               {"format": "cmm-metrics/1", "gold": gold_source, "metrics": record})
     return 0
 
 

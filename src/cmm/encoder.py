@@ -9,7 +9,9 @@ Training follows a per-document loop: each epoch shuffles document groups,
 sums the configured loss over a document's pairs, and takes one optimizer
 step per document (optionally accumulating over k documents). Everything is
 deterministic given the config seed. Arms whose configs differ only in the
-loss train in lockstep, sharing each document step.
+loss train in lockstep, sharing each document step. AdamW has one calling
+form, a (K, P) block of K arms' packed parameters; ``adamw_step`` updates
+one encoder as a block of one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import NumericError, SchemaError
 from .evaluation import mask_metrics
 from .loss import LossConfig, _cmm_arms, _cmm_rows, _label_rows, _labels
-from .schema import Dataset, open_atomic, require_finite, require_int
+from .schema import Dataset, require_finite, require_int, write_json
 
 ARCHITECTURES = ("linear", "one_hidden")
 CHECKPOINT_FORMAT = "cmm-checkpoint/1"
@@ -43,22 +45,17 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
     return views
 
 
-def _pack(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A new contiguous float64 vector holding the tensors in key order, and
-    writable views of it shaped like them."""
-    arrays = [np.asarray(t, dtype=np.float64) for t in tensors.values()]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    return flat, _views(flat, {name: a.shape for name, a in zip(tensors, arrays)})
-
-
 @dataclass
 class EncoderParams:
     """Parameter tensors in a fixed declared order; output dim is always R+1.
 
-    Construction copies the tensors into one contiguous vector, ``flat``, in
-    declared order; ``tensors`` holds writable views of it, so in-place writes
-    through either are seen by the other and the optimizer updates every
-    parameter in one pass.
+    Construction checks the dimensions as a checkpoint declares them
+    (ValueError), then the architecture, the tensors' names and shapes
+    against ``shapes`` and their finiteness (SchemaError), so every instance
+    survives a checkpoint round trip. It copies the tensors into one
+    contiguous vector, ``flat``, in declared order; ``tensors`` holds
+    writable views of it, so in-place writes through either are seen by the
+    other and the optimizer updates every parameter in one pass.
     """
 
     architecture: str
@@ -69,16 +66,30 @@ class EncoderParams:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if set(self.tensors) != set(self.parameter_names):
-            raise SchemaError(f"{self.architecture} parameters are {self.parameter_names}, "
-                              f"got {tuple(self.tensors)}")
-        self.flat, self.tensors = _pack({n: self.tensors[n] for n in self.parameter_names})
+        for name in ("feature_dim", "relation_count", "hidden_dim"):
+            require_int(name, getattr(self, name), 1 if name == "relation_count" else 0)
+        if self.architecture not in ARCHITECTURES:
+            raise SchemaError(f"architecture kind must be one of {ARCHITECTURES}, "
+                              f"got {self.architecture!r}")
+        shapes = self.shapes
+        arrays = {name: np.asarray(t, dtype=np.float64) for name, t in self.tensors.items()}
+        found = {name: a.shape for name, a in arrays.items()}
+        if found != shapes:
+            raise SchemaError(f"parameters {found} do not match the declared "
+                              f"{self.architecture} architecture {shapes}")
+        self.flat = np.concatenate([arrays[name].ravel() for name in shapes])
+        if not np.isfinite(self.flat).all():
+            raise SchemaError("non-finite parameter values")
+        self.tensors = _views(self.flat, shapes)
+
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return _tensor_shapes(self.architecture, self.feature_dim, self.relation_count,
+                              self.hidden_dim)
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
-        if self.architecture == "linear":
-            return ("W", "b")
-        return ("W1", "b1", "W2", "b2")
+        return tuple(self.shapes)
 
     @property
     def decayed_names(self) -> tuple[str, ...]:
@@ -182,44 +193,47 @@ def encode_batch(params: EncoderParams, features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamWState:
-    """Step count and first/second moments, packed like ``EncoderParams``.
+    """Step count and first/second moments of K arms as (K, P) blocks.
 
-    ``m`` and ``v`` are views into ``m_flat`` and ``v_flat``; their key order
-    must be the parameters' declared order, so each vector lines up with the
-    parameters' ``flat``.
+    Row k of ``m`` and ``v`` lines up with arm k's packed parameter vector
+    (``EncoderParams.flat``); one encoder's state is a block of one row.
     """
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    m_flat: np.ndarray = field(init=False, repr=False, compare=False)
-    v_flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.m_flat, self.m = _pack(self.m)
-        self.v_flat, self.v = _pack(self.v)
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adamw_state(params: EncoderParams) -> AdamWState:
-    return AdamWState(step=0,
-                      m={k: np.zeros_like(t) for k, t in params.tensors.items()},
-                      v={k: np.zeros_like(t) for k, t in params.tensors.items()})
+    return AdamWState(step=0, m=np.zeros((1, params.flat.size)),
+                      v=np.zeros((1, params.flat.size)))
 
 
-def _adamw_update(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, step: int,
-                  cfg: "TrainConfig", decayed: Sequence[np.ndarray],
-                  scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """The AdamW update at ``step``, in place and elementwise on p, m and v.
+def _adamw(p: np.ndarray, g: np.ndarray, grads: dict[str, np.ndarray], state: AdamWState,
+           cfg: "TrainConfig", decayed: Sequence[np.ndarray],
+           scratch: tuple[np.ndarray, np.ndarray], kinds: Sequence[str] = ()) -> None:
+    """One AdamW step, in place and elementwise on the (K, P) blocks p, state.m
+    and state.v, for the gradient block g.
 
-    ``decayed`` are the views of p holding weight matrices; ``scratch`` is two
-    arrays shaped like p that hold the temporaries, so the update allocates
-    nothing. The arrays may be one packed vector or a (K, P) block of K arms'
-    vectors: every operation is elementwise, so each row gets exactly the
-    update it would get alone.
+    NumericError, before anything moves, if g is not finite; it names the
+    tensor from ``grads`` (views of g) and, when there are several, the arm's
+    loss kind from ``kinds``. Otherwise the step count is incremented, the
+    weight matrices in ``decayed`` (views of p) decay multiplicatively, and
+    the moments, bias-corrected by the new step count, move p. ``scratch`` is
+    two arrays shaped like p that hold the temporaries, so the update
+    allocates nothing. Every operation is elementwise, so each row gets
+    exactly the update it would get alone.
     """
-    a, b = scratch
-    c1 = 1.0 - cfg.beta1 ** step
-    c2 = 1.0 - cfg.beta2 ** step
+    finite = np.isfinite(g).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        bad = next(n for n, t in grads.items() if not np.isfinite(t[i]).all())
+        raise NumericError(f"non-finite gradient for parameter {bad!r}"
+                           + (f" in the {kinds[i]} arm" if len(kinds) > 1 else ""))
+    state.step += 1
+    m, v, (a, b) = state.m, state.v, scratch
+    c1 = 1.0 - cfg.beta1 ** state.step
+    c2 = 1.0 - cfg.beta2 ** state.step
     if cfg.weight_decay != 0.0:
         for w in decayed:
             w *= 1.0 - cfg.learning_rate * cfg.weight_decay
@@ -237,21 +251,13 @@ def _adamw_update(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, st
 
 def adamw_step(params: EncoderParams, grads: dict[str, np.ndarray], cfg: "TrainConfig",
                state: AdamWState) -> tuple[EncoderParams, AdamWState]:
-    """One decoupled-weight-decay Adam update, in place on params and state.
-
-    Decay is applied multiplicatively before the adaptive update and only to
-    weight matrices; moments are bias-corrected by the incremented step count.
-    The gradients are packed like the parameters, then checked and applied
-    in one pass over the flat vectors.
-    """
-    g = np.concatenate([np.ravel(grads[name]) for name in params.parameter_names])
-    if not np.isfinite(g).all():
-        bad = next(n for n in params.parameter_names if not np.all(np.isfinite(grads[n])))
-        raise NumericError(f"non-finite gradient for parameter {bad!r}")
-    state.step += 1
-    _adamw_update(params.flat, state.m_flat, state.v_flat, g, state.step, cfg,
-                  [params.tensors[name] for name in params.decayed_names],
-                  (np.empty_like(g), np.empty_like(g)))
+    """One AdamW update of one encoder, in place on params and state: the
+    trainer's update (``_adamw``) on a batch of one arm, with the gradients
+    packed like the parameters as a (1, P) block."""
+    g = np.concatenate([np.ravel(grads[name]) for name in params.parameter_names])[None]
+    decayed = [params.tensors[name] for name in params.decayed_names]
+    _adamw(params.flat[None], g, _views(g, params.shapes), state, cfg, decayed,
+           (np.empty_like(g), np.empty_like(g)))
     return params, state
 
 
@@ -357,7 +363,7 @@ def _check_lockstep(cfgs: Sequence[TrainConfig]) -> None:
 
 
 class _Arms:
-    """K arms' parameters, AdamW moments, gradients and update scratch as (K, P) blocks.
+    """K arms' parameters, AdamW state, gradients and update scratch as (K, P) blocks.
 
     Row k holds arm k's packed vector in ``EncoderParams.flat`` layout;
     ``params`` and ``grads`` view the blocks as tensors with a leading arm
@@ -368,14 +374,13 @@ class _Arms:
         self.init, self.losses = init, list(losses)
         self.kinds = [loss.kind for loss in self.losses]
         self.p = np.tile(init.flat, (len(self.losses), 1))
-        self.m, self.v, self.g = np.zeros_like(self.p), np.zeros_like(self.p), np.empty_like(self.p)
+        self.g = np.empty_like(self.p)
+        self.opt = AdamWState(step=0, m=np.zeros_like(self.p), v=np.zeros_like(self.p))
         self.scratch = (np.empty_like(self.p), np.empty_like(self.p))
-        shapes = {name: t.shape for name, t in init.tensors.items()}
-        self.params, self.grads = _views(self.p, shapes), _views(self.g, shapes)
+        self.params, self.grads = _views(self.p, init.shapes), _views(self.g, init.shapes)
         self.decayed = [self.params[name] for name in init.decayed_names]
         self.n_cmm = self.kinds.count("cmm")
         self.gammas, self.ms, self.clamps = _cmm_arms(self.losses[:self.n_cmm])
-        self.step = 0
 
     def step_grads(self, doc: _PackedDoc, need_loss: bool = True) -> np.ndarray | None:
         """Write every arm's gradient for one batch into ``self.g``; return the
@@ -404,16 +409,7 @@ class _Arms:
 
     def apply(self, cfg: TrainConfig) -> None:
         """One AdamW step for every arm; NumericError if any gradient is not finite."""
-        finite = np.isfinite(self.g).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            bad = next(n for n, t in self.grads.items() if not np.isfinite(t[i]).all())
-            raise NumericError(f"non-finite gradient for parameter {bad!r}"
-                               + (f" in the {self.losses[i].kind} arm"
-                                  if len(self.losses) > 1 else ""))
-        self.step += 1
-        _adamw_update(self.p, self.m, self.v, self.g, self.step, cfg, self.decayed,
-                      self.scratch)
+        _adamw(self.p, self.g, self.grads, self.opt, cfg, self.decayed, self.scratch, self.kinds)
 
     def encoder(self, i: int) -> EncoderParams:
         init = self.init
@@ -498,28 +494,29 @@ def save_checkpoint(path: str, params: EncoderParams, state: AdamWState | None,
             "hidden_dim": params.hidden_dim,
         },
         "parameters": [
-            {"name": name, "shape": list(params.tensors[name].shape),
-             "data": params.tensors[name].ravel().tolist()}
-            for name in params.parameter_names
+            {"name": name, "shape": list(t.shape), "data": t.ravel().tolist()}
+            for name, t in params.tensors.items()
         ],
     }
     if state is not None:
-        obj["optimizer"] = {
-            "step": state.step,
-            "m": [{"name": n, "data": state.m[n].ravel().tolist()}
-                  for n in params.parameter_names],
-            "v": [{"name": n, "data": state.v[n].ravel().tolist()}
-                  for n in params.parameter_names],
-        }
+        obj["optimizer"] = {"step": state.step, **{
+            key: [{"name": name, "data": t.ravel().tolist()}
+                  for name, t in _views(block[0], params.shapes).items()]
+            for key, block in (("m", state.m), ("v", state.v))}}
     if config is not None:
         obj["config"] = config
-    with open_atomic(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, obj)
 
 
 def _tensor(entry: dict[str, Any], shape) -> np.ndarray:
     return np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+
+
+def _moments(entries: list[dict[str, Any]], shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
+    """The (1, P) block of one moment's per-tensor entries; KeyError unless they
+    name exactly the tensors in ``shapes``."""
+    found = {e["name"]: _tensor(e, shapes[e["name"]]) for e in entries}
+    return np.concatenate([found[name].ravel() for name in shapes])[None]
 
 
 def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[str, Any]]:
@@ -535,31 +532,18 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[s
         raise SchemaError(f"{path}: unsupported checkpoint format {obj.get('format')!r}")
     try:
         arch = obj["architecture"]
-        kind = arch["kind"]
         dims = {name: arch[name] for name in ("feature_dim", "relation_count", "hidden_dim")}
-        for name, value in dims.items():
-            require_int(name, value, 1 if name == "relation_count" else 0)
-        if kind not in ARCHITECTURES:
-            raise SchemaError(f"{path}: architecture kind must be one of {ARCHITECTURES}, "
-                              f"got {kind!r}")
-        shapes = _tensor_shapes(kind, **dims)
         tensors = {e["name"]: _tensor(e, e["shape"]) for e in obj["parameters"]}
         if len(tensors) != len(obj["parameters"]):
-            raise SchemaError(f"{path}: a parameter name appears more than once")
-        found = {name: t.shape for name, t in tensors.items()}
-        if found != shapes:
-            raise SchemaError(f"{path}: parameters {found} do not match the declared "
-                              f"{kind} architecture {shapes}")
+            raise SchemaError("a parameter name appears more than once")
+        params = EncoderParams(architecture=arch["kind"], tensors=tensors, **dims)
         state = None
         if "optimizer" in obj:
             opt = obj["optimizer"]
-            m = {e["name"]: _tensor(e, shapes[e["name"]]) for e in opt["m"]}
-            v = {e["name"]: _tensor(e, shapes[e["name"]]) for e in opt["v"]}
-            state = AdamWState(step=int(opt["step"]), m={n: m[n] for n in shapes},
-                               v={n: v[n] for n in shapes})
+            state = AdamWState(step=int(opt["step"]), m=_moments(opt["m"], params.shapes),
+                               v=_moments(opt["v"], params.shapes))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
-    if not all(np.all(np.isfinite(t)) for t in tensors.values()):
-        raise SchemaError(f"{path}: non-finite parameter values")
-    params = EncoderParams(architecture=kind, tensors=tensors, **dims)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return params, state, obj.get("config", {})

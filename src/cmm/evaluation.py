@@ -3,20 +3,20 @@
 Decoding is strict: a relation is predicted iff its logit exceeds the TH
 logit; ties go negative, and an empty prediction set means NA. Ign-F1
 removes every (pair, relation) fact flagged seen-in-train from both the
-predictions and the gold side before recounting.
+predictions and the gold side before recounting. The exports build table
+rows under the headers ``CURVE_HEADER`` and ``POSITIVES_HEADER``; the CLI
+writes them with ``schema.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .errors import SchemaError
 from .loss import GAMMA_GRID, cmm_positive_term
-from .schema import open_atomic
 
 CURVE_HEADER = ("d", "gamma", "loss_pos")
 POSITIVES_HEADER = ("epoch", "arm", "positives")
@@ -165,19 +165,3 @@ def curve_export(gammas: Sequence[float] = GAMMA_GRID, d_grid: Sequence[float] |
         for d, term in zip(grid, terms):
             rows.append((float(d), float(gamma), float(term)))
     return rows
-
-
-def write_curve_csv(rows: Iterable[tuple[float, float, float]], path: str) -> None:
-    with open_atomic(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        for d, gamma, value in rows:
-            writer.writerow([float(d), float(gamma), float(value)])
-
-
-def write_positive_count_csv(rows: Iterable[tuple[int, str, int]], path: str) -> None:
-    with open_atomic(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POSITIVES_HEADER)
-        for epoch, arm, count in rows:
-            writer.writerow([epoch, arm, count])

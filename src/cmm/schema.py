@@ -7,11 +7,14 @@ the complement of its positives, so it always partitions 1..R. A dataset
 is built from its pairs' columns (arrays), which its one constructor
 checks, and builds per-pair ``PairExample`` records only on demand. All
 types are immutable after construction and safe to share across threads.
+Every artifact file is written through ``open_atomic``, by ``write_json``,
+``write_csv`` or ``save_dataset_jsonl``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 import numbers
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
-from typing import IO, Any, Collection, Iterator, Mapping, Sequence
+from typing import IO, Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import orjson
@@ -82,6 +85,21 @@ def open_atomic(path, mode: str = "w", **kwargs) -> Iterator[IO]:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, obj: Any) -> None:
+    """``obj`` as compact JSON plus a newline, written atomically."""
+    with open_atomic(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, separators=(",", ":"))
+        fh.write("\n")
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """A header line and one line per row through ``csv.writer``, written atomically."""
+    with open_atomic(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)

@@ -160,11 +160,11 @@ def _assign_facts(rng: np.random.Generator, cfg: GenConfig,
 
 
 def teacher_matrix(cfg: GenConfig) -> np.ndarray:
-    """The hidden teacher rows (R, F) a config generates; for oracle-side checks."""
-    root = np.random.SeedSequence(cfg.seed)
-    streams = root.spawn(1)
-    return _orthonormal_teacher(np.random.default_rng(streams[0]),
-                                cfg.relation_count, cfg.feature_dim)
+    """The hidden teacher rows (R, F) a config generates, drawn from the first
+    child of the seed's SeedSequence, as ``generate`` draws them."""
+    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    return _orthonormal_teacher(np.random.default_rng(stream), cfg.relation_count,
+                                cfg.feature_dim)
 
 
 def generate(cfg: GenConfig) -> Dataset:
@@ -182,10 +182,8 @@ def generate(cfg: GenConfig) -> Dataset:
     except (ValueError, MemoryError) as exc:
         raise GenerationError(f"cannot hold {n_pairs} pairs of {cfg.feature_dim} features "
                               f"({type(exc).__name__}: {exc})") from None
-    root = np.random.SeedSequence(cfg.seed)
-    streams = root.spawn(2 + cfg.n_documents)
-    teacher = _orthonormal_teacher(np.random.default_rng(streams[0]),
-                                   cfg.relation_count, cfg.feature_dim)
+    streams = np.random.SeedSequence(cfg.seed).spawn(2 + cfg.n_documents)
+    teacher = teacher_matrix(cfg)     # drawn from streams[0]
     positives, hard_mask = _assign_facts(np.random.default_rng(streams[1]), cfg, n_pairs)
 
     for d in range(cfg.n_documents):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import csv
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmm import schema
 from cmm.cli import main
 from cmm.encoder import init_encoder, save_checkpoint
 from cmm.schema import _orjson_rows, load_dataset_jsonl
@@ -919,32 +921,53 @@ class TestAtomicArtifacts:
         assert 300 < len(calls) < 900      # it failed mid-run, after whole steps
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("writer", ["json", "checkpoint"])
+    @pytest.mark.parametrize("writer", ["json", "checkpoint", "csv"])
     def test_exception_in_json_dump_leaves_no_file(self, tmp_path, monkeypatch, writer):
-        from cmm import cli
-
         def broken_dump(obj, fh, **kwargs):
             fh.write('{"partial": ')
             raise RuntimeError("disk gone")
+
+        def broken_rows():
+            yield [1, 2.0]
+            raise RuntimeError("disk gone")
         monkeypatch.setattr(json, "dump", broken_dump)
-        path = tmp_path / "artifact.json"
+        path = tmp_path / "artifact"
         with pytest.raises(RuntimeError):
             if writer == "json":
-                cli._write_json(path, {"a": 1})
+                schema.write_json(path, {"a": 1})
+            elif writer == "csv":
+                schema.write_csv(path, ("a", "b"), broken_rows())
             else:
                 save_checkpoint(str(path), init_encoder("linear", 2, 1), None)
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_rewrite_keeps_the_previous_file(self, tmp_path, monkeypatch):
-        from cmm import cli
         path = tmp_path / "artifact.json"
-        cli._write_json(path, {"a": 1})
+        schema.write_json(path, {"a": 1})
         before = path.read_bytes()
         monkeypatch.setattr(json, "dump", lambda *a, **k: (_ for _ in ()).throw(OSError("full")))
         with pytest.raises(OSError):
-            cli._write_json(path, {"a": 2})
+            schema.write_json(path, {"a": 2})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+    def test_only_schema_and_the_config_copy_open_artifact_files(self):
+        """Every artifact goes through schema's writers; the one other
+        ``open_atomic`` call is cli.main's verbatim copy of the config."""
+        callers = []
+        for path in sorted(Path(schema.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            functions = [f for f in ast.walk(tree)
+                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and "open_atomic" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    owner = min((f for f in functions
+                                 if f.lineno <= node.lineno <= f.end_lineno),
+                                key=lambda f: f.end_lineno - f.lineno, default=None)
+                    callers.append((path.name, owner.name if owner else "<module>"))
+        assert {c for c in callers if c[0] != "schema.py"} == {("cli.py", "main")}
+        assert callers.count(("cli.py", "main")) == 1
 
 
 def rerun_configs(command, tiny_dataset, tiny_dev):
@@ -977,8 +1000,9 @@ class TestInterruptedRerun:
 
     @staticmethod
     def fail_at_write(monkeypatch, k, exc):
-        """Raise exc inside the k-th atomic write (1-based) of any module."""
-        from cmm import cli, encoder, evaluation, schema
+        """Raise exc inside the k-th atomic write (1-based): every artifact is
+        written through schema's writers or by cli.main."""
+        from cmm import cli
         calls, original = [], schema.open_atomic
 
         @contextlib.contextmanager
@@ -988,7 +1012,7 @@ class TestInterruptedRerun:
                 if len(calls) == k:
                     raise exc
                 yield fh
-        for module in (cli, encoder, evaluation, schema):
+        for module in (cli, schema):
             monkeypatch.setattr(module, "open_atomic", failing)
         return calls
 

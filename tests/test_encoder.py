@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmm.encoder import (
     EncoderParams,
@@ -278,10 +281,11 @@ class TestFlatAdamW:
             grads = {k: rng.standard_normal(v.shape) for k, v in ref.items()}
             params, state = adamw_step(params, grads, cfg, state)
             reference_adamw(ref, grads, ref_m, ref_v, step, cfg, ("W1", "W2"))
+        m, v = _views(state.m[0], params.shapes), _views(state.v[0], params.shapes)
         for name in ref:
             assert np.array_equal(params.tensors[name], ref[name]), name
-            assert np.array_equal(state.m[name], ref_m[name]), name
-            assert np.array_equal(state.v[name], ref_v[name]), name
+            assert np.array_equal(m[name], ref_m[name]), name
+            assert np.array_equal(v[name], ref_v[name]), name
 
     def test_stacked_arms_equal_per_tensor_loop_per_arm(self):
         """``_Arms.apply``, the trainer's update, moves each of K=3 stacked arms as
@@ -311,8 +315,8 @@ class TestFlatAdamW:
                 reference_adamw(refs[k], {n: g[k] for n, g in arms.grads.items()}, ref_m[k],
                                 ref_v[k], step, cfg, ("W1", "W2"))
             arms.apply(cfg)
-        shapes = {name: t.shape for name, t in params.tensors.items()}
-        m, v = _views(arms.m, shapes), _views(arms.v, shapes)
+        shapes = params.shapes
+        m, v = _views(arms.opt.m, shapes), _views(arms.opt.v, shapes)
         for k in range(n_arms):
             for name in shapes:
                 assert np.array_equal(arms.params[name][k], refs[k][name]), (k, name)
@@ -344,8 +348,9 @@ class TestFlatAdamW:
         assert np.array_equal(params.tensors["b"], np.full(2, expected))
         assert np.shares_memory(params.tensors["b"], params.flat)
         params.tensors["W"][:] = 0.0
-        state.m["W"][:] = 0.0           # restart W's moments: its next move is -lr again
-        state.v["W"][:] = 0.0
+        # restart W's moments: its next move is -lr again
+        _views(state.m[0], params.shapes)["W"][:] = 0.0
+        _views(state.v[0], params.shapes)["W"][:] = 0.0
         params, state = adamw_step(params, unit, cfg, state)
         c1, c2 = 1.0 - 0.9 ** 2, 1.0 - 0.999 ** 2
         want = -1e-3 * (0.1 / c1) / (np.sqrt(0.001 / c2) + 1e-8)
@@ -376,6 +381,11 @@ class TestFlatAdamW:
         with pytest.raises(SchemaError):
             EncoderParams(architecture="linear", feature_dim=2, relation_count=1,
                           hidden_dim=0, tensors={"W": np.zeros((2, 2))})
+
+    def test_tensor_shapes_must_match_architecture(self):
+        with pytest.raises(SchemaError, match="do not match the declared linear"):
+            EncoderParams(architecture="linear", feature_dim=2, relation_count=1,
+                          hidden_dim=0, tensors={"W": np.zeros((5, 3)), "b": np.zeros(7)})
 
 
 class TestTrain:
@@ -463,7 +473,7 @@ class TestCheckpoint:
                               hidden_dim=5, seed=6)
         state = init_adamw_state(params)
         state.step = 7
-        state.m["W1"][0, 0] = 0.25
+        _views(state.m[0], params.shapes)["W1"][0, 0] = 0.25
         path = tmp_path / "ckpt.json"
         save_checkpoint(str(path), params, state, config={"epochs": 3})
         loaded, loaded_state, config = load_checkpoint(str(path))
@@ -472,7 +482,8 @@ class TestCheckpoint:
         for name in params.parameter_names:
             assert np.array_equal(loaded.tensors[name], params.tensors[name])
         assert loaded_state.step == 7
-        assert loaded_state.m["W1"][0, 0] == 0.25
+        assert np.array_equal(loaded_state.m, state.m) and np.array_equal(loaded_state.v, state.v)
+        assert _views(loaded_state.m[0], loaded.shapes)["W1"][0, 0] == 0.25
 
     def test_checkpoint_without_optimizer(self, tmp_path):
         params = init_encoder("linear", feature_dim=3, relation_count=2, seed=0)
@@ -481,6 +492,61 @@ class TestCheckpoint:
         loaded, state, _ = load_checkpoint(str(path))
         assert state is None
         assert np.array_equal(loaded.tensors["W"], params.tensors["W"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(architecture=st.sampled_from(["linear", "one_hidden", "two_hidden"]),
+           dims=st.tuples(st.integers(-1, 3), st.integers(0, 3), st.integers(0, 3)),
+           data=st.data())
+    def test_every_constructible_encoder_round_trips(self, tmp_path_factory, architecture,
+                                                     dims, data):
+        """EncoderParams constructs exactly when its architecture, dimensions, tensor
+        names and shapes are valid and its values finite (ValueError for a bad
+        dimension, SchemaError otherwise), and then survives
+        save_checkpoint and load_checkpoint unchanged."""
+        feature_dim, relation_count, hidden_dim = dims
+        out = relation_count + 1
+        declared = ({"W": (out, feature_dim), "b": (out,)} if architecture == "linear" else
+                    {"W1": (hidden_dim, feature_dim), "b1": (hidden_dim,),
+                     "W2": (out, hidden_dim), "b2": (out,)})
+        tensors = {}
+        for name, shape in declared.items():
+            choice = data.draw(st.sampled_from(["declared"] * 7 + ["reversed", "other",
+                                                                   "missing"]), label=name)
+            if choice == "missing":
+                continue
+            if choice == "reversed":    # the declared size in another shape
+                shape = shape[::-1] if len(shape) == 2 else shape + (1,)
+            if choice == "other" or min(shape) < 0:
+                shape = data.draw(st.tuples(*[st.integers(0, 4)] * len(shape)), label=name)
+            tensors[name] = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)),
+                                      label=name)
+        sized = [t for t in tensors.values() if t.size]
+        if sized and data.draw(st.integers(0, 9), label="poison") == 0:
+            sized[0].flat[0] = np.inf
+        build = dict(architecture=architecture, feature_dim=feature_dim,
+                     relation_count=relation_count, hidden_dim=hidden_dim, tensors=tensors)
+        if feature_dim < 0 or relation_count < 1:
+            error = ValueError
+        elif architecture == "two_hidden" or not (
+                {n: t.shape for n, t in tensors.items()} == declared
+                and all(np.isfinite(t).all() for t in tensors.values())):
+            error = SchemaError
+        else:
+            error = None
+        if error is not None:
+            with pytest.raises(error):
+                EncoderParams(**build)
+            return
+        params = EncoderParams(**build)
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        save_checkpoint(str(path), params, init_adamw_state(params))
+        loaded, state, _ = load_checkpoint(str(path))
+        assert (loaded.architecture, loaded.feature_dim, loaded.relation_count,
+                loaded.hidden_dim) == (architecture, feature_dim, relation_count, hidden_dim)
+        assert loaded.tensors.keys() == tensors.keys()
+        for name, t in tensors.items():
+            assert np.array_equal(loaded.tensors[name], t), name
+        assert state.m.shape == state.v.shape == (1, params.flat.size)
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"

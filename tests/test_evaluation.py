@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from cmm.errors import SchemaError
 from cmm.evaluation import (
+    CURVE_HEADER,
+    POSITIVES_HEADER,
     curve_export,
     decode,
     decode_counts,
@@ -14,11 +16,9 @@ from cmm.evaluation import (
     mask_metrics,
     micro_f1,
     positive_count_trace,
-    write_curve_csv,
-    write_positive_count_csv,
 )
 from cmm.loss import GAMMA_GRID
-from cmm.schema import LogitRow
+from cmm.schema import LogitRow, write_csv
 
 
 def brute_force_f1(predictions, gold, seen=None):
@@ -218,7 +218,7 @@ class TestPositiveCountTrace:
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "pos.csv"
-        write_positive_count_csv([(1, "cmm", 5), (2, "cmm", 9)], str(path))
+        write_csv(path, POSITIVES_HEADER, [(1, "cmm", 5), (2, "cmm", 9)])
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,arm,positives"
         assert lines[1] == "1,cmm,5"
@@ -264,7 +264,7 @@ class TestCurveExport:
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "curves.csv"
-        write_curve_csv(curve_export(gammas=(1.0,), d_grid=[-0.05, 0.0, 0.05]), str(path))
+        write_csv(path, CURVE_HEADER, curve_export(gammas=(1.0,), d_grid=[-0.05, 0.0, 0.05]))
         lines = path.read_text().splitlines()
         assert lines[0] == "d,gamma,loss_pos"
         assert len(lines) == 4
