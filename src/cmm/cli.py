@@ -30,7 +30,7 @@ import numpy as np
 
 from . import encoder, evaluation, gradcheck, synthdata
 from .errors import CmmError, ConfigError, GenerationError, SchemaError
-from .loss import GAMMA_GRID, M_GRID, LossConfig, get_loss
+from .loss import GAMMA_GRID, M_GRID, LossConfig, get_loss, loss_grid
 from .schema import load_dataset_jsonl, open_atomic, save_dataset_jsonl, write_csv, write_json
 
 TRACE_HEADER = ("epoch", "train_loss", "dev_f1", "dev_ign_f1", "dev_positives")
@@ -251,8 +251,7 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     base = _build_train_config(_require(config, "train"))
     try:
         kinds = tuple(config.get("kinds", DEFAULT_COMPARE_KINDS))
-        gammas = tuple(config.get("gammas", GAMMA_GRID))
-        ms = tuple(config.get("ms", M_GRID))
+        gammas, ms = loss_grid(config.get("gammas", GAMMA_GRID), config.get("ms", M_GRID))
         seeds = tuple(config.get("seeds", [base.seed]))
         _grid_arms(base, kinds, gammas, ms, seeds)
     except (TypeError, ValueError) as exc:
@@ -290,15 +289,15 @@ def cmd_gradcheck(config: dict[str, Any], config_dir: Path, outdir: Path) -> int
 def cmd_curves(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     _reject_unknown(config, ("gammas", "d_min", "d_max", "d_step", "m"), "curves")
     try:
-        gammas = tuple(config.get("gammas", GAMMA_GRID))
+        m = config.get("m", 0.2)
+        gammas, _ = loss_grid(config.get("gammas", GAMMA_GRID), [m])
         grid = evaluation.default_d_grid(config.get("d_min", -5.0), config.get("d_max", 5.0),
                                          config.get("d_step", 0.05))
-        rows = evaluation.curve_export(gammas, grid, m=config.get("m", 0.2))
+        rows = evaluation.curve_export(gammas, grid, m=m)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad curves config: {exc}") from exc
     _write_effective(outdir, {"curves": {"gammas": [float(g) for g in gammas],
-                                         "d_points": len(grid),
-                                         "m": config.get("m", 0.2)}})
+                                         "d_points": len(grid), "m": m}})
     write_csv(outdir / "curves.csv", evaluation.CURVE_HEADER, rows)
     return 0
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import NumericError
 # cmm_loss is not called here; the benchmark's traced replay wraps this module's name
-from .loss import GAMMA_GRID, M_GRID, LossConfig, _cmm_arms, _cmm_rows, cmm_loss  # noqa: F401
+from .loss import (GAMMA_GRID, M_GRID, LossConfig, _cmm_arms, _cmm_rows,  # noqa: F401
+                   cmm_loss, loss_grid)
 from .schema import require_finite, require_int
 
 # one trial's probe matrix is (2R+2, R+1) float64: about 16 MiB at this R
@@ -166,12 +167,9 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
         if r_count > MAX_RELATIONS:
             raise ValueError(f"relation_counts entries must be <= {MAX_RELATIONS}, "
                              f"got {r_count}")
-    gammas, ms = tuple(gammas), tuple(ms)
+    gammas, ms = loss_grid(gammas, ms)
     if not (gammas and ms):
         raise ValueError("gammas and ms must not be empty")
-    for name, grid in (("gammas", gammas), ("ms", ms)):
-        for v in grid:
-            require_finite(f"{name} entry", v)
     cfgs = [[LossConfig(kind="cmm", gamma=float(g), m=float(m)) for m in ms] for g in gammas]
 
     # draw: every trial from its own stream

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericError, SchemaError
-from .schema import LabelSet
+from .schema import LabelSet, require_finite
 
 GAMMA_GRID = (1.0, 1.2, 1.4, 1.6, 2.0)
 M_GRID = (0.1, 0.2, 0.3, 0.4)
@@ -83,6 +83,22 @@ class LossConfig:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
         if self.kind == "plugin" and not self.plugin:
             raise ValueError("kind='plugin' requires a registered plugin name")
+
+
+def loss_grid(gammas: Any, ms: Any) -> tuple[tuple, tuple]:
+    """gammas and ms as tuples of their entries, checked as a grid of cmm arms.
+
+    Each must be a list (or tuple) of finite numbers, not bools, that a
+    ``LossConfig`` takes: every gamma >= 0 and every m in (0, 1). TypeError
+    or ValueError otherwise.
+    """
+    for name, grid, field in (("gammas", gammas, "gamma"), ("ms", ms, "m")):
+        if not isinstance(grid, (list, tuple)):
+            raise TypeError(f"{name} must be a list of numbers, got {grid!r}")
+        for value in grid:
+            require_finite(f"{name} entry", value)
+            LossConfig(**{field: float(value)})
+    return tuple(gammas), tuple(ms)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import IO, Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -222,12 +224,19 @@ _MASK_COLUMNS = ("labels", "true_labels", "seen")
 _COLUMNS = _ID_COLUMNS + ("features",) + _MASK_COLUMNS + ("hard", "corrupted")
 
 
-def _mask(index_lists: Sequence[Collection[int]], relation_count: int) -> np.ndarray:
-    """Boolean (n, R) mask with row i's column r-1 set for each index r in index_lists[i]."""
-    mask = np.zeros((len(index_lists), relation_count), dtype=bool)
-    mask[[i for i, s in enumerate(index_lists) for _ in s],
-         [r - 1 for s in index_lists for r in s]] = True
+def _mask(lengths: Sequence[int], indices: Sequence[int], relation_count: int) -> np.ndarray:
+    """Boolean (n, R) mask of n = len(lengths) rows: row i sets column r-1 for each of
+    the next lengths[i] relation indices r in indices."""
+    mask = np.zeros((len(lengths), relation_count), dtype=bool)
+    mask[np.repeat(np.arange(len(lengths)), lengths),
+         np.array(indices, dtype=np.intp) - 1] = True
     return mask
+
+
+def _flat(index_lists: Iterable[Collection[int]]) -> tuple[list[int], list[int]]:
+    """(the length of each index list, their indices in one list), as ``_mask`` takes them."""
+    index_lists = list(index_lists)
+    return list(map(len, index_lists)), list(chain.from_iterable(index_lists))
 
 
 def _index_lists(mask: np.ndarray) -> list[list[int]]:
@@ -239,12 +248,15 @@ def _index_lists(mask: np.ndarray) -> list[list[int]]:
     return lists
 
 
-def _stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """The (n, F) stack of n feature rows; SchemaError unless they have one length."""
-    widths = sorted({len(row) for row in rows})
+def _stack_rows(blocks: Sequence[np.ndarray | list[np.ndarray]]) -> np.ndarray:
+    """The (n, F) stack of blocks of feature rows, each an (m, F) array or a list
+    of m rows; SchemaError unless every row has one length."""
+    widths = sorted({width for block in blocks for width in (
+        [block.shape[1]] if isinstance(block, np.ndarray) else map(len, block))})
     if len(widths) > 1:
         raise SchemaError(f"feature lengths differ between pairs: {widths}")
-    return np.stack(rows) if rows else np.zeros((0, 0))
+    blocks = [np.reshape(block, (len(block), widths[0])) for block in blocks if len(block)]
+    return np.concatenate(blocks) if blocks else np.zeros((0, 0))
 
 
 def _require_strings(what: str, values) -> None:
@@ -368,11 +380,17 @@ class Dataset:
 # --- JSONL serialization -------------------------------------------------
 #
 # One pair per line, keys in fixed order for byte-stable output; a header
-# line carries the schema, document order, and manifest.
+# line carries the schema, document order, and manifest. Both directions
+# work on blocks of pairs, which bounds the memory a block's records take.
 
-# Pairs whose features are checked and whose index lists are built at once
-# when saving; bounds the memory those take.
-_SAVE_BLOCK = 4096
+_BLOCK = 512
+_pair_fields = itemgetter("pair_id", "doc_id", "features", "positives", "true_positives",
+                          "seen_in_train", "difficulty", "corrupted")
+# where one record ends and the next begins in orjson's text of a list of records,
+# and the text of a record that stands in for a line ``json`` writes: an unescaped
+# '"' only occurs outside strings, so neither occurs inside one
+_RECORD_SEPARATOR = b'},{"pair_id":'
+_PLACEHOLDER = b'{"pair_id":""}'
 
 
 def _orjson_rows(features: np.ndarray) -> np.ndarray:
@@ -396,54 +414,96 @@ def _plain_string(value: Any) -> bool:
     return type(value) is str and encode_basestring_ascii(value) == f'"{value}"'
 
 
-def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
-    """The dataset's JSONL lines, header first, as ``json.dumps`` with
-    separators ``(",", ":")`` writes them.
+def _plain_ids(pair_ids: list, doc_ids: list) -> list[bool] | bool:
+    """Per pair, whether both ids are ``_plain_string``s; True when all are.
 
-    A pair line is encoded with ``orjson`` when that gives the same bytes:
-    every feature passes ``_orjson_rows`` and both ids are strings ``json``
-    writes unescaped (printable ASCII without ``"`` or ``\\``). Every other
-    pair line, and the header, whose manifest may hold integers wider than
-    64 bits, goes through ``json``.
+    ``json`` escapes character by character, so the joined ids need no escape
+    exactly when no id does; only when they do is each id checked alone.
     """
-    dumps = json.JSONEncoder(separators=(",", ":")).encode
-    yield dumps({
+    ids = pair_ids + doc_ids
+    if {str}.issuperset(map(type, ids)) and _plain_string("".join(ids)):
+        return True
+    return [_plain_string(p) and _plain_string(d) for p, d in zip(pair_ids, doc_ids)]
+
+
+def _header_line(dataset: Dataset) -> str:
+    return json.dumps({
         "format": DATASET_FORMAT,
         "schema": dataset.schema.to_dict(),
         "documents": list(dataset.document_ids),
         "manifest": dataset.manifest,
-    })
-    for start in range(0, len(dataset), _SAVE_BLOCK):
-        block = slice(start, start + _SAVE_BLOCK)
-        features = np.ascontiguousarray(dataset.features[block])
-        for pair_id, doc_id, row, fast, positives, true, seen, hard, corrupted in zip(
-                dataset.pair_ids[block], dataset.doc_ids[block], features,
-                _orjson_rows(features).tolist(), _index_lists(dataset.labels[block]),
-                _index_lists(dataset.true_labels[block]), _index_lists(dataset.seen[block]),
-                dataset.hard[block].tolist(), dataset.corrupted[block].tolist()):
-            record = {
-                "pair_id": pair_id,
-                "doc_id": doc_id,
-                "features": row,
-                "positives": positives,
-                "true_positives": true,
-                "seen_in_train": seen,
-                "difficulty": DIFFICULTIES[hard],
-                "corrupted": corrupted,
-            }
-            if fast and _plain_string(pair_id) and _plain_string(doc_id):
-                yield orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-            else:
-                record["features"] = row.tolist()
-                yield dumps(record)
+    }, separators=(",", ":"))
+
+
+def _pair_blocks(dataset: Dataset) -> Iterator[bytes]:
+    """The pair lines of each block, each line ending in a newline.
+
+    The blocks are of equal size, at most ``_BLOCK`` pairs. A line is encoded
+    with ``orjson`` when that gives the bytes ``json`` would: every feature
+    passes ``_orjson_rows`` and both ids are ``_plain_string``s. A block is
+    one ``orjson.dumps`` of its records, split into lines at
+    ``_RECORD_SEPARATOR``; every other line is encoded by ``json`` and put in
+    the place of its ``_PLACEHOLDER`` record.
+    """
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    # numpy runs once on whole columns, and the blocks are of one size, so a block
+    # makes no small array and no short list: the ones it freed would stay cached
+    # (by numpy and by the C allocator) where they were made and could keep a
+    # grown heap from shrinking, which showed as 15 MiB more peak RSS
+    features = np.ascontiguousarray(dataset.features)
+    columns = (dataset.pair_ids.tolist(), dataset.doc_ids.tolist(), features,
+               _index_lists(dataset.labels), _index_lists(dataset.true_labels),
+               _index_lists(dataset.seen), dataset.hard.tolist(), dataset.corrupted.tolist(),
+               _orjson_rows(features).tolist())
+    n, count = len(dataset), -(-len(dataset) // _BLOCK)
+    bounds = [n * i // count for i in range(count + 1)] if n else []
+    for start, stop in zip(bounds, bounds[1:]):
+        (pair_ids, doc_ids, rows, positives, true, seen, hard, corrupted,
+         fast) = (column[start:stop] for column in columns)
+        records = [{"pair_id": pair_id, "doc_id": doc_id, "features": row, "positives": pos,
+                    "true_positives": tru, "seen_in_train": sn,
+                    "difficulty": DIFFICULTIES[hd], "corrupted": corr}
+                   for pair_id, doc_id, row, pos, tru, sn, hd, corr in zip(
+                       pair_ids, doc_ids, rows, positives, true, seen, hard, corrupted)]
+        plain = _plain_ids(pair_ids, doc_ids)
+        if plain is not True:
+            fast = [f and p for f, p in zip(fast, plain)]
+        json_lines = []
+        for i in (i for i, ok in enumerate(fast) if not ok):
+            record = records[i]
+            record["features"] = record["features"].tolist()
+            json_lines.append(dumps(record).encode())
+            records[i] = {"pair_id": ""}
+        text = orjson.dumps(records, option=orjson.OPT_SERIALIZE_NUMPY).replace(
+            _RECORD_SEPARATOR, b'}\n{"pair_id":')
+        view, pieces, at = memoryview(text), [], 1      # text is "[" + lines + "]"
+        for line in json_lines:
+            found = text.index(_PLACEHOLDER, at)
+            pieces += (view[at:found], line)
+            at = found + len(_PLACEHOLDER)
+        pieces += (view[at:-1], b"\n")
+        yield b"".join(pieces)
+
+
+def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
+    """The dataset's JSONL lines, header first, as ``json.dumps`` with
+    separators ``(",", ":")`` writes them.
+
+    The pair lines come from ``_pair_blocks``; the header, whose manifest may
+    hold integers wider than 64 bits, goes through ``json``.
+    """
+    yield _header_line(dataset)
+    for text in _pair_blocks(dataset):
+        yield from text.decode().splitlines()
 
 
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
-    """Write ``dataset_to_lines`` to path, one line each, atomically (``open_atomic``)."""
-    with open_atomic(path, "w", encoding="utf-8") as fh:
-        for line in dataset_to_lines(dataset):
-            fh.write(line)
-            fh.write("\n")
+    """Write ``dataset_to_lines`` to path, one line each, atomically (``open_atomic``),
+    with one write per block."""
+    with open_atomic(path, "wb") as fh:
+        fh.write(_header_line(dataset).encode() + b"\n")
+        for text in _pair_blocks(dataset):
+            fh.write(text)
 
 
 def _relation_indices(value: Any, name: str, relation_count: int) -> tuple[int, ...]:
@@ -466,6 +526,84 @@ def _features(value: Any) -> np.ndarray:
     return np.array(value, dtype=np.float64)
 
 
+def _clean_block(lines: list[bytes], relation_count: int) -> dict[str, Any] | None:
+    """A block's columns, the masks as ``_flat`` index lists, when every line is
+    a pair record the per-line checks of ``_checked_block`` accept, else None.
+
+    Each column is checked at once: its set of types, the range of the
+    relation indices, and the difficulties. None says only that
+    ``_checked_block`` must read the block; it words any error.
+    """
+    try:
+        (pair_ids, doc_ids, features, *index_lists, difficulty,
+         corrupted) = zip(*map(_pair_fields, map(orjson.loads, lines)))
+        if not ({str}.issuperset(map(type, pair_ids + doc_ids))
+                and {bool}.issuperset(map(type, corrupted))
+                and {list}.issuperset(map(type, chain(features, *index_lists)))
+                and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(features)))
+                and set(DIFFICULTIES).issuperset(difficulty)):
+            return None
+        masks = [_flat(lists) for lists in index_lists]
+        indices = list(chain.from_iterable(flat for _, flat in masks))
+        if indices and not ({int}.issuperset(map(type, indices))
+                            and 1 <= min(indices) and max(indices) <= relation_count):
+            return None
+        (width,) = set(map(len, features))
+        features = np.fromiter(chain.from_iterable(features), dtype=np.float64,
+                               count=len(features) * width).reshape(len(features), width)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None     # orjson.JSONDecodeError is a ValueError
+    return dict(zip(_COLUMNS, (pair_ids, doc_ids, features, *masks,
+                               ["hard" == d for d in difficulty], corrupted)))
+
+
+def _checked_block(lines: list[bytes], first_lineno: int, relation_count: int,
+                   path: str) -> dict[str, Any]:
+    """A block's columns, each line parsed and checked alone; SchemaError naming
+    the first line the columns could not represent. Blank lines are skipped,
+    ``features`` is a list of rows, whose widths may differ, and the masks are
+    ``_flat`` index lists."""
+    checked: dict[str, tuple[int, ...]] = {}
+
+    def indices(obj: dict, name: str) -> tuple[int, ...]:
+        # keyed by repr, which tells [1], [1.0] and [true] apart where ==
+        # does not, so every distinct list is checked when first seen
+        value = obj[name]
+        key = repr(value)
+        found = checked.get(key)
+        if found is None:
+            found = checked[key] = _relation_indices(value, name, relation_count)
+        return found
+
+    columns: dict[str, list] = {name: [] for name in _COLUMNS}
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if not line.strip():
+            continue
+        try:
+            obj = orjson.loads(line)
+            pair_id, doc_id, corrupted = obj["pair_id"], obj["doc_id"], obj["corrupted"]
+            if type(pair_id) is not str or type(doc_id) is not str:
+                raise TypeError(f"pair_id and doc_id must be strings, got {pair_id!r} "
+                                f"and {doc_id!r}")
+            if type(corrupted) is not bool:
+                raise TypeError(f"'corrupted' must be true or false, got {corrupted!r}")
+            row = (_features(obj["features"]), indices(obj, "positives"),
+                   indices(obj, "true_positives"), indices(obj, "seen_in_train"))
+            difficulty = obj["difficulty"]
+            if difficulty not in DIFFICULTIES:
+                raise ValueError(f"difficulty must be one of {DIFFICULTIES}, "
+                                 f"got {difficulty!r}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{path}:{lineno}: malformed pair record "
+                              f"({type(exc).__name__}: {exc})") from exc
+        for name, value in zip(_COLUMNS, (pair_id, doc_id) + row
+                               + (difficulty == "hard", corrupted)):
+            columns[name].append(value)
+    for name in _MASK_COLUMNS:
+        columns[name] = _flat(columns[name])
+    return columns
+
+
 def load_dataset_jsonl(path: str) -> Dataset:
     """Read a dataset; SchemaError on any record the columns could not represent.
 
@@ -473,9 +611,10 @@ def load_dataset_jsonl(path: str) -> Dataset:
     with ``json``, which keeps integers of any width in its manifest; each
     pair line is parsed with ``orjson``, whose floats are the correctly
     rounded doubles ``json`` gives and which rejects invalid UTF-8, NaN,
-    Infinity and numbers beyond the float range. Each line's features become
-    a float64 row as the line is read; the rows are stacked once. Index
-    lists are checked once per distinct list.
+    Infinity and numbers beyond the float range. Pair lines are read in
+    blocks of ``_BLOCK``: a block that ``_clean_block`` accepts becomes
+    columns at once, and any other block is read again line by line by
+    ``_checked_block``, which names the first line at fault.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -492,50 +631,28 @@ def load_dataset_jsonl(path: str) -> Dataset:
             if not (isinstance(document_ids, list)
                     and all(isinstance(d, str) for d in document_ids)):
                 raise TypeError("'documents' must be a list of strings")
-            manifest = dict(header.get("manifest", {}))
+            manifest = header.get("manifest", {})
+            if not isinstance(manifest, dict):
+                raise TypeError(f"'manifest' must be a JSON object, got {manifest!r:.80}")
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
         r_count = schema.relation_count
-        checked: dict[str, tuple[int, ...]] = {}
-
-        def indices(obj: dict, name: str) -> tuple[int, ...]:
-            # keyed by repr, which tells [1], [1.0] and [true] apart where ==
-            # does not, so every distinct list is checked when first seen
-            value = obj[name]
-            key = repr(value)
-            found = checked.get(key)
-            if found is None:
-                found = checked[key] = _relation_indices(value, name, r_count)
-            return found
-
-        columns: dict[str, list] = {name: [] for name in _COLUMNS}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = orjson.loads(line)
-                pair_id, doc_id, corrupted = obj["pair_id"], obj["doc_id"], obj["corrupted"]
-                if type(pair_id) is not str or type(doc_id) is not str:
-                    raise TypeError(f"pair_id and doc_id must be strings, got {pair_id!r} "
-                                    f"and {doc_id!r}")
-                if type(corrupted) is not bool:
-                    raise TypeError(f"'corrupted' must be true or false, got {corrupted!r}")
-                row = (_features(obj["features"]), indices(obj, "positives"),
-                       indices(obj, "true_positives"), indices(obj, "seen_in_train"))
-                difficulty = obj["difficulty"]
-                if difficulty not in DIFFICULTIES:
-                    raise ValueError(f"difficulty must be one of {DIFFICULTIES}, "
-                                     f"got {difficulty!r}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f"{path}:{lineno}: malformed pair record "
-                                  f"({type(exc).__name__}: {exc})") from exc
-            for name, value in zip(_COLUMNS, (pair_id, doc_id) + row
-                                   + (difficulty == "hard", corrupted)):
-                columns[name].append(value)
+        blocks = []
+        lineno = 2
+        while lines := list(islice(fh, _BLOCK)):
+            blocks.append(_clean_block(lines, r_count)
+                          or _checked_block(lines, lineno, r_count, path))
+            lineno += len(lines)
+    columns = {name: list(chain.from_iterable(block[name] for block in blocks))
+               for name in _ID_COLUMNS + ("hard", "corrupted")}
     try:
-        columns["features"] = _stack_rows(columns["features"])
+        columns["features"] = _stack_rows([block["features"] for block in blocks])
         for name in _MASK_COLUMNS:
-            columns[name] = _mask(columns[name], r_count)
+            lengths, indices = [], []
+            for block in blocks:
+                lengths += block[name][0]
+                indices += block[name][1]
+            columns[name] = _mask(lengths, indices, r_count)
         return Dataset(schema, document_ids, manifest, **columns)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None

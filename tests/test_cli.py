@@ -287,6 +287,18 @@ class TestCurvesCmd:
         assert rows[0] == ["d", "gamma", "loss_pos"]
         assert len(rows) - 1 == 5 * 201
 
+    def test_integer_grids_accepted(self, tmp_path, tiny_dataset, tiny_dev):
+        cfg = write_config(tmp_path, "curves.json", {"gammas": [1, 2], "d_step": 1.0})
+        assert run(["curves", cfg, "-o", tmp_path / "curves"]) == 0
+        effective = json.loads((tmp_path / "curves" / "effective_config.json").read_text())
+        assert effective["curves"]["gammas"] == [1.0, 2.0]
+        cfg = write_config(tmp_path, "cmp.json", {
+            "dataset": str(tiny_dataset), "dev": str(tiny_dev), "train": {"epochs": 1},
+            "kinds": ["cmm"], "gammas": [1, 2], "ms": [0.2]})
+        assert run(["compare", cfg, "-o", tmp_path / "cmp"]) == 0
+        with open(tmp_path / "cmp" / "grid.csv") as fh:
+            assert [row[1] for row in list(csv.reader(fh))[1:]] == ["1.0", "2.0"]
+
     def test_gamma_zero_reduction(self, tmp_path):
         import numpy as np
         cfg = write_config(tmp_path, "curves.json",
@@ -591,6 +603,10 @@ HEADER_MUTATIONS = {
     "relation_count_string": with_schema_field("relation_count",
                                                str(TINY_GEN["relation_count"])),
     "th_index_float": with_schema_field("th_index", 0.7),
+    # dict() of these would load [["generator", 1]] as {"generator": 1}
+    "manifest_list_of_pairs": lambda h: json.dumps({**json.loads(h),
+                                                     "manifest": [["generator", 1]]}),
+    "manifest_list_of_strings": lambda h: json.dumps({**json.loads(h), "manifest": ["ab", "cd"]}),
 }
 
 # each train config is rejected before anything is written
@@ -616,6 +632,14 @@ BAD_ARMS = {
 BAD_OTHER = {
     "compare_float_seed": ("compare", {"train": {"epochs": 1}, "seeds": [1.5]}),
     "compare_negative_seed": ("compare", {"train": {"epochs": 1}, "seeds": [-1]}),
+    # a grid is a list of finite numbers, not bools, that LossConfig takes
+    "compare_string_gammas": ("compare", {"train": {"epochs": 1}, "gammas": "12"}),
+    "compare_bool_gamma": ("compare", {"train": {"epochs": 1}, "gammas": [True]}),
+    "curves_nan_gamma": ("curves", {"gammas": [float("nan")]}),
+    "curves_infinite_gamma": ("curves", {"gammas": [1e400]}),
+    "curves_negative_gamma": ("curves", {"gammas": [-1]}),
+    **{f"curves_m_{name}": ("curves", {"m": m}) for name, m in (
+        ("string", "abc"), ("null", None), ("five", 5), ("bool", True), ("list", [1]))},
     "generate_float_documents": ("generate", {"n_documents": 1.5, "pairs_per_document": 5}),
     "generate_negative_seed": ("generate", {"n_documents": 2, "pairs_per_document": 5,
                                             "seed": -1}),

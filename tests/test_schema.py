@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -17,6 +18,7 @@ from cmm.schema import (
     LogitRow,
     PairExample,
     RelationSchema,
+    _BLOCK,
     _orjson_rows,
     dataset_to_lines,
     load_dataset_jsonl,
@@ -24,6 +26,7 @@ from cmm.schema import (
     split_by_documents,
 )
 from cmm.synthdata import GenConfig, generate, inject_false_negatives
+from tests.test_cli import DATASET_MUTATIONS
 
 
 def make_example(pair_id, doc_id, positives, relation_count=4, feature_dim=3,
@@ -507,16 +510,23 @@ class TestJsonl:
 
     def test_benchmark_shaped_rows_take_the_orjson_path(self, monkeypatch):
         ds = benchmark_shaped_train()
-        dumps, calls = orjson.dumps, []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return dumps(*args, **kwargs)
-
-        monkeypatch.setattr("cmm.schema.orjson.dumps", counting)
-        monkeypatch.setattr("cmm.schema._SAVE_BLOCK", 1000)     # three blocks, the last partial
+        rows = orjson_encoded_records(monkeypatch)
+        monkeypatch.setattr("cmm.schema._BLOCK", 1000)     # three blocks of 850 pairs
         assert list(dataset_to_lines(ds)) == stdlib_json_lines(ds)
-        assert len(calls) >= 0.99 * len(ds)
+        assert len(rows) >= 0.99 * len(ds)
+
+
+def orjson_encoded_records(monkeypatch):
+    """The records the writer encodes with orjson from now on (not the stand-ins
+    for lines json writes), collected as it passes them."""
+    dumps, records = orjson.dumps, []
+
+    def counting(obj, *args, **kwargs):
+        records.extend(record for record in obj if "features" in record)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr("cmm.schema.orjson.dumps", counting)
+    return records
 
 
 def benchmark_shaped_train():
@@ -563,6 +573,209 @@ def stdlib_json_columns(path):
         "hard": np.array([p["difficulty"] == "hard" for p in pairs]),
         "corrupted": np.array([p["corrupted"] for p in pairs]),
     }
+
+
+# --- the per-line codec the block codec replaced, kept as its reference -----
+
+def reference_pair_lines(ds):
+    """A dataset's pair lines as the per-line writer wrote them: each line alone
+    through ``orjson`` when its features pass ``_orjson_rows`` and both ids are
+    strings ``json`` leaves unescaped, through ``json`` otherwise."""
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+    def plain(value):
+        return type(value) is str and json.dumps(value) == f'"{value}"'
+
+    def indices(row):
+        return (np.flatnonzero(row) + 1).tolist()
+
+    lines = []
+    features = np.ascontiguousarray(ds.features)
+    for pair_id, doc_id, row, fast, labels, true, seen, hard, corrupted in zip(
+            ds.pair_ids, ds.doc_ids, features, _orjson_rows(features).tolist(), ds.labels,
+            ds.true_labels, ds.seen, ds.hard.tolist(), ds.corrupted.tolist()):
+        record = {"pair_id": pair_id, "doc_id": doc_id, "features": row,
+                  "positives": indices(labels), "true_positives": indices(true),
+                  "seen_in_train": indices(seen), "difficulty": "hard" if hard else "easy",
+                  "corrupted": corrupted}
+        if fast and plain(pair_id) and plain(doc_id):
+            lines.append(orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY).decode())
+        else:
+            record["features"] = row.tolist()
+            lines.append(dumps(record))
+    return lines
+
+
+def reference_load(path):
+    """A dataset file read as the per-line loader read it: each pair line parsed
+    and checked alone, in file order, and the rows stacked at the end."""
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        if not header_line:
+            raise SchemaError(f"{path}: empty dataset file")
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+            if not isinstance(header, dict):
+                raise TypeError("header must be a JSON object")
+            if header.get("format") != DATASET_FORMAT:
+                raise ValueError(f"unsupported format tag {header.get('format')!r}")
+            schema = RelationSchema.from_dict(header["schema"])
+            document_ids = header["documents"]
+            if not (isinstance(document_ids, list)
+                    and all(isinstance(d, str) for d in document_ids)):
+                raise TypeError("'documents' must be a list of strings")
+            manifest = dict(header.get("manifest", {}))
+        except (KeyError, TypeError, ValueError, SchemaError) as exc:
+            raise SchemaError(f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
+        r_count = schema.relation_count
+
+        def indices(obj, name):
+            value = obj[name]
+            if type(value) is not list or any(type(r) is not int for r in value):
+                raise TypeError(f"{name!r} must be a list of integers, got {value!r}")
+            stray = sorted(r for r in value if not 1 <= r <= r_count)
+            if stray:
+                raise ValueError(f"{name!r} indices outside 1..{r_count}: {stray}")
+            return value
+
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                obj = orjson.loads(line)
+                pair_id, doc_id, corrupted = obj["pair_id"], obj["doc_id"], obj["corrupted"]
+                if type(pair_id) is not str or type(doc_id) is not str:
+                    raise TypeError(f"pair_id and doc_id must be strings, got {pair_id!r} "
+                                    f"and {doc_id!r}")
+                if type(corrupted) is not bool:
+                    raise TypeError(f"'corrupted' must be true or false, got {corrupted!r}")
+                x = obj["features"]
+                if type(x) is not list or not {int, float}.issuperset(map(type, x)):
+                    raise TypeError(f"'features' must be a list of numbers, got {x!r:.80}")
+                row = (np.array(x, dtype=np.float64), indices(obj, "positives"),
+                       indices(obj, "true_positives"), indices(obj, "seen_in_train"))
+                difficulty = obj["difficulty"]
+                if difficulty not in ("easy", "hard"):
+                    raise ValueError(f"difficulty must be one of ('easy', 'hard'), "
+                                     f"got {difficulty!r}")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"{path}:{lineno}: malformed pair record "
+                                  f"({type(exc).__name__}: {exc})") from exc
+            rows.append((pair_id, doc_id) + row + (difficulty == "hard", corrupted))
+    pair_ids, doc_ids, features, labels, true, seen, hard, corrupted = (
+        [list(column) for column in zip(*rows)] if rows else [[]] * 8)
+    try:
+        widths = sorted({len(x) for x in features})
+        if len(widths) > 1:
+            raise SchemaError(f"feature lengths differ between pairs: {widths}")
+        return Dataset(schema, document_ids, manifest, pair_ids=pair_ids, doc_ids=doc_ids,
+                       features=np.stack(features) if features else np.zeros((0, 0)),
+                       labels=masks(labels, r_count), true_labels=masks(true, r_count),
+                       seen=masks(seen, r_count), hard=hard, corrupted=corrupted)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+@st.composite
+def codec_cases(draw):
+    """(dataset, block size, mutation name or None, pair line it starts at, blank line
+    position or None): 4-9 pairs of 3-4 features at R=4, json-fallback rows and
+    awkward ids included; every mutation finds the pairs and features it edits."""
+    n, width = draw(st.integers(4, 9)), draw(st.integers(3, 4))
+    features = draw(st.lists(st.lists(FINITE_DOUBLES, min_size=width, max_size=width),
+                             min_size=n, max_size=n))
+    pair_ids = draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))
+    documents = draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True))
+    doc_ids = draw(st.lists(st.sampled_from(documents), min_size=n, max_size=n))
+    index_sets = st.lists(st.frozensets(st.integers(1, 4)), min_size=n, max_size=n)
+    labels, hidden, seen = draw(index_sets), draw(index_sets), draw(index_sets)
+    true = [pos | extra for pos, extra in zip(labels, hidden)]
+    ds = Dataset(RelationSchema.with_default_names(4), list(dict.fromkeys(doc_ids)),
+                 {"generator": {"seed": 1}}, pair_ids=pair_ids, doc_ids=doc_ids,
+                 features=np.array(features), labels=masks(labels, 4),
+                 true_labels=masks(true, 4), seen=masks(seen, 4),
+                 hard=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                 corrupted=[t != p for p, t in zip(labels, true)])
+    return (ds, draw(st.integers(1, 4)),
+            draw(st.sampled_from([None] + sorted(DATASET_MUTATIONS))),
+            draw(st.integers(0, n - 1)), draw(st.none() | st.integers(0, n)))
+
+
+def load_outcome(load, path):
+    """A loaded dataset's header fields and columns (floats as bits), or the error text."""
+    try:
+        ds = load(str(path))
+    except SchemaError as exc:
+        return str(exc)
+    columns = {name: (column.dtype.str, column.shape,
+                      column.tolist() if column.dtype == object else column.tobytes())
+               for name, column in ds.columns.items()}
+    return ds.schema, ds.document_ids, ds.manifest, columns
+
+
+class TestBlockCodec:
+    """The block codec against the per-line codec it replaced (``reference_pair_lines``,
+    ``reference_load``): the same bytes, the same columns or the same error text."""
+
+    @settings(max_examples=300)
+    @given(codec_cases())
+    def test_codec_equals_per_line_reference(self, tmp_path_factory, case):
+        ds, block, mutation, shift, blank = case
+        path = tmp_path_factory.getbasetemp() / "codec.jsonl"
+        with mock.patch("cmm.schema._BLOCK", block):
+            save_dataset_jsonl(ds, str(path))
+            header, *lines = path.read_text().splitlines()
+            assert lines == reference_pair_lines(ds)
+            assert list(dataset_to_lines(ds)) == [header] + lines
+            if mutation is not None:
+                pairs = [json.loads(line) for line in lines]
+                DATASET_MUTATIONS[mutation](pairs[shift:] + pairs[:shift])
+                lines = [json.dumps(p) if p != json.loads(line) else line
+                         for p, line in zip(pairs, lines)]
+            if blank is not None:
+                lines.insert(blank, "  ")
+            path.write_text("\n".join([header] + lines) + "\n")
+            assert load_outcome(load_dataset_jsonl, path) == load_outcome(reference_load, path)
+
+    @pytest.mark.parametrize("where", ["first_line", "last_line", "second_block_first_line"])
+    def test_bad_line_at_a_block_boundary_named(self, tmp_path, where):
+        good = json.dumps({"pair_id": "?", "doc_id": "d0", "features": [0.0, 1.0, 2.0],
+                           "positives": [], "true_positives": [], "seen_in_train": [],
+                           "difficulty": "easy", "corrupted": False})
+        lines = [good.replace("?", f"d0:{i}") for i in range(2 * _BLOCK + 3)]
+        bad = {"first_line": 1, "last_line": len(lines) - 1,
+               "second_block_first_line": _BLOCK}[where]
+        lines[bad - 1] = ""                  # a blank line just before the bad one
+        lines[bad] = lines[bad].replace('"positives": []', '"positives": [9]')
+        header = {"format": DATASET_FORMAT,
+                  "schema": RelationSchema.with_default_names(4).to_dict(),
+                  "documents": ["d0"], "manifest": {}}
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + lines) + "\n")
+        message = (f"{path}:{bad + 2}: malformed pair record "
+                   f"(ValueError: 'positives' indices outside 1..4: [9])")
+        with pytest.raises(SchemaError) as raised:
+            load_dataset_jsonl(str(path))
+        assert str(raised.value) == message == load_outcome(reference_load, path)
+
+    def test_integer_features_load_as_the_reference_does(self, tmp_path):
+        path = write_records(tmp_path / "d.jsonl", [{"features": [2 ** 64 - 1, -2 ** 63, 3]},
+                                                    {"features": [0.5, 2 ** 53 + 1, -7]}])
+        loaded = load_outcome(load_dataset_jsonl, path)
+        assert not isinstance(loaded, str)
+        assert loaded == load_outcome(reference_load, path)
+
+    def test_ids_of_brace_and_comma_take_the_orjson_path(self, tmp_path, monkeypatch):
+        # the plain characters of a record separator, but no '"', which only escaped
+        # can occur inside an id
+        ids = ["}", "{", ",", "},{", "a},{pair_id:b", ",{}"]
+        ds = writer_dataset([[0.5, -1.5]] * len(ids), ids, ["d},{"] * len(ids))
+        rows = orjson_encoded_records(monkeypatch)
+        assert list(dataset_to_lines(ds)) == stdlib_json_lines(ds)
+        assert [row["pair_id"] for row in rows] == ids
+        again = round_trip(ds, tmp_path)
+        assert list(dataset_to_lines(again)) == stdlib_json_lines(ds)
 
 
 class TestSplit:
