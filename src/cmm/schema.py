@@ -431,6 +431,7 @@ def _header_line(dataset: Dataset) -> str:
         "format": DATASET_FORMAT,
         "schema": dataset.schema.to_dict(),
         "documents": list(dataset.document_ids),
+        "pair_count": len(dataset),
         "manifest": dataset.manifest,
     }, separators=(",", ":"))
 
@@ -611,7 +612,9 @@ def load_dataset_jsonl(path: str) -> Dataset:
     with ``json``, which keeps integers of any width in its manifest; each
     pair line is parsed with ``orjson``, whose floats are the correctly
     rounded doubles ``json`` gives and which rejects invalid UTF-8, NaN,
-    Infinity and numbers beyond the float range. Pair lines are read in
+    Infinity and numbers beyond the float range. A header's ``pair_count``,
+    which the writer records, must equal the number of pair lines, so a file
+    cut short at a line boundary does not load. Pair lines are read in
     blocks of ``_BLOCK``: a block that ``_clean_block`` accepts becomes
     columns at once, and any other block is read again line by line by
     ``_checked_block``, which names the first line at fault.
@@ -634,6 +637,9 @@ def load_dataset_jsonl(path: str) -> Dataset:
             manifest = header.get("manifest", {})
             if not isinstance(manifest, dict):
                 raise TypeError(f"'manifest' must be a JSON object, got {manifest!r:.80}")
+            declared = header.get("pair_count")     # absent from files of older writers
+            if "pair_count" in header:
+                require_int("pair_count", declared, 0)
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
         r_count = schema.relation_count
@@ -645,6 +651,9 @@ def load_dataset_jsonl(path: str) -> Dataset:
             lineno += len(lines)
     columns = {name: list(chain.from_iterable(block[name] for block in blocks))
                for name in _ID_COLUMNS + ("hard", "corrupted")}
+    if declared is not None and declared != len(columns["pair_ids"]):
+        raise SchemaError(f"{path}:1: the header declares {declared} pairs, but the file "
+                          f"holds {len(columns['pair_ids'])} pair lines")
     try:
         columns["features"] = _stack_rows([block["features"] for block in blocks])
         for name in _MASK_COLUMNS:

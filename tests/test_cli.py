@@ -401,7 +401,7 @@ class TestDeterminism:
         fallback = ~_orjson_rows(load_dataset_jsonl(str(path)).features)
         assert np.flatnonzero(fallback).tolist() == [181, 223, 358]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "11bc8b70e6a51e5f785e9f2b2399fd28343931d2877548c90bfe18cf0e4e15a8")
+            "cda6a72d41136f7c2fa484628bc49a42fc544312822628add4521c03a5530996")
 
     def test_gradcheck_report_bytes_pinned(self, tmp_path):
         # the 1000 trials the benchmark runs; the report must not depend on how trials are batched
@@ -607,6 +607,10 @@ HEADER_MUTATIONS = {
     "manifest_list_of_pairs": lambda h: json.dumps({**json.loads(h),
                                                      "manifest": [["generator", 1]]}),
     "manifest_list_of_strings": lambda h: json.dumps({**json.loads(h), "manifest": ["ab", "cd"]}),
+    **{f"pair_count_{name}": (lambda value: lambda h: json.dumps({**json.loads(h),
+                                                                  "pair_count": value}))(value)
+       for name, value in (("string", "100"), ("negative", -1), ("bool", True), ("null", None),
+                           ("float", 100.0))},
 }
 
 # each train config is rejected before anything is written
@@ -789,6 +793,16 @@ class TestMalformedInput:
         err = assert_one_line_error(capsys, run(["gradcheck", cfg, "-o", out]), 1)
         assert err.startswith("config error:") and str(cfg) in err
         assert not out.exists()
+
+    def test_dataset_cut_at_a_line_boundary_exits_2(self, tmp_path, tiny_dev, capsys):
+        lines = Path(tiny_dev).read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines[:len(lines) // 2]))
+        cfg = self.eval_config(tmp_path, bad)
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["eval", cfg, "-o", tmp_path / "ev"]), 2)
+        declared, found = len(lines) - 1, len(lines) // 2 - 1
+        assert f"{bad}:1: the header declares {declared} pairs, but the file holds {found} " in err
 
     def test_header_only_dataset_exits_2(self, tmp_path, tiny_dev, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -542,7 +542,8 @@ def stdlib_json_lines(ds):
     """A dataset's JSONL lines as the standard library's json writes them, from its columns."""
     dumps = partial(json.dumps, separators=(",", ":"))
     header = dumps({"format": DATASET_FORMAT, "schema": ds.schema.to_dict(),
-                    "documents": list(ds.document_ids), "manifest": ds.manifest})
+                    "documents": list(ds.document_ids), "pair_count": len(ds),
+                    "manifest": ds.manifest})
 
     def indices(row):
         return (np.flatnonzero(row) + 1).tolist()
@@ -758,6 +759,25 @@ class TestBlockCodec:
         with pytest.raises(SchemaError) as raised:
             load_dataset_jsonl(str(path))
         assert str(raised.value) == message == load_outcome(reference_load, path)
+
+    def test_pair_count_rejects_every_cut_and_an_extra_line(self, tmp_path):
+        ds = make_dataset([make_example(f"d0:{i}", "d0", {1 + i % 3}) for i in range(7)])
+        path = tmp_path / "d.jsonl"
+        save_dataset_jsonl(ds, str(path))
+        header, *pairs = path.read_text().splitlines(keepends=True)
+        assert json.loads(header)["pair_count"] == 7
+        extra = pairs[-1].replace('"d0:6"', '"d0:7"')
+        for kept in [pairs[:k] for k in range(7)] + [pairs + [extra]]:
+            path.write_text(header + "".join(kept))
+            with pytest.raises(SchemaError) as raised:
+                load_dataset_jsonl(str(path))
+            assert str(raised.value) == (f"{path}:1: the header declares 7 pairs, but the "
+                                         f"file holds {len(kept)} pair lines")
+        path.write_text(header + "".join(pairs) + "\n")      # a blank line is no pair
+        assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == list(dataset_to_lines(ds))
+        without = {k: v for k, v in json.loads(header).items() if k != "pair_count"}
+        path.write_text(json.dumps(without) + "\n" + "".join(pairs[:3]))
+        assert len(load_dataset_jsonl(str(path))) == 3          # older files keep loading
 
     def test_integer_features_load_as_the_reference_does(self, tmp_path):
         path = write_records(tmp_path / "d.jsonl", [{"features": [2 ** 64 - 1, -2 ** 63, 3]},
