@@ -470,11 +470,11 @@ def _pair_blocks(dataset: Dataset) -> Iterator[bytes]:
         if plain is not True:
             fast = [f and p for f, p in zip(fast, plain)]
         json_lines = []
-        for i in (i for i, ok in enumerate(fast) if not ok):
-            record = records[i]
-            record["features"] = record["features"].tolist()
-            json_lines.append(dumps(record).encode())
-            records[i] = {"pair_id": ""}
+        for i, record in enumerate(records):
+            if not fast[i]:
+                record["features"] = record["features"].tolist()
+                json_lines.append(dumps(record).encode())
+                records[i] = {"pair_id": ""}
         text = orjson.dumps(records, option=orjson.OPT_SERIALIZE_NUMPY).replace(
             _RECORD_SEPARATOR, b'}\n{"pair_id":')
         view, pieces, at = memoryview(text), [], 1      # text is "[" + lines + "]"
@@ -495,7 +495,7 @@ def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
     """
     yield _header_line(dataset)
     for text in _pair_blocks(dataset):
-        yield from text.decode().splitlines()
+        yield from text[:-1].decode().split("\n")
 
 
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
