@@ -79,8 +79,8 @@ class TestColumnarEquivalence:
     def test_save_equals_per_pair_serializer(self, cfg, rate):
         ds = generated(cfg, rate)
         header = json.dumps({"format": DATASET_FORMAT, "schema": ds.schema.to_dict(),
-                             "documents": list(ds.document_ids), "manifest": ds.manifest},
-                            separators=(",", ":"))
+                             "documents": list(ds.document_ids), "pair_count": len(ds),
+                             "manifest": ds.manifest}, separators=(",", ":"))
         assert list(dataset_to_lines(ds)) == [header] + [pair_line(ex) for ex in ds.examples]
 
     @EQUIVALENCE
