@@ -564,17 +564,8 @@ def _checked_block(lines: list[bytes], first_lineno: int, relation_count: int,
     the first line the columns could not represent. Blank lines are skipped,
     ``features`` is a list of rows, whose widths may differ, and the masks are
     ``_flat`` index lists."""
-    checked: dict[str, tuple[int, ...]] = {}
-
     def indices(obj: dict, name: str) -> tuple[int, ...]:
-        # keyed by repr, which tells [1], [1.0] and [true] apart where ==
-        # does not, so every distinct list is checked when first seen
-        value = obj[name]
-        key = repr(value)
-        found = checked.get(key)
-        if found is None:
-            found = checked[key] = _relation_indices(value, name, relation_count)
-        return found
+        return _relation_indices(obj[name], name, relation_count)
 
     columns: dict[str, list] = {name: [] for name in _COLUMNS}
     for lineno, line in enumerate(lines, start=first_lineno):
