@@ -540,8 +540,11 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[s
         state = None
         if "optimizer" in obj:
             opt = obj["optimizer"]
-            state = AdamWState(step=int(opt["step"]), m=_moments(opt["m"], params.shapes),
+            require_int("optimizer step", opt["step"], 0)
+            state = AdamWState(step=opt["step"], m=_moments(opt["m"], params.shapes),
                                v=_moments(opt["v"], params.shapes))
+            if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
+                raise ValueError("optimizer moments must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     except SchemaError as exc:

@@ -652,6 +652,10 @@ BAD_OTHER = {
     "generate_bool_fraction": ("generate", {**TINY_GEN, "hard_fraction": True}),
     "gradcheck_scalar_range": ("gradcheck", {"logit_range": 5}),
     "gradcheck_bool_trials": ("gradcheck", {"trials": True}),
+    "gradcheck_bool_seed": ("gradcheck", {"seed": True}),
+    "gradcheck_string_seed": ("gradcheck", {"seed": "7"}),
+    "gradcheck_negative_seed": ("gradcheck", {"seed": -1}),
+    "gradcheck_float_seed": ("gradcheck", {"seed": 1.5}),
     "gradcheck_nan_tolerance": ("gradcheck", {"tolerance": float("nan")}),
     "gradcheck_infinite_tolerance": ("gradcheck", {"tolerance": float("inf")}),
     "gradcheck_negative_tolerance": ("gradcheck", {"tolerance": -1e-5}),

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -553,6 +554,28 @@ class TestCheckpoint:
         path.write_text('{"format": "other/9"}')
         with pytest.raises(SchemaError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("step", 2.7), ("step", "5"), ("step", True), ("step", -3), ("step", None),
+        ("m", float("nan")), ("v", float("inf")), ("m", float("-inf"))])
+    def test_rejects_malformed_optimizer_section(self, tmp_path, field, value):
+        """The optimizer step is an integer >= 0 (not a bool, float or string) and
+        the moments are finite; anything else is a one-line malformed-checkpoint error."""
+        params = init_encoder("linear", feature_dim=3, relation_count=2, seed=0)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), params, init_adamw_state(params))
+        obj = json.loads(path.read_text())
+        if field == "step":
+            obj["optimizer"]["step"] = value
+        else:
+            entry = obj["optimizer"][field][0]
+            data = np.asarray(entry["data"], dtype=np.float64)
+            data.flat[0] = value
+            entry["data"] = data.tolist()
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match="malformed checkpoint") as info:
+            load_checkpoint(str(path))
+        assert "\n" not in str(info.value)
 
 
 class TestInit:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import cmm.gradcheck
 from cmm.errors import NumericError
-from cmm.gradcheck import check_gradients, finite_difference, relative_error
+from cmm.gradcheck import (_SeedWords, check_gradients, finite_difference, relative_error,
+                           trial_rngs)
 from cmm.loss import LossConfig, batch_rows, clamp_distance, cmm_loss, cmm_loss_grad
 from cmm.schema import LabelSet, LogitRow
 
@@ -278,6 +279,36 @@ class TestAgainstPerCoordinateOracle:
             assert len(value_calls) == kwargs["trials"]
         else:
             assert len(value_calls) > len(set(sizes))
+
+
+class TestTrialRngs:
+    """trial_rngs derives its generators' seeds itself; default_rng is the reference."""
+
+    SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 100 + 3)
+    TRIALS = (0, 1, 999, 2 ** 32 - 1, 2 ** 32, 2 ** 64)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_default_rng_at_word_boundaries(self, seed):
+        # one call holds trial indices of one, two and three 32-bit words
+        for trial, rng in zip(self.TRIALS, trial_rngs(seed, self.TRIALS), strict=True):
+            reference = np.random.default_rng((seed, trial))
+            assert rng.bit_generator.state == reference.bit_generator.state, trial
+            assert np.array_equal(rng.random(4), reference.random(4))
+            assert np.array_equal(rng.integers(0, 2 ** 40, 4), reference.integers(0, 2 ** 40, 4))
+
+    def test_streams_across_seed_blocks(self, monkeypatch):
+        monkeypatch.setattr(cmm.gradcheck, "SEED_BLOCK", 3)
+        trials = range(2 ** 32 - 4, 2 ** 32 + 3)
+        states = [rng.bit_generator.state for rng in trial_rngs(5, trials)]
+        assert states == [np.random.default_rng((5, t)).bit_generator.state for t in trials]
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                                (8, np.uint64)])
+    def test_seed_words_refuse_other_requests(self, n_words, dtype):
+        words = np.random.SeedSequence(0).generate_state(4, np.uint64)
+        assert _SeedWords(words).generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError, match="4 uint64"):
+            _SeedWords(words).generate_state(n_words, dtype)
 
 
 class TestCheckGradients:
