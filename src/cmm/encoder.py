@@ -326,10 +326,14 @@ def _packed(x: np.ndarray, mask: np.ndarray, kinds: list[str]) -> _PackedDoc:
 
 
 def _pack_documents(dataset: Dataset, kinds: list[str]) -> list[_PackedDoc]:
-    """One batch per non-empty document, in declared order; the stable sort
-    keeps each document's pairs in file order when documents interleave."""
-    order = np.argsort(dataset.doc_index, kind="stable")
-    x, mask = dataset.features[order], dataset.labels[order]
+    """One batch per non-empty document, in declared order: views of the
+    dataset's read-only columns if its pairs are in document order (as in every
+    saved or generated file), else of a stable sort by document."""
+    x, mask = dataset.features, dataset.labels
+    if (np.diff(dataset.doc_index) < 0).any():
+        order = np.argsort(dataset.doc_index, kind="stable")
+        x, mask = x[order], mask[order]
+    x, mask = np.ascontiguousarray(x), np.ascontiguousarray(mask)
     x.flags.writeable = mask.flags.writeable = False
     counts = np.bincount(dataset.doc_index, minlength=len(dataset.document_ids))
     ends = np.cumsum(counts)

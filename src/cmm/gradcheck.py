@@ -12,21 +12,24 @@ coordinate-wise: the min() there is non-differentiable, so a one-sided
 disagreement between subgradient and difference quotient is expected, not a
 bug. The number of excluded coordinates is reported.
 
-Each trial draws from ``default_rng((seed, trial))``'s stream. ``trial_rngs``
-builds those generators without a ``SeedSequence`` per trial: it derives the
-PCG64 seed words of a block of trials at once, with SeedSequence's hash
-mixing (NEP 19) run as uint32 array arithmetic, and lets PCG64 seed itself
-from them.
+Each trial draws from ``default_rng((seed, trial))``'s stream, to the bit,
+without a generator per trial. Trials are drawn a block at a time:
+``_pcg64_words`` derives their PCG64 seed words with SeedSequence's hash
+mixing (NEP 19) run as uint32 array arithmetic, ``_raw_words`` runs PCG64
+on them as 128-bit arithmetic on uint64 limbs, and ``_decode`` reads each
+trial's draws from its words as numpy's Generator does. A trial whose
+bounded draw could enter numpy's rejection loop is drawn again from its own
+generator.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NumericError
 # cmm_loss is not called here; the benchmark's traced replay wraps this module's name
@@ -41,8 +44,12 @@ MAX_RELATIONS = 1024
 # R = 64-256). A larger trial is scored alone, so no stack outgrows one trial
 # at MAX_RELATIONS.
 PROBE_STACK_FLOATS = 2 ** 17
-# trials whose generator seeds are derived together; bounds the derivation's arrays
-SEED_BLOCK = 4096
+# trials are drawn and scored a block at a time; a block needs at most this many
+# raw words (1 MiB), or is one trial if that trial needs more
+WORD_BLOCK = 2 ** 17
+
+# numpy's PCG64: a 128-bit LCG with this multiplier
+_PCG_MULT, _MASK128, _MASK64 = 0x2360ED051FC65DA44385DF649FCCF645, 2 ** 128 - 1, 2 ** 64 - 1
 
 # numpy's SeedSequence constants (pool of 4 uint32 words)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -51,10 +58,7 @@ _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 def _int_words(n: int) -> list[int]:
     """n's 32-bit words, least significant first, as SeedSequence splits an int (0 is [0])."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
 class _Hash:
@@ -107,29 +111,96 @@ def _pcg64_words(seed: int, trials: Sequence[int]) -> np.ndarray:
                     axis=1)
 
 
-class _SeedWords(ISeedSequence):
-    """The seed words SeedSequence would give PCG64, derived ahead of time."""
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"seed words hold 4 uint64 words, asked for {n_words} "
-                             f"{np.dtype(dtype)}")
-        return self.words
+def _mul128(a, b):
+    """a * b mod 2**128 on (high, low) pairs of uint64 arrays; 32-bit limbs carry the low product."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    cross_a, cross_b = a1 * b0, a0 * b1
+    carry = ((a0 * b0 >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)) >> 32
+    return (a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + carry + a_hi * b_lo + a_lo * b_hi,
+            a_lo * b_lo)
 
 
-def trial_rngs(seed: int, trials: Sequence[int]) -> Iterator[np.random.Generator]:
-    """A generator equal to ``np.random.default_rng((seed, t))`` for each t in trials.
+def _raw_words(seed: int, trials: Sequence[int], width: int) -> np.ndarray:
+    """(len(trials), width) uint64: default_rng((seed, t)).bit_generator.random_raw(width) per t.
 
-    ``seed`` and the trial indices are integers >= 0. Seed words are derived
-    ``SEED_BLOCK`` trials at a time.
+    PCG64 takes state 0 and increment inc = 2 * words[2:4] + 1 (128-bit,
+    high word first), steps, adds words[0:2] and steps again; each output
+    steps once more and returns rotr64(hi ^ lo, hi >> 58) of the state. So
+    output j reads M^(j+2) * words[0:2] + (1 + M + ... + M^(j+2)) * inc mod 2^128.
     """
-    for start in range(0, len(trials), SEED_BLOCK):
-        for words in _pcg64_words(seed, trials[start:start + SEED_BLOCK]):
-            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    words = _pcg64_words(seed, trials)
+    jumps, power, total = [], _PCG_MULT ** 2 & _MASK128, 1 + _PCG_MULT
+    for _ in range(width):
+        total = total + power & _MASK128
+        jumps += [power >> 64, power & _MASK64, total >> 64, total & _MASK64]
+        power = power * _PCG_MULT & _MASK128
+    jumps = np.array(jumps, dtype=np.uint64).reshape(width, 4).T
+    s_hi, s_lo = _mul128((words[:, 0:1], words[:, 1:2]), jumps[:2])
+    i_hi, i_lo = _mul128((words[:, 2:3] << 1 | words[:, 3:4] >> 63, words[:, 3:4] << 1 | 1),
+                         jumps[2:])
+    lo = s_lo + i_lo
+    hi = s_hi + i_hi + (lo < i_lo)
+    mixed, rot = hi ^ lo, hi >> 58
+    return mixed >> rot | mixed << (-rot & 63)
+
+
+# what each trial draws from; grid is (len(gammas), len(ms))
+_Draws = namedtuple("_Draws", "relation_counts lo hi grid empty_positive_rate positive_rate")
+
+
+def _draw_trial(rng: np.random.Generator, draws: _Draws):
+    """One trial's (relation count, logits, positive mask, arm index) from its generator."""
+    r_count = draws.relation_counts[rng.integers(len(draws.relation_counts))]
+    values = rng.uniform(draws.lo, draws.hi, size=r_count + 1)
+    # column j is relation j+1; rng.random(R) reads the stream as R single draws do
+    positives = (np.zeros(r_count, dtype=bool) if rng.random() < draws.empty_positive_rate
+                 else rng.random(r_count) < draws.positive_rate)
+    n_gammas, n_ms = draws.grid
+    return r_count, values, positives, rng.integers(n_gammas) * n_ms + rng.integers(n_ms)
+
+
+def _decode(words: np.ndarray, seed: int, first: int, draws: _Draws):
+    """``_draw_trial``'s draws for trials first, first + 1, ... from their raw words, a row each.
+
+    ``integers(k)`` is Lemire's product of k and a word's low 32 bits, and
+    at the next bounded draw of its high 32 bits (k = 1 takes nothing);
+    ``uniform`` and ``random`` take a word per value. A trial whose product
+    could enter numpy's rejection loop is drawn from its generator instead.
+    Returns the (T,) relation counts and arm indices, (T, max R + 1) logits
+    and (T, max R) positive masks; rows are valid up to their relation count.
+    """
+    rows, at, spare = np.arange(len(words)), 0, None
+    suspect = np.zeros(len(words), dtype=bool)
+    units = (words >> 11) * 2.0 ** -53      # Generator.random() of each word
+
+    def bounded(k):
+        nonlocal at, spare, suspect
+        if k == 1:
+            return np.zeros(len(words), dtype=np.intp)
+        if spare is None:
+            word = words[rows, at]
+            at, half, spare = at + 1, word & _MASK32, word >> 32
+        else:
+            half, spare = spare, None
+        product = half * np.uint64(k)
+        suspect |= (product & _MASK32) < k
+        return (product >> 32).astype(np.intp)
+
+    counts = np.array(draws.relation_counts, dtype=np.intp)
+    r_counts = counts[bounded(len(counts))]
+    values = draws.lo + (draws.hi - draws.lo) * units[:, at:at + counts.max() + 1]
+    at = at + r_counts + 1
+    empty = units[rows, at] < draws.empty_positive_rate
+    positives = ((units[rows[:, None], at[:, None] + 1 + np.arange(counts.max())]
+                  < draws.positive_rate) & ~empty[:, None])
+    at = at + 1 + np.where(empty, 0, r_counts)
+    arms = bounded(draws.grid[0]) * draws.grid[1] + bounded(draws.grid[1])
+    for row in np.flatnonzero(suspect).tolist():
+        r_count, logits, mask, arm = _draw_trial(np.random.default_rng((seed, first + row)), draws)
+        r_counts[row], arms[row] = r_count, arm
+        values[row, :r_count + 1], positives[row, :r_count] = logits, mask
+    return r_counts, values, positives, arms
 
 
 def relative_error(a, n):
@@ -187,17 +258,8 @@ class GradCheckFailure:
     rel_error: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "trial": self.trial,
-            "relation_count": self.relation_count,
-            "gamma": self.gamma,
-            "m": self.m,
-            "logits": list(self.logits),
-            "positives": list(self.positives),
-            "analytic": list(self.analytic),
-            "numeric": list(self.numeric),
-            "rel_error": self.rel_error,
-        }
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -215,16 +277,8 @@ class GradCheckReport:
         return not self.failures
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "step": self.step,
-            "max_rel_error": self.max_rel_error,
-            "excluded_coords": self.excluded_coords,
-            "n_failures": len(self.failures),
-            "failures": [f.to_dict() for f in self.failures],
-        }
+        return {**{name: value for name, value in vars(self).items() if name != "failures"},
+                "n_failures": len(self.failures), "failures": [f.to_dict() for f in self.failures]}
 
 
 def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
@@ -236,9 +290,10 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
     """Compare analytic and numeric cmm gradients over randomized trials.
 
     Each trial draws its own RNG stream from (seed, trial index), so reports
-    are deterministic and do not depend on how trials are scored together.
-    Label sets include empty-positive cases. Trials with one relation count
-    are scored in chunks, each with one analytic call of the stacked cmm
+    are deterministic and do not depend on how trials are drawn or scored
+    together. Label sets include empty-positive cases. Trials are drawn a
+    block at a time, and a block's trials with one relation count are
+    scored in chunks, each with one analytic call of the stacked cmm
     kernel the trainer runs for its arms (per-trial gamma, m and clamp) and
     one value call on the chunk's central-difference probes. The report
     lists failures in trial order; a non-finite probe raises NumericError
@@ -250,13 +305,16 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     _require_step(step)
+    if not (isinstance(logit_range, (list, tuple)) and len(logit_range) == 2):
+        raise TypeError(f"logit_range must be a list of two numbers, got {logit_range!r}")
     lo, hi = logit_range
     require_finite("logit_range[0]", lo)
     require_finite("logit_range[1]", hi)
     if not (lo < hi and math.isfinite(float(hi) - float(lo))):
         raise ValueError(f"logit_range must have lo < hi and a finite width, "
                          f"got {list(logit_range)}")
-    relation_counts = tuple(relation_counts)
+    if not isinstance(relation_counts, (list, tuple)):
+        raise TypeError(f"relation_counts must be a list of integers, got {relation_counts!r}")
     if not relation_counts:
         raise ValueError("relation_counts must not be empty")
     for r_count in relation_counts:
@@ -267,64 +325,60 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
     gammas, ms = loss_grid(gammas, ms)
     if not (gammas and ms):
         raise ValueError("gammas and ms must not be empty")
-    cfgs = [[LossConfig(kind="cmm", gamma=float(g), m=float(m)) for m in ms] for g in gammas]
+    draws = _Draws(tuple(relation_counts), float(lo), float(hi),
+                   (len(gammas), len(ms)), empty_positive_rate, positive_rate)
+    arms = [LossConfig(kind="cmm", gamma=float(g), m=float(m)) for g in gammas for m in ms]
+    arm_gamma, arm_m, arm_clamp = _cmm_arms(arms)
 
-    # draw: every trial from its own stream
-    drawn = []
-    for rng in trial_rngs(int(seed), range(trials)):
-        r_count = int(relation_counts[rng.integers(len(relation_counts))])
-        values = rng.uniform(lo, hi, size=r_count + 1)
-        # column j is relation j+1; rng.random(R) reads the stream as R single draws do
-        pos_mask = (np.zeros(r_count, dtype=bool) if rng.random() < empty_positive_rate
-                    else rng.random(r_count) < positive_rate)
-        drawn.append((values, pos_mask, cfgs[rng.integers(len(gammas))][rng.integers(len(ms))]))
+    # each block's trials are scored with one analytic and one value kernel call
+    # per chunk of trials with one relation count
+    width = 2 * max(relation_counts) + 4      # words of the widest trial
+    block = max(1, WORD_BLOCK // width)
+    errors, excluded, failures = np.zeros(trials), 0, []
+    for first in range(0, trials, block):
+        words = _raw_words(int(seed), range(first, min(trials, first + block)), width)
+        r_counts, logits, positives, arm = _decode(words, int(seed), first, draws)
+        first_bad = None
+        for n in np.unique(r_counts + 1).tolist():
+            members = np.flatnonzero(r_counts + 1 == n)
+            size = max(1, PROBE_STACK_FLOATS // (2 * n * n))
+            for chunk in (members[i:i + size] for i in range(0, len(members), size)):
+                values, pos_mask = logits[chunk, :n], positives[chunk, :n - 1]
+                gamma, m, clamp = arm_gamma[arm[chunk]], arm_m[arm[chunk]], arm_clamp[arm[chunk]]
+                _, grads = _cmm_rows(values[:, None, :], np.nonzero(pos_mask[:, None, :]),
+                                     gamma, m, clamp, need_grad=True, need_value=False)
+                probe_pos = np.nonzero(np.broadcast_to(pos_mask[:, None, :],
+                                                       (len(chunk), 2 * n, n - 1)))
+                try:
+                    numeric = finite_difference(
+                        lambda probes: _cmm_rows(probes, probe_pos, gamma, m, clamp,
+                                                 need_grad=False)[0],
+                        values, step=step)
+                except NumericError as exc:     # raised below for the block's first such trial
+                    if first_bad is None or chunk[exc.row] < first_bad[0]:
+                        first_bad = (chunk[exc.row], exc)
+                    continue
+                # coordinates whose difference quotient straddles the clamp kink;
+                # perturbing TH shifts the same distance
+                near = ~pos_mask & (np.abs((values[:, :1] - values[:, 1:]) - clamp[:, 0])
+                                    <= 10.0 * step)
+                kept = ~np.concatenate((near.any(axis=1, keepdims=True), near), axis=1)
+                excluded += int((~kept).sum())
+                err = np.where(kept, relative_error(grads[:, 0], numeric), 0.0).max(axis=1)
+                errors[first + chunk] = err
+                for i in np.flatnonzero(err > tolerance).tolist():
+                    cfg = arms[arm[chunk[i]]]
+                    failures.append(GradCheckFailure(
+                        trial=first + int(chunk[i]), relation_count=n - 1, gamma=cfg.gamma,
+                        m=cfg.m, logits=tuple(values[i].tolist()),
+                        positives=tuple((np.flatnonzero(pos_mask[i]) + 1).tolist()),
+                        analytic=tuple(grads[i, 0].tolist()), numeric=tuple(numeric[i].tolist()),
+                        rel_error=float(err[i])))
+        if first_bad is not None:
+            raise first_bad[1]
 
-    # score: one analytic and one value kernel call per chunk of trials with one
-    # relation count
-    scored, excluded, first_bad = [None] * trials, 0, None
-    groups: dict[int, list[int]] = {}
-    for trial, (values, _, _) in enumerate(drawn):
-        groups.setdefault(values.size, []).append(trial)
-    for n, members in groups.items():
-        size = max(1, PROBE_STACK_FLOATS // (2 * n * n))
-        for chunk in (members[i:i + size] for i in range(0, len(members), size)):
-            values = np.stack([drawn[t][0] for t in chunk])
-            pos_mask = np.stack([drawn[t][1] for t in chunk])
-            gamma, m, clamp = _cmm_arms([drawn[t][2] for t in chunk])
-            _, grads = _cmm_rows(values[:, None, :], np.nonzero(pos_mask[:, None, :]),
-                                 gamma, m, clamp, need_grad=True, need_value=False)
-            probe_pos = np.nonzero(np.broadcast_to(pos_mask[:, None, :],
-                                                   (len(chunk), 2 * n, n - 1)))
-            try:
-                numeric = finite_difference(
-                    lambda probes: _cmm_rows(probes, probe_pos, gamma, m, clamp,
-                                             need_grad=False)[0],
-                    values, step=step)
-            except NumericError as exc:     # raised below for the first such trial
-                if first_bad is None or chunk[exc.row] < first_bad[0]:
-                    first_bad = (chunk[exc.row], exc)
-                continue
-            # coordinates whose difference quotient straddles the clamp kink;
-            # perturbing TH shifts the same distance
-            near = ~pos_mask & (np.abs((values[:, :1] - values[:, 1:]) - clamp[:, 0])
-                                <= 10.0 * step)
-            kept = ~np.concatenate((near.any(axis=1, keepdims=True), near), axis=1)
-            excluded += int((~kept).sum())
-            errors = np.where(kept, relative_error(grads[:, 0], numeric), 0.0).max(axis=1)
-            for trial, *result in zip(chunk, grads[:, 0], numeric, errors.tolist()):
-                scored[trial] = result
-    if first_bad is not None:
-        raise first_bad[1]
-
-    # report, in trial order
-    failures = tuple(
-        GradCheckFailure(trial=trial, relation_count=values.size - 1, gamma=cfg.gamma, m=cfg.m,
-                         logits=tuple(values.tolist()),
-                         positives=tuple((np.flatnonzero(pos_mask) + 1).tolist()),
-                         analytic=tuple(analytic.tolist()), numeric=tuple(numeric.tolist()),
-                         rel_error=err)
-        for trial, ((values, pos_mask, cfg), (analytic, numeric, err))
-        in enumerate(zip(drawn, scored)) if err > tolerance)
+    failures.sort(key=lambda failure: failure.trial)
+    # NaN errors count as no failure and do not raise the maximum
     return GradCheckReport(trials=trials, tolerance=tolerance, seed=seed, step=step,
-                           max_rel_error=max(0.0, *(err for *_, err in scored)),
-                           excluded_coords=excluded, failures=failures)
+                           max_rel_error=float(np.fmax.reduce(errors, initial=0.0)),
+                           excluded_coords=excluded, failures=tuple(failures))

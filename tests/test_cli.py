@@ -501,6 +501,66 @@ class TestDeterminism:
                for name in names}
         assert got == self.TRAINING_BYTES[case]
 
+    # criterion 5's shape (F = 64, R = 20) on documents of 30 and of 150 pairs: the
+    # forward GEMMs run on both sides of the 57/58-row boundary where OpenBLAS
+    # takes another path, and every document is a view of the loaded columns
+    WIDE_TRAINING_BYTES = {
+        30: {
+            "positives.csv":
+                "4039c3bfbdbaf184cb5c8a384d055809caad9f11310360c4ee2a36c651b6a98a",
+            "cmm.checkpoint.json":
+                "d6c7b4f896f45525784cbfbec217b878dbab37f1049a7776fbc800b5a37cae66",
+            "cmm.trace.csv":
+                "cf9946c5623a97abd352e02af78fec8cdb932ebfcfd22ac0438571db5cc9e7b7",
+            "plain.checkpoint.json":
+                "f1937843720240ef9a313f37393a623e774ca5095e797f173d2bef79d4ef7473",
+            "plain.trace.csv":
+                "53d601337373a4ea3408fc8f7a15b48e9abe7883f0ff076dc952b8b58a091532",
+            "atl.checkpoint.json":
+                "54760bf6a114fc396761bce440a277dc4fdd351b94d1c6f4d31a1a17138d3313",
+            "atl.trace.csv":
+                "0f518088e029d3bc6a83b39b6e8a38b452ddc00e98101b98d4f4306c135a6638",
+        },
+        150: {
+            "positives.csv":
+                "a0d5d5f315d034e4758d06d2da865f72770d56956401818c17e5bad4cc6bfa1a",
+            "cmm.checkpoint.json":
+                "b53b306e32c3ba0f6dc06d3eb4547a70c3d0fd6412de6284b3969f1fb6f02396",
+            "cmm.trace.csv":
+                "6e23d4c04508cbf6124f363f9494899f2efde6a08ad27f19cc978507d7d7f7cb",
+            "plain.checkpoint.json":
+                "7ac3c57cc5792f8dd2913a784c40150e102dbcd19449a99d35bbd3c625250310",
+            "plain.trace.csv":
+                "d51fa8579f96d764f35ddbd887b2497bb7af336a0101defafc46e07469509686",
+            "atl.checkpoint.json":
+                "beb5e3db4257abb6fa25357778e3a36c928256470d6002156070f01fc23a6369",
+            "atl.trace.csv":
+                "566b73f3f707d682c8975eecff957c0cf547f1c62914aa58c181ee8922cfa4e7",
+        },
+    }
+
+    @pytest.mark.parametrize("pairs", list(WIDE_TRAINING_BYTES))
+    def test_training_bytes_pinned_at_features_64_relations_20(self, tmp_path, pairs):
+        data = {}
+        for split, n_documents, seed in (("dataset", 240 // pairs, 2), ("dev", 1, 3)):
+            cfg = write_config(tmp_path, f"{split}.json", {
+                "n_documents": n_documents, "pairs_per_document": pairs,
+                "positive_rate": 0.1, "false_negative_rate": 0.3, "seed": seed})
+            assert run(["generate", cfg, "-o", tmp_path / split]) == 0
+            data[split] = str(tmp_path / split / "dataset.jsonl")
+        train = {"epochs": 3, "seed": 1, "learning_rate": 0.01, "eval_every": 1,
+                 "loss": {"kind": "cmm", "gamma": 1.2, "m": 0.3}}
+        arms = [{"name": "cmm"}, {"name": "plain", "loss": {"kind": "plain_margin"}},
+                {"name": "atl", "loss": {"kind": "atl_reference"}}]
+        assert run(["train", write_config(tmp_path, "t.json", {**data, "train": train,
+                                                               "arms": arms}),
+                    "-o", tmp_path / "train"]) == 0
+        names = ["positives.csv"] + [f"{arm['name']}.{suffix}" for arm in arms
+                                     for suffix in ("checkpoint.json", "trace.csv")]
+        got = {name: hashlib.sha256((tmp_path / "train" / name).read_bytes()).hexdigest()
+               for name in names}
+        assert got == self.WIDE_TRAINING_BYTES[pairs]
+
     def test_train_rerun_byte_identical(self, tmp_path, tiny_dataset, tiny_dev):
         cfg = write_config(tmp_path, "train.json", {
             "dataset": str(tiny_dataset), "dev": str(tiny_dev),
@@ -672,6 +732,11 @@ BAD_OTHER = {
     "gradcheck_huge_relation_count": ("gradcheck", {"relation_counts": [5000]}),
     "gradcheck_no_relation_counts": ("gradcheck", {"relation_counts": []}),
     "gradcheck_no_gammas": ("gradcheck", {"gammas": []}),
+    "gradcheck_one_bound_range": ("gradcheck", {"logit_range": [1.0]}),
+    "gradcheck_three_bound_range": ("gradcheck", {"logit_range": [-1.0, 0.0, 1.0]}),
+    "gradcheck_string_range": ("gradcheck", {"logit_range": "ab"}),
+    "gradcheck_scalar_relation_counts": ("gradcheck", {"relation_counts": 3}),
+    "gradcheck_string_relation_counts": ("gradcheck", {"relation_counts": "23"}),
     "gradcheck_no_ms": ("gradcheck", {"ms": []}),
 }
 
@@ -861,6 +926,19 @@ class TestMalformedInput:
         capsys.readouterr()
         assert_one_line_error(capsys, run([command, cfg, "-o", out]), 1)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case, message", [
+        ("gradcheck_one_bound_range", "logit_range must be a list of two numbers, got [1.0]"),
+        ("gradcheck_string_range", "logit_range must be a list of two numbers, got 'ab'"),
+        ("gradcheck_scalar_relation_counts", "relation_counts must be a list of integers, got 3"),
+        ("gradcheck_string_relation_counts",
+         "relation_counts must be a list of integers, got '23'"),
+    ])
+    def test_gradcheck_shape_error_names_the_field(self, tmp_path, capsys, case, message):
+        cfg = write_config(tmp_path, "cfg.json", BAD_OTHER[case][1])
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["gradcheck", cfg, "-o", tmp_path / "out"]), 1)
+        assert err.strip().endswith(message)
 
     @pytest.mark.parametrize("case", sorted(UNKNOWN_FIELDS))
     def test_unknown_field_exits_1(self, tmp_path, tiny_dataset, tiny_dev, capsys, case):

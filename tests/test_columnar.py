@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmm.encoder import TrainConfig, train
+from cmm.encoder import TrainConfig, _pack_documents, train
 from cmm.loss import LossConfig
 from cmm.schema import (DATASET_FORMAT, LabelSet, dataset_to_lines, load_dataset_jsonl,
                         save_dataset_jsonl)
@@ -169,3 +169,16 @@ class TestInterleavedDocuments:
         for (params_a, trace_a), (params_b, trace_b) in zip(*runs):
             assert np.array_equal(params_a.flat, params_b.flat)
             assert trace_a == trace_b
+
+    def test_document_ordered_batches_view_the_columns(self, tmp_path):
+        ds = generate(GenConfig(n_documents=3, pairs_per_document=8, relation_count=4,
+                                feature_dim=6, positive_rate=0.25, seed=5))
+        lines = list(dataset_to_lines(ds))
+        path = tmp_path / "reversed.jsonl"
+        path.write_text("\n".join([lines[0]] + lines[:0:-1]) + "\n")
+        for data, shared in ((ds, True), (load_dataset_jsonl(str(path)), False)):
+            docs = _pack_documents(data, ["cmm", "plain_margin"])
+            assert [np.shares_memory(d.features, data.features)
+                    and np.shares_memory(d.pos_mask, data.labels) for d in docs] == [shared] * 3
+            assert not any(d.features.flags.writeable or d.pos_mask.flags.writeable
+                           for d in docs)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import cmm.gradcheck
 from cmm.errors import NumericError
-from cmm.gradcheck import (_SeedWords, check_gradients, finite_difference, relative_error,
-                           trial_rngs)
+from cmm.gradcheck import (_decode, _Draws, _raw_words, check_gradients, finite_difference,
+                           relative_error)
 from cmm.loss import LossConfig, batch_rows, clamp_distance, cmm_loss, cmm_loss_grad
 from cmm.schema import LabelSet, LogitRow
 
@@ -281,8 +281,33 @@ class TestAgainstPerCoordinateOracle:
             assert len(value_calls) > len(set(sizes))
 
 
+def decoded_trials(trials, seed, block=5, words=None, gammas=(1.0, 1.2, 1.4, 1.6, 2.0),
+                   ms=(0.1, 0.2, 0.3, 0.4), logit_range=(-8.0, 8.0),
+                   relation_counts=(2, 3, 4, 6, 8, 10)):
+    """(values, positives, gamma, m) of each trial decoded from its raw words, drawn
+    ``block`` trials at a time as check_gradients draws them, or from the given
+    raw words of trials 0, 1, ..."""
+    draws = _Draws(tuple(relation_counts), *logit_range, (len(gammas), len(ms)), 0.2, 0.35)
+    width = 2 * max(relation_counts) + 4
+    blocks = ([(0, words)] if words is not None else
+              [(first, _raw_words(seed, range(first, min(trials, first + block)), width))
+               for first in range(0, trials, block)])
+    for first, block_words in blocks:
+        r_counts, logits, positives, arms = _decode(block_words, seed, first, draws)
+        for r_count, values, mask, arm in zip(r_counts, logits, positives, arms):
+            labels = frozenset((np.flatnonzero(mask[:r_count]) + 1).tolist())
+            yield (values[:r_count + 1].tolist(), labels, gammas[arm // len(ms)],
+                   ms[arm % len(ms)])
+
+
+def reference_trials(trials, seed, **draw):
+    """decoded_trials' tuples from draw_trials, one default_rng per trial."""
+    return [(values.tolist(), labels.positives, cfg.gamma, cfg.m)
+            for values, labels, cfg in draw_trials(trials, seed, **draw)]
+
+
 class TestTrialRngs:
-    """trial_rngs derives its generators' seeds itself; default_rng is the reference."""
+    """Trials are decoded from PCG64 words computed in arrays; default_rng is the reference."""
 
     SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 100 + 3)
     TRIALS = (0, 1, 999, 2 ** 32 - 1, 2 ** 32, 2 ** 64)
@@ -290,25 +315,77 @@ class TestTrialRngs:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equals_default_rng_at_word_boundaries(self, seed):
         # one call holds trial indices of one, two and three 32-bit words
-        for trial, rng in zip(self.TRIALS, trial_rngs(seed, self.TRIALS), strict=True):
-            reference = np.random.default_rng((seed, trial))
-            assert rng.bit_generator.state == reference.bit_generator.state, trial
-            assert np.array_equal(rng.random(4), reference.random(4))
-            assert np.array_equal(rng.integers(0, 2 ** 40, 4), reference.integers(0, 2 ** 40, 4))
+        expected = [np.random.default_rng((seed, t)).bit_generator.random_raw(30)
+                    for t in self.TRIALS]
+        assert np.array_equal(_raw_words(seed, self.TRIALS, 30), expected)
+
+    @pytest.mark.parametrize("draw", [
+        {}, {"relation_counts": (1, 1024)}, {"relation_counts": (7,)},
+        {"gammas": (2.0,), "ms": (0.3,)}, {"relation_counts": (5,), "gammas": (1.0,), "ms": (0.1,)},
+        {"logit_range": (-1.5, 1.5), "ms": (0.2,)},
+    ], ids=["defaults", "one_and_1024", "one_relation_count", "one_arm", "one_of_each",
+            "narrow_range"])
+    def test_decoded_draws_equal_default_rng_draws(self, draw):
+        assert list(decoded_trials(41, 2 ** 64 + 1, **draw)) == reference_trials(
+            41, 2 ** 64 + 1, **draw)
+
+    def blocked_run(self, monkeypatch, budget):
+        """First trials of the blocks check_gradients draws at this word budget; the
+        report must equal the per-coordinate one, whose failures (every trial at
+        tolerance 0) are in trial order."""
+        kwargs = {"trials": 13, "tolerance": 0.0, "seed": 2 ** 64 + 1}
+        expected = per_coordinate_report(**kwargs)
+        calls, original = [], cmm.gradcheck._raw_words
+
+        def recorded(seed, trials, width):
+            calls.append(trials[0])
+            return original(seed, trials, width)
+
+        monkeypatch.setattr(cmm.gradcheck, "_raw_words", recorded)
+        monkeypatch.setattr(cmm.gradcheck, "WORD_BLOCK", budget)
+        assert check_gradients(**kwargs).to_dict() == expected
+        return calls
 
     def test_streams_across_seed_blocks(self, monkeypatch):
-        monkeypatch.setattr(cmm.gradcheck, "SEED_BLOCK", 3)
-        trials = range(2 ** 32 - 4, 2 ** 32 + 3)
-        states = [rng.bit_generator.state for rng in trial_rngs(5, trials)]
-        assert states == [np.random.default_rng((5, t)).bit_generator.state for t in trials]
+        # a default trial needs 24 words
+        assert self.blocked_run(monkeypatch, 3 * 24 + 1) == [0, 3, 6, 9, 12]
 
-    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
-                                                (8, np.uint64)])
-    def test_seed_words_refuse_other_requests(self, n_words, dtype):
-        words = np.random.SeedSequence(0).generate_state(4, np.uint64)
-        assert _SeedWords(words).generate_state(4, np.uint64) is words
-        with pytest.raises(ValueError, match="4 uint64"):
-            _SeedWords(words).generate_state(n_words, dtype)
+    def test_one_trial_per_block_below_one_trials_words(self, monkeypatch):
+        assert self.blocked_run(monkeypatch, 1) == list(range(13))
+
+    def test_non_finite_probe_named_for_first_trial_across_blocks(self, monkeypatch):
+        # a trial whose TH logit exceeds 6 scores inf on its last coordinate's up probe.
+        # In blocks of 20 trials the first block has none, and the second scores
+        # relation count 1 (trial 27) before the first such trial's 5 (trial 20)
+        kwargs = {"trials": 60, "seed": 15, "relation_counts": (1, 2, 64, 5)}
+        bad = [(trial, labels.relation_count) for trial, (values, labels, _)
+               in enumerate(draw_trials(**kwargs)) if values[0] > 6.0]
+        assert bad[0] == (20, 5) and (27, 1) in bad
+        original = cmm.gradcheck._cmm_rows
+
+        def poisoned(t, *args, need_grad, **kwargs):
+            rows, grads = original(t, *args, need_grad=need_grad, **kwargs)
+            if not need_grad:
+                rows[t[:, -1, 0] > 6.0, t.shape[-1] - 1] = np.inf
+            return rows, grads
+
+        monkeypatch.setattr(cmm.gradcheck, "_cmm_rows", poisoned)
+        monkeypatch.setattr(cmm.gradcheck, "WORD_BLOCK", 20 * (2 * 64 + 4))
+        with pytest.raises(NumericError, match="coordinate 5$"):
+            check_gradients(**kwargs)
+
+    @pytest.mark.parametrize("half", ["low", "high"])
+    def test_possible_rejection_redraws_the_trial(self, half):
+        # the relation-count draw takes word 0's low half and the gamma draw its high
+        # half; a half of 0 gives Lemire's product 0 < k, where numpy may draw again
+        seed, trial = 8, 4
+        words = _raw_words(seed, range(12), 24)
+        expected = reference_trials(12, seed)
+        words[trial, 0] &= np.uint64(0xFFFFFFFF00000000 if half == "low" else 0xFFFFFFFF)
+        assert list(decoded_trials(12, seed, words=words)) == expected
+        # read as written, the zeroed half would draw relation count 2 or gamma 1.0
+        values, _, gamma, _ = expected[trial]
+        assert len(values) != 3 if half == "low" else gamma != 1.0
 
 
 class TestCheckGradients:
