@@ -409,7 +409,7 @@ class TestDeterminism:
         assert run(["gradcheck", cfg, "-o", tmp_path / "out"]) == 0
         report = (tmp_path / "out" / "gradcheck.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == (
-            "be360c8d80704bb1d53d1460c3b7cb3c3473cd64ad3de00f3bfcd01fbc48e93d")
+            "6252b4d4584009ec9a8ca6f6ea80c695be8dc382be8bf97fff72640277206cf2")
 
     # train: cmm, plain and ATL arms; compare: the default kinds over a 2 x 2 grid.
     # Each case's settings go into the train config and every arm's loss.

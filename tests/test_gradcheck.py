@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import cmm.gradcheck
 from cmm.errors import NumericError
-from cmm.gradcheck import (_decode, _Draws, _raw_words, check_gradients, finite_difference,
-                           relative_error)
+from cmm.gradcheck import _index, check_gradients, finite_difference, relative_error
 from cmm.loss import LossConfig, batch_rows, clamp_distance, cmm_loss, cmm_loss_grad
 from cmm.schema import LabelSet, LogitRow
 
@@ -142,17 +141,20 @@ class TestFiniteDifference:
 
 def draw_trials(trials, seed, gammas=(1.0, 1.2, 1.4, 1.6, 2.0), ms=(0.1, 0.2, 0.3, 0.4),
                 logit_range=(-8.0, 8.0), relation_counts=(2, 3, 4, 6, 8, 10)):
-    """(values, labels, cfg) of each trial, drawn one value at a time as check_gradients does."""
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        r_count = int(relation_counts[rng.integers(len(relation_counts))])
-        values = rng.uniform(*logit_range, size=r_count + 1)
-        if rng.random() < 0.2:
+    """(values, labels, cfg) of each trial, read from one default_rng(seed) stream a
+    trial's row of uniforms at a time, as check_gradients reads its rows."""
+    rng = np.random.default_rng(seed)
+    r_max, (lo, hi) = max(relation_counts), logit_range
+    for _ in range(trials):
+        row = rng.random(2 * r_max + 4).tolist()
+        r_count = relation_counts[int(row[0] * len(relation_counts))]
+        values = np.array([lo + (hi - lo) * u for u in row[1:r_count + 2]])
+        if row[r_max + 2] < 0.2:
             positives = frozenset()
         else:
-            positives = frozenset(r for r in range(1, r_count + 1) if rng.random() < 0.35)
-        cfg = cfg_cmm(gamma=float(gammas[rng.integers(len(gammas))]),
-                      m=float(ms[rng.integers(len(ms))]))
+            positives = frozenset(r for r in range(1, r_count + 1) if row[r_max + 2 + r] < 0.35)
+        arm = int(row[-1] * (len(gammas) * len(ms)))
+        cfg = cfg_cmm(gamma=float(gammas[arm // len(ms)]), m=float(ms[arm % len(ms)]))
         yield values, LabelSet(r_count, positives), cfg
 
 
@@ -198,17 +200,21 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+ORACLE_CONFIGS = [
+    {"trials": 300, "tolerance": 1e-5, "seed": 2024},
+    {"trials": 300, "tolerance": 1e-5, "seed": 20240},
+    {"trials": 300, "tolerance": 10.0, "seed": 5, "ms": (0.2,),
+     "logit_range": (-1.5, 1.5), "step": 0.05},
+    {"trials": 200, "tolerance": 0.0, "seed": 2024},
+    {"trials": 200, "tolerance": 1e-5, "seed": 77, "relation_counts": (7,)},
+    {"trials": 120, "tolerance": 1e-5, "seed": 78, "relation_counts": (1, 2, 64, 5)},
+]
+ORACLE_IDS = ["seed_2024", "seed_20240", "widened_band", "tolerance_0", "one_relation_count",
+              "mixed_relation_counts"]
+
+
 class TestAgainstPerCoordinateOracle:
-    @pytest.mark.parametrize("kwargs", [
-        {"trials": 300, "tolerance": 1e-5, "seed": 2024},
-        {"trials": 300, "tolerance": 1e-5, "seed": 20240},
-        {"trials": 300, "tolerance": 10.0, "seed": 5, "ms": (0.2,),
-         "logit_range": (-1.5, 1.5), "step": 0.05},
-        {"trials": 200, "tolerance": 0.0, "seed": 2024},
-        {"trials": 200, "tolerance": 1e-5, "seed": 77, "relation_counts": (7,)},
-        {"trials": 120, "tolerance": 1e-5, "seed": 78, "relation_counts": (1, 2, 64, 5)},
-    ], ids=["seed_2024", "seed_20240", "widened_band", "tolerance_0", "one_relation_count",
-            "mixed_relation_counts"])
+    @pytest.mark.parametrize("kwargs", ORACLE_CONFIGS, ids=ORACLE_IDS)
     def test_report_equals_per_coordinate_algorithm(self, kwargs):
         expected = per_coordinate_report(**kwargs)
         assert check_gradients(**kwargs).to_dict() == expected
@@ -281,43 +287,9 @@ class TestAgainstPerCoordinateOracle:
             assert len(value_calls) > len(set(sizes))
 
 
-def decoded_trials(trials, seed, block=5, words=None, gammas=(1.0, 1.2, 1.4, 1.6, 2.0),
-                   ms=(0.1, 0.2, 0.3, 0.4), logit_range=(-8.0, 8.0),
-                   relation_counts=(2, 3, 4, 6, 8, 10)):
-    """(values, positives, gamma, m) of each trial decoded from its raw words, drawn
-    ``block`` trials at a time as check_gradients draws them, or from the given
-    raw words of trials 0, 1, ..."""
-    draws = _Draws(tuple(relation_counts), *logit_range, (len(gammas), len(ms)), 0.2, 0.35)
-    width = 2 * max(relation_counts) + 4
-    blocks = ([(0, words)] if words is not None else
-              [(first, _raw_words(seed, range(first, min(trials, first + block)), width))
-               for first in range(0, trials, block)])
-    for first, block_words in blocks:
-        r_counts, logits, positives, arms = _decode(block_words, seed, first, draws)
-        for r_count, values, mask, arm in zip(r_counts, logits, positives, arms):
-            labels = frozenset((np.flatnonzero(mask[:r_count]) + 1).tolist())
-            yield (values[:r_count + 1].tolist(), labels, gammas[arm // len(ms)],
-                   ms[arm % len(ms)])
-
-
-def reference_trials(trials, seed, **draw):
-    """decoded_trials' tuples from draw_trials, one default_rng per trial."""
-    return [(values.tolist(), labels.positives, cfg.gamma, cfg.m)
-            for values, labels, cfg in draw_trials(trials, seed, **draw)]
-
-
-class TestTrialRngs:
-    """Trials are decoded from PCG64 words computed in arrays; default_rng is the reference."""
-
-    SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 100 + 3)
-    TRIALS = (0, 1, 999, 2 ** 32 - 1, 2 ** 32, 2 ** 64)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_equals_default_rng_at_word_boundaries(self, seed):
-        # one call holds trial indices of one, two and three 32-bit words
-        expected = [np.random.default_rng((seed, t)).bit_generator.random_raw(30)
-                    for t in self.TRIALS]
-        assert np.array_equal(_raw_words(seed, self.TRIALS, 30), expected)
+class TestTrialStream:
+    """Trial t reads row t of one default_rng(seed) stream, however trials are blocked;
+    draw_trials reads the same rows one trial at a time."""
 
     @pytest.mark.parametrize("draw", [
         {}, {"relation_counts": (1, 1024)}, {"relation_counts": (7,)},
@@ -325,42 +297,51 @@ class TestTrialRngs:
         {"logit_range": (-1.5, 1.5), "ms": (0.2,)},
     ], ids=["defaults", "one_and_1024", "one_relation_count", "one_arm", "one_of_each",
             "narrow_range"])
-    def test_decoded_draws_equal_default_rng_draws(self, draw):
-        assert list(decoded_trials(41, 2 ** 64 + 1, **draw)) == reference_trials(
-            41, 2 ** 64 + 1, **draw)
+    def test_block_draws_equal_row_by_row_draws(self, draw):
+        # at tolerance 0 the report lists nearly every trial's draws
+        kwargs = {"trials": 12, "tolerance": 0.0, "seed": 2 ** 64 + 1, **draw}
+        assert check_gradients(**kwargs).to_dict() == per_coordinate_report(**kwargs)
 
-    def blocked_run(self, monkeypatch, budget):
-        """First trials of the blocks check_gradients draws at this word budget; the
-        report must equal the per-coordinate one, whose failures (every trial at
-        tolerance 0) are in trial order."""
-        kwargs = {"trials": 13, "tolerance": 0.0, "seed": 2 ** 64 + 1}
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 100 + 3])
+    def test_seeds_of_any_width_seed_the_stream(self, seed):
+        kwargs = {"trials": 5, "tolerance": 0.0, "seed": seed}
+        assert check_gradients(**kwargs).to_dict() == per_coordinate_report(**kwargs)
+
+    @pytest.mark.parametrize("budget", [1, 3 * 24 + 1])
+    @pytest.mark.parametrize("kwargs", ORACLE_CONFIGS, ids=ORACLE_IDS)
+    def test_report_unchanged_at_block_budgets(self, monkeypatch, kwargs, budget):
         expected = per_coordinate_report(**kwargs)
-        calls, original = [], cmm.gradcheck._raw_words
-
-        def recorded(seed, trials, width):
-            calls.append(trials[0])
-            return original(seed, trials, width)
-
-        monkeypatch.setattr(cmm.gradcheck, "_raw_words", recorded)
+        calls = kernel_calls(monkeypatch)
         monkeypatch.setattr(cmm.gradcheck, "WORD_BLOCK", budget)
         assert check_gradients(**kwargs).to_dict() == expected
-        return calls
+        # one value call per relation count of each block (no chunk splits at these sizes)
+        draw = {key: kwargs[key] for key in ("ms", "logit_range", "relation_counts")
+                if key in kwargs}
+        sizes = [labels.relation_count for _, labels, _ in
+                 draw_trials(kwargs["trials"], kwargs["seed"], **draw)]
+        per_block = max(1, budget // (2 * max(sizes) + 4))
+        assert len([call for call in calls if not call[0]]) == sum(
+            len(set(sizes[i:i + per_block])) for i in range(0, len(sizes), per_block))
 
-    def test_streams_across_seed_blocks(self, monkeypatch):
-        # a default trial needs 24 words
-        assert self.blocked_run(monkeypatch, 3 * 24 + 1) == [0, 3, 6, 9, 12]
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, monkeypatch):
+        short = check_gradients(trials=7, tolerance=0.0, seed=31).failures
+        monkeypatch.setattr(cmm.gradcheck, "WORD_BLOCK", 5 * 24)    # blocks of 5 trials
+        longer = check_gradients(trials=30, tolerance=0.0, seed=31).failures
+        assert short and tuple(f for f in longer if f.trial < 7) == short
 
-    def test_one_trial_per_block_below_one_trials_words(self, monkeypatch):
-        assert self.blocked_run(monkeypatch, 1) == list(range(13))
+    @pytest.mark.parametrize("k", [1, 3, 20, 1025, 2 ** 31 + 1, 2 ** 40 + 3, 2 ** 53 - 1, 2 ** 53])
+    def test_largest_uniform_indexes_last_entry(self, k):
+        # Generator.random() is at most 1 - 2^-53
+        assert _index(np.array([0.0, 1.0 - 2.0 ** -53]), k).tolist() == [0, k - 1]
 
     def test_non_finite_probe_named_for_first_trial_across_blocks(self, monkeypatch):
         # a trial whose TH logit exceeds 6 scores inf on its last coordinate's up probe.
         # In blocks of 20 trials the first block has none, and the second scores
-        # relation count 1 (trial 27) before the first such trial's 5 (trial 20)
-        kwargs = {"trials": 60, "seed": 15, "relation_counts": (1, 2, 64, 5)}
+        # relation count 1 (trial 37) before the first such trial's 64 (trial 31)
+        kwargs = {"trials": 60, "seed": 38, "relation_counts": (1, 2, 64, 5)}
         bad = [(trial, labels.relation_count) for trial, (values, labels, _)
                in enumerate(draw_trials(**kwargs)) if values[0] > 6.0]
-        assert bad[0] == (20, 5) and (27, 1) in bad
+        assert bad[:2] == [(31, 64), (37, 1)]
         original = cmm.gradcheck._cmm_rows
 
         def poisoned(t, *args, need_grad, **kwargs):
@@ -371,21 +352,8 @@ class TestTrialRngs:
 
         monkeypatch.setattr(cmm.gradcheck, "_cmm_rows", poisoned)
         monkeypatch.setattr(cmm.gradcheck, "WORD_BLOCK", 20 * (2 * 64 + 4))
-        with pytest.raises(NumericError, match="coordinate 5$"):
+        with pytest.raises(NumericError, match="coordinate 64$"):
             check_gradients(**kwargs)
-
-    @pytest.mark.parametrize("half", ["low", "high"])
-    def test_possible_rejection_redraws_the_trial(self, half):
-        # the relation-count draw takes word 0's low half and the gamma draw its high
-        # half; a half of 0 gives Lemire's product 0 < k, where numpy may draw again
-        seed, trial = 8, 4
-        words = _raw_words(seed, range(12), 24)
-        expected = reference_trials(12, seed)
-        words[trial, 0] &= np.uint64(0xFFFFFFFF00000000 if half == "low" else 0xFFFFFFFF)
-        assert list(decoded_trials(12, seed, words=words)) == expected
-        # read as written, the zeroed half would draw relation count 2 or gamma 1.0
-        values, _, gamma, _ = expected[trial]
-        assert len(values) != 3 if half == "low" else gamma != 1.0
 
 
 class TestCheckGradients:
@@ -401,7 +369,10 @@ class TestCheckGradients:
         assert a == b
 
     def test_zero_tolerance_fails_every_trial(self):
-        report = check_gradients(trials=5, tolerance=0.0, seed=9)
+        # a trial with no positive and every negative clamped has gradient and
+        # difference quotient both exactly 0, which no tolerance fails; seed 10
+        # draws none in its first 5 trials
+        report = check_gradients(trials=5, tolerance=0.0, seed=10)
         assert len(report.failures) == report.trials
         assert not report.ok
 
@@ -420,6 +391,14 @@ class TestCheckGradients:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             check_gradients(trials=0)
+
+    @pytest.mark.parametrize("name, rate", [
+        ("positive_rate", float("nan")), ("positive_rate", -1), ("positive_rate", "x"),
+        ("empty_positive_rate", 2.0), ("empty_positive_rate", float("inf")),
+    ])
+    def test_rates_validated(self, name, rate):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            check_gradients(trials=1, **{name: rate})
 
     def test_report_serializable(self):
         import json
