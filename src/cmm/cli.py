@@ -205,7 +205,7 @@ def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence
                ms: Sequence[float], seeds: Sequence[int]) -> list[tuple]:
     """(kind, gamma, m, seed, train config) per grid tuple; cmm sweeps the grid,
     other kinds run once per seed. ValueError/TypeError on a bad kind, value or
-    plugin name."""
+    plugin name, or a grid with no arm."""
     arms = []
     for kind in kinds:
         tuples = ([(g, m) for g in gammas for m in ms] if kind == "cmm"
@@ -219,6 +219,8 @@ def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence
                 get_loss(loss_cfg)
                 cfg = replace(base, loss=loss_cfg, seed=seed)
                 arms.append((kind, gamma, m, seed, cfg))
+    if not arms:
+        raise ValueError("kinds, gammas, ms and seeds leave the grid with no arm")
     return arms
 
 
@@ -260,7 +262,7 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     _write_effective(outdir, {"compare": {"train": _cfg_as_dict(base), "kinds": list(kinds),
                                           "gammas": list(gammas), "ms": list(ms),
                                           "seeds": list(seeds)}})
-    best_idx = max(range(len(rows)), key=lambda i: rows[i].dev_f1) if rows else -1
+    best_idx = max(range(len(rows)), key=lambda i: rows[i].dev_f1)
     write_csv(outdir / "grid.csv", GRID_HEADER, (
         [row.kind, "" if row.gamma is None else float(row.gamma),
          "" if row.m is None else float(row.m), row.seed, float(row.dev_f1),

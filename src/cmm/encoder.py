@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericError, SchemaError
 from .evaluation import mask_metrics
 from .loss import LossConfig, _cmm_arms, _cmm_rows, _label_rows, _labels
-from .schema import Dataset, require_finite, require_int, write_json
+from .schema import Dataset, require_finite, require_int, require_numbers, write_json
 
 ARCHITECTURES = ("linear", "one_hidden")
 CHECKPOINT_FORMAT = "cmm-checkpoint/1"
@@ -513,6 +513,8 @@ def save_checkpoint(path: str, params: EncoderParams, state: AdamWState | None,
 
 
 def _tensor(entry: dict[str, Any], shape) -> np.ndarray:
+    """An entry's flat ``data`` list of numbers as an array of the given shape."""
+    require_numbers("data", entry["data"])
     return np.asarray(entry["data"], dtype=np.float64).reshape(shape)
 
 
@@ -549,7 +551,7 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[s
                                v=_moments(opt["v"], params.shapes))
             if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
                 raise ValueError("optimizer moments must be finite")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None

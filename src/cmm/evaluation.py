@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .loss import GAMMA_GRID, cmm_positive_term
+from .schema import require_finite
 
 CURVE_HEADER = ("d", "gamma", "loss_pos")
 POSITIVES_HEADER = ("epoch", "arm", "positives")
@@ -137,11 +138,14 @@ def default_d_grid(low: float = -5.0, high: float = 5.0, step: float = 0.05) -> 
     if not step > 0.0:
         raise ValueError(f"d step must be > 0, got {step}")
     try:
+        for name, value in (("d_min", low), ("d_max", high), ("d_step", step)):
+            require_finite(name, value)
         n_low, n_high = round(low / step), round(high / step)
         # re-round so grid points print as short decimals in the exported CSV
         return np.round(np.arange(n_low, n_high + 1) * step, 12)
-    except (OverflowError, MemoryError) as exc:
-        # an infinite point count, or more points than numpy will allocate
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # a bound or step that is no finite number, an infinite point count, or more
+        # points than numpy will allocate
         raise ValueError(f"no d grid from {low} to {high} in steps of {step} "
                          f"({type(exc).__name__}: {exc})") from None
 

@@ -75,9 +75,11 @@ class LossConfig:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (math.isfinite(self.m) and 0.0 < self.m < 1.0):
+        require_finite("gamma", self.gamma)
+        require_finite("m", self.m)
+        if not self.gamma >= 0.0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 < self.m < 1.0:
             raise ValueError(f"m must be strictly inside (0, 1), got {self.m}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")

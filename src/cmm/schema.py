@@ -22,7 +22,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import IO, Any, Collection, Iterable, Iterator, Mapping, Sequence
@@ -56,6 +56,15 @@ def require_int(name: str, value: Any, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def require_numbers(name: str, value: Any) -> None:
+    """TypeError unless value is a list of JSON numbers: ints and floats, no bools."""
+    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise TypeError(f"{name!r} must be a list of numbers, got {value!r:.80}")
 
 
 def require_finite(name: str, value: Any) -> None:
@@ -248,14 +257,15 @@ def _index_lists(mask: np.ndarray) -> list[list[int]]:
     return lists
 
 
-def _stack_rows(blocks: Sequence[np.ndarray | list[np.ndarray]]) -> np.ndarray:
-    """The (n, F) stack of blocks of feature rows, each an (m, F) array or a list
-    of m rows; SchemaError unless every row has one length."""
+def _stack_rows(blocks: Sequence[np.ndarray | Sequence[list]]) -> np.ndarray:
+    """The (n, F) stack of blocks of feature rows, each an (m, F) array or, when
+    its rows' lengths differ or it has none, a sequence of its m rows;
+    SchemaError unless every row has one length."""
     widths = sorted({width for block in blocks for width in (
         [block.shape[1]] if isinstance(block, np.ndarray) else map(len, block))})
     if len(widths) > 1:
         raise SchemaError(f"feature lengths differ between pairs: {widths}")
-    blocks = [np.reshape(block, (len(block), widths[0])) for block in blocks if len(block)]
+    blocks = [block for block in blocks if len(block)]     # a ragged one raised above
     return np.concatenate(blocks) if blocks else np.zeros((0, 0))
 
 
@@ -386,11 +396,6 @@ class Dataset:
 _BLOCK = 512
 _pair_fields = itemgetter("pair_id", "doc_id", "features", "positives", "true_positives",
                           "seen_in_train", "difficulty", "corrupted")
-# where one record ends and the next begins in orjson's text of a list of records,
-# and the text of a record that stands in for a line ``json`` writes: an unescaped
-# '"' only occurs outside strings, so neither occurs inside one
-_RECORD_SEPARATOR = b'},{"pair_id":'
-_PLACEHOLDER = b'{"pair_id":""}'
 
 
 def _orjson_rows(features: np.ndarray) -> np.ndarray:
@@ -437,16 +442,15 @@ def _header_line(dataset: Dataset) -> str:
 
 
 def _pair_blocks(dataset: Dataset) -> Iterator[bytes]:
-    """The pair lines of each block, each line ending in a newline.
+    """The pair lines of each block, joined, each line ending in a newline.
 
-    The blocks are of equal size, at most ``_BLOCK`` pairs. A line is encoded
-    with ``orjson`` when that gives the bytes ``json`` would: every feature
-    passes ``_orjson_rows`` and both ids are ``_plain_string``s. A block is
-    one ``orjson.dumps`` of its records, split into lines at
-    ``_RECORD_SEPARATOR``; every other line is encoded by ``json`` and put in
-    the place of its ``_PLACEHOLDER`` record.
+    The blocks are of equal size, at most ``_BLOCK`` pairs. Each line is
+    encoded alone: by one ``orjson.dumps`` when that gives the bytes ``json``
+    would (every feature passes ``_orjson_rows`` and both ids are
+    ``_plain_string``s), by ``json`` otherwise.
     """
     dumps = json.JSONEncoder(separators=(",", ":")).encode
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
     # numpy runs once on whole columns, and the blocks are of one size, so a block
     # makes no small array and no short list: the ones it freed would stay cached
     # (by numpy and by the C allocator) where they were made and could keep a
@@ -461,29 +465,21 @@ def _pair_blocks(dataset: Dataset) -> Iterator[bytes]:
     for start, stop in zip(bounds, bounds[1:]):
         (pair_ids, doc_ids, rows, positives, true, seen, hard, corrupted,
          fast) = (column[start:stop] for column in columns)
-        records = [{"pair_id": pair_id, "doc_id": doc_id, "features": row, "positives": pos,
-                    "true_positives": tru, "seen_in_train": sn,
-                    "difficulty": DIFFICULTIES[hd], "corrupted": corr}
-                   for pair_id, doc_id, row, pos, tru, sn, hd, corr in zip(
-                       pair_ids, doc_ids, rows, positives, true, seen, hard, corrupted)]
         plain = _plain_ids(pair_ids, doc_ids)
         if plain is not True:
             fast = [f and p for f, p in zip(fast, plain)]
-        json_lines = []
-        for i, record in enumerate(records):
-            if not fast[i]:
-                record["features"] = record["features"].tolist()
-                json_lines.append(dumps(record).encode())
-                records[i] = {"pair_id": ""}
-        text = orjson.dumps(records, option=orjson.OPT_SERIALIZE_NUMPY).replace(
-            _RECORD_SEPARATOR, b'}\n{"pair_id":')
-        view, pieces, at = memoryview(text), [], 1      # text is "[" + lines + "]"
-        for line in json_lines:
-            found = text.index(_PLACEHOLDER, at)
-            pieces += (view[at:found], line)
-            at = found + len(_PLACEHOLDER)
-        pieces += (view[at:-1], b"\n")
-        yield b"".join(pieces)
+        lines = []
+        for pair_id, doc_id, row, pos, tru, sn, hd, corr, ok in zip(
+                pair_ids, doc_ids, rows, positives, true, seen, hard, corrupted, fast):
+            record = {"pair_id": pair_id, "doc_id": doc_id, "features": row, "positives": pos,
+                      "true_positives": tru, "seen_in_train": sn,
+                      "difficulty": DIFFICULTIES[hd], "corrupted": corr}
+            if ok:
+                lines.append(orjson.dumps(record, option=option))
+            else:
+                record["features"] = row.tolist()
+                lines.append(dumps(record).encode() + b"\n")
+        yield b"".join(lines)
 
 
 def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
@@ -507,69 +503,50 @@ def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
             fh.write(text)
 
 
-def _relation_indices(value: Any, name: str, relation_count: int) -> tuple[int, ...]:
-    """A JSON list of relation indices in 1..relation_count, as a tuple."""
-    if type(value) is not list or any(type(r) is not int for r in value):
-        raise TypeError(f"{name!r} must be a list of integers, got {value!r}")
-    stray = sorted(r for r in value if not 1 <= r <= relation_count)
-    if stray:
-        raise ValueError(f"{name!r} indices outside 1..{relation_count}: {stray}")
-    return tuple(value)
-
-
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _features(value: Any) -> np.ndarray:
-    """A JSON list of numbers as a float64 vector; TypeError on anything else."""
-    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
-        raise TypeError(f"'features' must be a list of numbers, got {value!r:.80}")
-    return np.array(value, dtype=np.float64)
-
-
-def _clean_block(lines: list[bytes], relation_count: int) -> dict[str, Any] | None:
-    """A block's columns, the masks as ``_flat`` index lists, when every line is
-    a pair record the per-line checks of ``_checked_block`` accept, else None.
+def _clean_block(lines: list[bytes], first_lineno: int, relation_count: int,
+                 path: str) -> dict[str, Any]:
+    """A block's columns, blank lines skipped; SchemaError from ``_check_block``
+    unless every line is a pair record the columns can represent.
 
     Each column is checked at once: its set of types, the range of the
-    relation indices, and the difficulties. None says only that
-    ``_checked_block`` must read the block; it words any error.
+    relation indices, and the difficulties. The masks are ``_flat`` index
+    lists, and ``features`` is an (m, F) array, or the tuple of its rows when
+    their lengths differ (``_stack_rows`` rejects the file then, once every
+    line has been checked).
     """
     try:
+        records = list(map(_pair_fields, map(orjson.loads, filterfalse(bytes.isspace, lines))))
         (pair_ids, doc_ids, features, *index_lists, difficulty,
-         corrupted) = zip(*map(_pair_fields, map(orjson.loads, lines)))
-        if not ({str}.issuperset(map(type, pair_ids + doc_ids))
-                and {bool}.issuperset(map(type, corrupted))
-                and {list}.issuperset(map(type, chain(features, *index_lists)))
-                and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(features)))
-                and set(DIFFICULTIES).issuperset(difficulty)):
-            return None
+         corrupted) = zip(*records) if records else [()] * 8
         masks = [_flat(lists) for lists in index_lists]
         indices = list(chain.from_iterable(flat for _, flat in masks))
-        if indices and not ({int}.issuperset(map(type, indices))
-                            and 1 <= min(indices) and max(indices) <= relation_count):
-            return None
-        (width,) = set(map(len, features))
+        clean = ({str}.issuperset(map(type, pair_ids + doc_ids))
+                 and {bool}.issuperset(map(type, corrupted))
+                 and {list}.issuperset(map(type, chain(features, *index_lists)))
+                 and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(features)))
+                 and set(DIFFICULTIES).issuperset(difficulty)
+                 and {int}.issuperset(map(type, indices))
+                 and (not indices or 1 <= min(indices) and max(indices) <= relation_count))
+    except (KeyError, TypeError, ValueError):
+        clean = False     # orjson.JSONDecodeError is a ValueError
+    if not clean:
+        _check_block(lines, first_lineno, relation_count, path)
+    widths = set(map(len, features))
+    if len(widths) == 1:
+        (width,) = widths
         features = np.fromiter(chain.from_iterable(features), dtype=np.float64,
                                count=len(features) * width).reshape(len(features), width)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None     # orjson.JSONDecodeError is a ValueError
     return dict(zip(_COLUMNS, (pair_ids, doc_ids, features, *masks,
                                ["hard" == d for d in difficulty], corrupted)))
 
 
-def _checked_block(lines: list[bytes], first_lineno: int, relation_count: int,
-                   path: str) -> dict[str, Any]:
-    """A block's columns, each line parsed and checked alone; SchemaError naming
-    the first line the columns could not represent. Blank lines are skipped,
-    ``features`` is a list of rows, whose widths may differ, and the masks are
-    ``_flat`` index lists."""
-    def indices(obj: dict, name: str) -> tuple[int, ...]:
-        return _relation_indices(obj[name], name, relation_count)
-
-    columns: dict[str, list] = {name: [] for name in _COLUMNS}
+def _check_block(lines: list[bytes], first_lineno: int, relation_count: int,
+                 path: str) -> None:
+    """SchemaError naming the first line of a block that is not a pair record the
+    columns can represent, each line parsed and checked alone; blank lines are
+    skipped."""
     for lineno, line in enumerate(lines, start=first_lineno):
-        if not line.strip():
+        if line.isspace():
             continue
         try:
             obj = orjson.loads(line)
@@ -579,21 +556,21 @@ def _checked_block(lines: list[bytes], first_lineno: int, relation_count: int,
                                 f"and {doc_id!r}")
             if type(corrupted) is not bool:
                 raise TypeError(f"'corrupted' must be true or false, got {corrupted!r}")
-            row = (_features(obj["features"]), indices(obj, "positives"),
-                   indices(obj, "true_positives"), indices(obj, "seen_in_train"))
+            require_numbers("features", obj["features"])
+            for name in ("positives", "true_positives", "seen_in_train"):
+                value = obj[name]
+                if type(value) is not list or any(type(r) is not int for r in value):
+                    raise TypeError(f"{name!r} must be a list of integers, got {value!r}")
+                stray = sorted(r for r in value if not 1 <= r <= relation_count)
+                if stray:
+                    raise ValueError(f"{name!r} indices outside 1..{relation_count}: {stray}")
             difficulty = obj["difficulty"]
             if difficulty not in DIFFICULTIES:
                 raise ValueError(f"difficulty must be one of {DIFFICULTIES}, "
                                  f"got {difficulty!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}:{lineno}: malformed pair record "
                               f"({type(exc).__name__}: {exc})") from exc
-        for name, value in zip(_COLUMNS, (pair_id, doc_id) + row
-                               + (difficulty == "hard", corrupted)):
-            columns[name].append(value)
-    for name in _MASK_COLUMNS:
-        columns[name] = _flat(columns[name])
-    return columns
 
 
 def load_dataset_jsonl(path: str) -> Dataset:
@@ -606,9 +583,10 @@ def load_dataset_jsonl(path: str) -> Dataset:
     Infinity and numbers beyond the float range. A header's ``pair_count``,
     which the writer records, must equal the number of pair lines, so a file
     cut short at a line boundary does not load. Pair lines are read in
-    blocks of ``_BLOCK``: a block that ``_clean_block`` accepts becomes
-    columns at once, and any other block is read again line by line by
-    ``_checked_block``, which names the first line at fault.
+    blocks of ``_BLOCK``, each made columns by ``_clean_block``; a block with
+    a fault is read again line by line by ``_check_block``, which names the
+    first line at fault. Every line is checked before the blocks' feature
+    lengths are compared.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -634,11 +612,9 @@ def load_dataset_jsonl(path: str) -> Dataset:
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
         r_count = schema.relation_count
-        blocks = []
-        lineno = 2
+        blocks, lineno = [], 2
         while lines := list(islice(fh, _BLOCK)):
-            blocks.append(_clean_block(lines, r_count)
-                          or _checked_block(lines, lineno, r_count, path))
+            blocks.append(_clean_block(lines, lineno, r_count, path))
             lineno += len(lines)
     columns = {name: list(chain.from_iterable(block[name] for block in blocks))
                for name in _ID_COLUMNS + ("hard", "corrupted")}

@@ -704,6 +704,16 @@ BAD_OTHER = {
     "curves_negative_gamma": ("curves", {"gammas": [-1]}),
     **{f"curves_m_{name}": ("curves", {"m": m}) for name, m in (
         ("string", "abc"), ("null", None), ("five", 5), ("bool", True), ("list", [1]))},
+    # loss and curve numbers are finite numbers, not bools, that fit a float
+    **{f"compare_loss_{field}_{name}": ("compare", {"train": {"epochs": 1,
+                                                              "loss": {field: value}}})
+       for field in ("gamma", "m") for name, value in (("bool", True), ("huge", 10 ** 400))},
+    **{f"curves_{field}_bool": ("curves", {field: True}) for field in ("d_min", "d_max", "d_step")},
+    # a grid with no arm
+    "compare_no_seeds": ("compare", {"train": {"epochs": 1}, "seeds": []}),
+    "compare_no_kinds": ("compare", {"train": {"epochs": 1}, "kinds": []}),
+    "compare_cmm_no_gammas": ("compare", {"train": {"epochs": 1}, "kinds": ["cmm"],
+                                          "gammas": []}),
     "generate_float_documents": ("generate", {"n_documents": 1.5, "pairs_per_document": 5}),
     "generate_negative_seed": ("generate", {"n_documents": 2, "pairs_per_document": 5,
                                             "seed": -1}),
@@ -774,6 +784,10 @@ CHECKPOINT_MUTATIONS = {
     "bool_relation_count": lambda c: c["architecture"].update(relation_count=True),
     "string_hidden_dim": lambda c: c["architecture"].update(hidden_dim="0"),
     "duplicate_name": lambda c: c["parameters"].append(dict(c["parameters"][-1])),
+    # parameter data is a list of JSON numbers that fit a float
+    "bool_weight": lambda c: c["parameters"][0]["data"].__setitem__(0, True),
+    "string_weight": lambda c: c["parameters"][0]["data"].__setitem__(0, "1.5"),
+    "huge_weight": lambda c: c["parameters"][0]["data"].__setitem__(0, 10 ** 400),
 }
 
 

@@ -517,12 +517,13 @@ class TestJsonl:
 
 
 def orjson_encoded_records(monkeypatch):
-    """The records the writer encodes with orjson from now on (not the stand-ins
-    for lines json writes), collected as it passes them."""
+    """The records the writer encodes with orjson from now on, collected as it
+    passes them, one pair record per ``orjson.dumps`` call."""
     dumps, records = orjson.dumps, []
 
     def counting(obj, *args, **kwargs):
-        records.extend(record for record in obj if "features" in record)
+        assert type(obj) is dict and "features" in obj, obj
+        records.append(obj)
         return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr("cmm.schema.orjson.dumps", counting)
@@ -758,6 +759,15 @@ class TestBlockCodec:
                    f"(ValueError: 'positives' indices outside 1..4: [9])")
         with pytest.raises(SchemaError) as raised:
             load_dataset_jsonl(str(path))
+        assert str(raised.value) == message == load_outcome(reference_load, path)
+
+    def test_bad_line_named_before_ragged_features_of_an_earlier_block(self, tmp_path):
+        path = write_records(tmp_path / "d.jsonl", [{}, {"features": [0.0, 1.0]}, {}, {},
+                                                    {"difficulty": "medium"}, {}])
+        message = (f"{path}:6: malformed pair record (ValueError: difficulty must be one "
+                   f"of ('easy', 'hard'), got 'medium')")
+        with mock.patch("cmm.schema._BLOCK", 2), pytest.raises(SchemaError) as raised:
+            load_dataset_jsonl(path)
         assert str(raised.value) == message == load_outcome(reference_load, path)
 
     def test_pair_count_rejects_every_cut_and_an_extra_line(self, tmp_path):
