@@ -411,6 +411,36 @@ class TestDeterminism:
         assert hashlib.sha256(report).hexdigest() == (
             "6252b4d4584009ec9a8ca6f6ea80c695be8dc382be8bf97fff72640277206cf2")
 
+    REPORT_BYTES = {
+        "generate/distribution_report.json":
+            "f00ccd1b8a6323dc60db862deaca9504d40c27923f801a3fe3b03614f7d60d37",
+        "generate/effective_config.json":
+            "b3aeb2a0b7e9499154670257063a4d963649d62a296e7b1605697bed8432e570",
+        "compare/grid.csv":
+            "8b50d51b5baf5066b54345dffbd7e138e694bd5b1c55bf73b9008bdd2b888b62",
+        "eval/metrics.json":
+            "4dd4560528df1f78fa9a9240e3a329a3ef624aa33c70bb804fa19fd407785747",
+    }
+
+    def test_report_bytes_pinned(self, tmp_path, tiny_dataset, tiny_dev):
+        # the generator's reports at 30% false negatives; a compare grid given as
+        # integers, whose cells print as floats; the metrics of a trained checkpoint
+        cfg = write_config(tmp_path, "gen.json", {**TINY_GEN, "false_negative_rate": 0.3})
+        assert run(["generate", cfg, "-o", tmp_path / "generate"]) == 0
+        data = {"dataset": str(tiny_dataset), "dev": str(tiny_dev)}
+        train = {"epochs": 2, "seed": 1, "learning_rate": 0.01, "loss": {"kind": "cmm"}}
+        assert run(["compare", write_config(tmp_path, "c.json", {
+            **data, "train": train, "gammas": [1, 2], "ms": [0.1, 0.4]}),
+            "-o", tmp_path / "compare"]) == 0
+        assert run(["train", write_config(tmp_path, "t.json", {**data, "train": train}),
+                    "-o", tmp_path / "train"]) == 0
+        assert run(["eval", write_config(tmp_path, "e.json", {
+            "dataset": str(tiny_dev), "checkpoint": str(tmp_path / "train/cmm.checkpoint.json"),
+            "gold": "true_labels"}), "-o", tmp_path / "eval"]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.REPORT_BYTES}
+        assert got == self.REPORT_BYTES
+
     # train: cmm, plain and ATL arms; compare: the default kinds over a 2 x 2 grid.
     # Each case's settings go into the train config and every arm's loss.
     TRAINING_CASES = {
