@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -33,8 +33,6 @@ from .errors import CmmError, ConfigError, GenerationError, SchemaError
 from .loss import GAMMA_GRID, M_GRID, LossConfig, get_loss, loss_grid
 from .schema import load_dataset_jsonl, open_atomic, save_dataset_jsonl, write_csv, write_json
 
-TRACE_HEADER = ("epoch", "train_loss", "dev_f1", "dev_ign_f1", "dev_positives")
-GRID_HEADER = ("kind", "gamma", "m", "seed", "dev_f1", "dev_ign_f1", "dev_positives", "best")
 OUTPUT_ROOT_ENV = "CMM_OUTPUT_ROOT"
 DEFAULT_COMPARE_KINDS = ("cmm", "plain_margin", "atl_reference")
 
@@ -181,9 +179,8 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     for name, cfg, (params, trace) in zip(names, cfgs, results):
         encoder.save_checkpoint(str(outdir / f"{name}.checkpoint.json"), params, None,
                                 config=_cfg_as_dict(cfg))
-        write_csv(outdir / f"{name}.trace.csv", TRACE_HEADER,
-                  ([rec.epoch, float(rec.train_loss), float(rec.dev_f1), float(rec.dev_ign_f1),
-                    rec.dev_positives] for rec in trace))
+        write_csv(outdir / f"{name}.trace.csv", [f.name for f in fields(encoder.TraceRecord)],
+                  map(astuple, trace))
     traces = {name: trace for name, (_, trace) in zip(names, results)}
     write_csv(outdir / "positives.csv", evaluation.POSITIVES_HEADER,
               evaluation.positive_count_trace(traces))
@@ -203,19 +200,19 @@ class GridRow:
 
 def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence[float],
                ms: Sequence[float], seeds: Sequence[int]) -> list[tuple]:
-    """(kind, gamma, m, seed, train config) per grid tuple; cmm sweeps the grid,
-    other kinds run once per seed. ValueError/TypeError on a bad kind, value or
-    plugin name, or a grid with no arm."""
+    """(kind, gamma, m, seed, train config) per grid tuple, gamma and m as floats;
+    cmm sweeps the grid, other kinds run once per seed. ValueError/TypeError on a
+    bad kind, value or plugin name, or a grid with no arm."""
     arms = []
     for kind in kinds:
-        tuples = ([(g, m) for g in gammas for m in ms] if kind == "cmm"
+        tuples = ([(float(g), float(m)) for g in gammas for m in ms] if kind == "cmm"
                   else [(None, None)])
         for gamma, m in tuples:
             for seed in seeds:
                 if gamma is None:
                     loss_cfg = replace(base.loss, kind=kind)
                 else:
-                    loss_cfg = replace(base.loss, kind=kind, gamma=float(gamma), m=float(m))
+                    loss_cfg = replace(base.loss, kind=kind, gamma=gamma, m=m)
                 get_loss(loss_cfg)
                 cfg = replace(base, loss=loss_cfg, seed=seed)
                 arms.append((kind, gamma, m, seed, cfg))
@@ -263,11 +260,8 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
                                           "gammas": list(gammas), "ms": list(ms),
                                           "seeds": list(seeds)}})
     best_idx = max(range(len(rows)), key=lambda i: rows[i].dev_f1)
-    write_csv(outdir / "grid.csv", GRID_HEADER, (
-        [row.kind, "" if row.gamma is None else float(row.gamma),
-         "" if row.m is None else float(row.m), row.seed, float(row.dev_f1),
-         float(row.dev_ign_f1), row.dev_positives, 1 if i == best_idx else 0]
-        for i, row in enumerate(rows)))
+    write_csv(outdir / "grid.csv", [f.name for f in fields(GridRow)] + ["best"],
+              ([*astuple(row), int(i == best_idx)] for i, row in enumerate(rows)))
     return 0
 
 
@@ -360,7 +354,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     config_path = Path(args.config)
     try:
         config, raw = _load_config(config_path)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {outdir} as the output directory "
+                              f"({type(exc).__name__}: {exc.strerror})") from None
         # the explicit finiteness checks report non-finite values, in one line
         with np.errstate(all="ignore"):
             code = HANDLERS[args.command](config, config_path.resolve().parent, outdir)

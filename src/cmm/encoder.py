@@ -29,6 +29,8 @@ from .loss import LossConfig, _cmm_arms, _cmm_rows, _label_rows, _labels
 from .schema import Dataset, require_finite, require_int, require_numbers, write_json
 
 ARCHITECTURES = ("linear", "one_hidden")
+# the dimensions that, with the architecture, set the tensor shapes; a checkpoint's order
+ARCHITECTURE_DIMS = ("feature_dim", "relation_count", "hidden_dim")
 CHECKPOINT_FORMAT = "cmm-checkpoint/1"
 
 
@@ -66,7 +68,7 @@ class EncoderParams:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("feature_dim", "relation_count", "hidden_dim"):
+        for name in ARCHITECTURE_DIMS:
             require_int(name, getattr(self, name), 1 if name == "relation_count" else 0)
         if self.architecture not in ARCHITECTURES:
             raise SchemaError(f"architecture kind must be one of {ARCHITECTURES}, "
@@ -94,7 +96,7 @@ class EncoderParams:
     @property
     def decayed_names(self) -> tuple[str, ...]:
         """Weight matrices; biases are excluded from weight decay."""
-        return tuple(n for n in self.parameter_names if not n.startswith("b"))
+        return tuple(name for name, shape in self.shapes.items() if len(shape) == 2)
 
     def copy(self) -> "EncoderParams":
         """An independent copy: construction packs the tensors into a new vector."""
@@ -103,7 +105,8 @@ class EncoderParams:
 
 def _tensor_shapes(architecture: str, feature_dim: int, relation_count: int,
                    hidden_dim: int) -> dict[str, tuple[int, ...]]:
-    """Parameter shapes in declared order; weight matrices are (fan_out, fan_in)."""
+    """Parameter shapes in declared order: a (weight, bias) pair per layer, input
+    layer first. A tensor is a weight if and only if it is 2-D, (fan_out, fan_in)."""
     out = relation_count + 1
     if architecture == "linear":
         return {"W": (out, feature_dim), "b": (out,)}
@@ -132,47 +135,43 @@ def init_encoder(architecture: str, feature_dim: int, relation_count: int,
                          tensors=tensors)
 
 
-def _forward(tensors: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _layers(tensors: dict[str, np.ndarray]) -> list[tuple[str, str]]:
+    """The (weight, bias) names of each layer, in declared order."""
+    names = list(tensors)
+    return list(zip(names[::2], names[1::2]))
+
+
+def _forward(tensors: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, list]:
     """(K, n, R+1) logits of the rows of x under K parameter sets, and the
-    cache ``_backward`` needs.
+    cache ``_backward`` needs: each layer's input.
 
     Every tensor carries a leading arm axis (``_stacked`` gives one encoder
-    an axis of 1). A linear encoder has the tensors W and b. Each GEMM here
-    and in ``_backward`` is one ``np.matmul`` over the arm axis, which makes
-    the BLAS call of each arm alone; one GEMM over the arms' stacked
-    weights would pick other kernels for the wider output and round
-    differently.
+    an axis of 1); tanh lies between layers. Each GEMM here and in
+    ``_backward`` is one ``np.matmul`` over the arm axis, which makes the
+    BLAS call of each arm alone; one GEMM over the arms' stacked weights
+    would pick other kernels for the wider output and round differently.
     """
-    if "W" in tensors:
-        w, b = tensors["W"], tensors["b"]
-        logits = np.matmul(x, w.transpose(0, 2, 1))
-        logits += b[:, None, :]
-        return logits, (x,)
-    w1, w2 = tensors["W1"], tensors["W2"]
-    h = np.matmul(x, w1.transpose(0, 2, 1))
-    h += tensors["b1"][:, None, :]
-    np.tanh(h, out=h)
-    logits = np.matmul(h, w2.transpose(0, 2, 1))
-    logits += tensors["b2"][:, None, :]
-    return logits, (x, h)
+    inputs: list[np.ndarray] = []
+    for w, b in _layers(tensors):
+        if inputs:
+            np.tanh(x, out=x)
+        inputs.append(x)
+        x = np.matmul(x, tensors[w].transpose(0, 2, 1))
+        x += tensors[b][:, None, :]
+    return x, inputs
 
 
-def _backward(tensors: dict[str, np.ndarray], cache: tuple, g_t: np.ndarray,
+def _backward(tensors: dict[str, np.ndarray], inputs: list, g_t: np.ndarray,
               out: dict[str, np.ndarray]) -> None:
     """Write the parameter gradients for (K, n, R+1) logit gradients g_t into
-    ``out``, whose arrays carry the arm axis like ``tensors``."""
-    if len(cache) == 1:
-        (x,) = cache
-        np.matmul(g_t.transpose(0, 2, 1), x, out=out["W"])
-        np.sum(g_t, axis=1, out=out["b"])
-        return
-    x, h = cache
-    g_z = np.matmul(g_t, tensors["W2"])
-    g_z *= 1.0 - h * h
-    np.matmul(g_z.transpose(0, 2, 1), x, out=out["W1"])
-    np.sum(g_z, axis=1, out=out["b1"])
-    np.matmul(g_t.transpose(0, 2, 1), h, out=out["W2"])
-    np.sum(g_t, axis=1, out=out["b2"])
+    ``out``, whose arrays carry the arm axis like ``tensors``, walking the
+    layers whose ``inputs`` ``_forward`` cached in reverse."""
+    for i, (w, b) in reversed(list(enumerate(_layers(tensors)))):
+        np.matmul(g_t.transpose(0, 2, 1), inputs[i], out=out[w])
+        np.sum(g_t, axis=1, out=out[b])
+        if i:
+            g_t = np.matmul(g_t, tensors[w])
+            g_t *= 1.0 - inputs[i] * inputs[i]
 
 
 def _stacked(params: "EncoderParams") -> dict[str, np.ndarray]:
@@ -181,7 +180,7 @@ def _stacked(params: "EncoderParams") -> dict[str, np.ndarray]:
 
 
 def encode_batch(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    """(n, R+1) logits of an (n, F) feature batch; linear mode is x @ W.T + b per row."""
+    """(n, R+1) logits of an (n, F) feature batch; a linear encoder's are x @ w.T + b."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.feature_dim:
         raise SchemaError(f"expected (n, {params.feature_dim}) features, got shape {x.shape}")
@@ -416,10 +415,7 @@ class _Arms:
         _adamw(self.p, self.g, self.grads, self.opt, cfg, self.decayed, self.scratch, self.kinds)
 
     def encoder(self, i: int) -> EncoderParams:
-        init = self.init
-        return EncoderParams(architecture=init.architecture, feature_dim=init.feature_dim,
-                             relation_count=init.relation_count, hidden_dim=init.hidden_dim,
-                             tensors={name: t[i] for name, t in self.params.items()})
+        return replace(self.init, tensors={name: t[i] for name, t in self.params.items()})
 
 
 def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConfig]):
@@ -447,6 +443,8 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
     _check_lockstep(cfgs)
     if not len(dataset):
         raise SchemaError("training dataset is empty")
+    if not dataset.feature_dim:
+        raise SchemaError("training dataset's pairs have no features")
     if dataset.schema != dev.schema:
         raise SchemaError("train and dev datasets must share one schema")
     if len(dev) and dev.feature_dim != dataset.feature_dim:
@@ -454,9 +452,13 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
                           f"{dataset.feature_dim} and {dev.feature_dim}")
     cfg = cfgs[0]
     order = sorted(range(len(cfgs)), key=lambda k: cfgs[k].loss.kind != "cmm")
-    arms = _Arms(init_encoder(cfg.architecture, dataset.feature_dim,
-                              dataset.schema.relation_count, cfg.hidden_dim, cfg.seed),
-                 [cfgs[k].loss for k in order])
+    try:    # first, so that sizes numpy refuses fail before any work
+        arms = _Arms(init_encoder(cfg.architecture, dataset.feature_dim,
+                                  dataset.schema.relation_count, cfg.hidden_dim, cfg.seed),
+                     [cfgs[k].loss for k in order])
+    except (ValueError, MemoryError) as exc:
+        raise SchemaError(f"cannot hold the {cfg.architecture} encoders of {len(cfgs)} arm(s) "
+                          f"({type(exc).__name__}: {exc})") from None
     docs = _pack_documents(dataset, arms.kinds)
     dev_features = dev.features if len(dev) else np.zeros((0, dataset.feature_dim))
     n_pairs_total = sum(d.features.shape[0] for d in docs)
@@ -491,12 +493,8 @@ def save_checkpoint(path: str, params: EncoderParams, state: AdamWState | None,
                     config: dict[str, Any] | None = None) -> None:
     obj: dict[str, Any] = {
         "format": CHECKPOINT_FORMAT,
-        "architecture": {
-            "kind": params.architecture,
-            "feature_dim": params.feature_dim,
-            "relation_count": params.relation_count,
-            "hidden_dim": params.hidden_dim,
-        },
+        "architecture": {"kind": params.architecture,
+                         **{name: getattr(params, name) for name in ARCHITECTURE_DIMS}},
         "parameters": [
             {"name": name, "shape": list(t.shape), "data": t.ravel().tolist()}
             for name, t in params.tensors.items()
@@ -538,7 +536,7 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[s
         raise SchemaError(f"{path}: unsupported checkpoint format {obj.get('format')!r}")
     try:
         arch = obj["architecture"]
-        dims = {name: arch[name] for name in ("feature_dim", "relation_count", "hidden_dim")}
+        dims = {name: arch[name] for name in ARCHITECTURE_DIMS}
         tensors = {e["name"]: _tensor(e, e["shape"]) for e in obj["parameters"]}
         if len(tensors) != len(obj["parameters"]):
             raise SchemaError("a parameter name appears more than once")

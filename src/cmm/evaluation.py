@@ -10,12 +10,12 @@ writes them with ``schema.write_csv``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NumericError, SchemaError
 from .loss import GAMMA_GRID, cmm_positive_term
 from .schema import require_finite
 
@@ -37,8 +37,7 @@ class MetricsRecord:
     ign_f1: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "precision": self.precision,
-                "recall": self.recall, "f1": self.f1, "ign_f1": self.ign_f1}
+        return asdict(self)
 
 
 def decode(logits) -> frozenset[int]:
@@ -57,11 +56,14 @@ def mask_metrics(logits: np.ndarray, gold: np.ndarray, seen: np.ndarray) -> Metr
     """Micro P/R/F1 of decoded (n, R+1) logits against (n, R) gold, plus Ign-F1.
 
     Equal to micro_f1 and ign_f1 over decode-built prediction dicts; ign_f1
-    removes the facts flagged in ``seen`` from both sides.
+    removes the facts flagged in ``seen`` from both sides. NumericError if a
+    logit is not finite, which no decoded fact would account for.
     """
     t = np.asarray(logits, dtype=np.float64)
     if t.shape != (gold.shape[0], gold.shape[1] + 1):
         raise SchemaError(f"logits of shape {t.shape} do not match gold of shape {gold.shape}")
+    if not np.isfinite(t).all():
+        raise NumericError("logits to score are not all finite")
     pred = t[:, 1:] > t[:, :1]
     hit = pred & gold
     kept = ~seen

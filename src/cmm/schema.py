@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from itertools import chain, filterfalse, islice
 from json.encoder import encode_basestring_ascii
@@ -140,11 +140,7 @@ class RelationSchema:
         return cls(relation_count=relation_count, relation_names=names)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "relation_count": self.relation_count,
-            "relation_names": list(self.relation_names),
-            "th_index": self.th_index,
-        }
+        return {**asdict(self), "relation_names": list(self.relation_names)}
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RelationSchema":

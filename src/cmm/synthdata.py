@@ -252,18 +252,8 @@ class DistributionReport:
     n_corrupted: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_pairs": self.n_pairs,
-            "n_positive_pairs": self.n_positive_pairs,
-            "positive_pair_fraction": self.positive_pair_fraction,
-            "n_facts": self.n_facts,
-            "shares": [{"relation": r, "count": c, "share": s} for r, c, s in self.shares],
-            "head_share": self.head_share,
-            "tail_share": self.tail_share,
-            "n_easy": self.n_easy,
-            "n_hard": self.n_hard,
-            "n_corrupted": self.n_corrupted,
-        }
+        return {**asdict(self), "shares": [{"relation": r, "count": c, "share": s}
+                                           for r, c, s in self.shares]}
 
 
 def distribution_report(dataset: Dataset) -> DistributionReport:

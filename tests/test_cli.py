@@ -382,6 +382,19 @@ class TestOutputRoot:
         assert run(["curves", cfg, "-o", out]) == 0
         assert (out / "curves.csv").is_file()
 
+    @pytest.mark.parametrize("case", ["file", "under_file", "root_is_file"])
+    def test_output_path_through_a_file_exits_1(self, tmp_path, monkeypatch, capsys, case):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = {"file": afile, "under_file": afile / "sub", "root_is_file": "rel"}[case]
+        if case == "root_is_file":
+            monkeypatch.setenv("CMM_OUTPUT_ROOT", str(afile))
+        cfg = write_config(tmp_path, "gc.json", {"trials": 2})
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run(["gradcheck", cfg, "-o", out]), 1)
+        assert err.startswith(f"config error: cannot use {afile}")
+        assert afile.read_text() == "kept"
+
 
 class TestDeterminism:
     def test_generate_rerun_byte_identical(self, tmp_path):
@@ -970,6 +983,45 @@ class TestMalformedInput:
         capsys.readouterr()
         assert_one_line_error(capsys, run([command, cfg, "-o", out]), 1)
         assert list(out.iterdir()) == []
+
+    # the hidden layers need more than 2^47 bytes, which no allocator grants, so
+    # the tests touch no memory
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("hidden_dim", [None, 10 ** 13, 2 ** 62],
+                             ids=["no_features", "hidden_1e13", "hidden_2e62"])
+    def test_unbuildable_encoder_exits_2(self, tmp_path, tiny_dataset, tiny_dev, capsys,
+                                         command, hidden_dim):
+        train = {"epochs": 1, "architecture": "one_hidden", "hidden_dim": hidden_dim or 4}
+        if hidden_dim is None:
+            def drop_features(pairs):
+                for p in pairs:
+                    p["features"] = []
+            tiny_dataset = write_pairs(tiny_dataset, tmp_path / "train.jsonl", drop_features)
+            tiny_dev = write_pairs(tiny_dev, tmp_path / "dev.jsonl", drop_features)
+        cfg = self.data_config(tmp_path, tiny_dataset, tiny_dev, "cfg.json", {"train": train})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run([command, cfg, "-o", out]), 2)
+        assert ("training dataset's pairs have no features" if hidden_dim is None
+                else "cannot hold the one_hidden encoders") in err
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_logits_exit_2(self, tmp_path, tiny_dev, capsys):
+        # 5 * 1e308 overflows: every logit is infinite, and no relation decodes
+        def huge_features(pairs):
+            for p in pairs:
+                p["features"] = [1e308, 1e308] + [0.0] * (TINY_GEN["feature_dim"] - 2)
+        bad = write_pairs(tiny_dev, tmp_path / "huge.jsonl", huge_features)
+        params = init_encoder("linear", TINY_GEN["feature_dim"], TINY_GEN["relation_count"])
+        params.flat[:] = 5.0
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(str(ckpt), params, None)
+        out = tmp_path / "ev"
+        capsys.readouterr()
+        err = assert_one_line_error(
+            capsys, run(["eval", self.eval_config(tmp_path, bad, ckpt), "-o", out]), 2)
+        assert "logits to score are not all finite" in err
+        assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize("case, message", [
         ("gradcheck_one_bound_range", "logit_range must be a list of two numbers, got [1.0]"),

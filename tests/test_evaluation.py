@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cmm.errors import SchemaError
+from cmm.errors import NumericError, SchemaError
 from cmm.evaluation import (
     CURVE_HEADER,
     POSITIVES_HEADER,
@@ -183,6 +183,14 @@ class TestMaskMetrics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SchemaError):
             mask_metrics(np.zeros((2, 4)), np.zeros((2, 2), bool), np.zeros((2, 2), bool))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_logit_rejected(self, value):
+        # inf > inf is false: an all-infinite row would decode as NA and score as such
+        logits = np.zeros((2, 3))
+        logits[1, 0] = value
+        with pytest.raises(NumericError, match="not all finite"):
+            mask_metrics(logits, np.ones((2, 2), bool), np.zeros((2, 2), bool))
 
 
 class TestGoldExtraction:
