@@ -116,7 +116,8 @@ def _tensor_shapes(architecture: str, feature_dim: int, relation_count: int,
 
 def init_encoder(architecture: str, feature_dim: int, relation_count: int,
                  hidden_dim: int = 64, seed: int = 0) -> EncoderParams:
-    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases."""
+    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases; ValueError
+    for a layer with no inputs."""
     if architecture not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {architecture!r}")
     if architecture == "linear":
@@ -126,6 +127,9 @@ def init_encoder(architecture: str, feature_dim: int, relation_count: int,
     for name, shape in _tensor_shapes(architecture, feature_dim, relation_count,
                                       hidden_dim).items():
         if len(shape) == 2:
+            if shape[1] == 0:
+                raise ValueError(f"weight {name!r} of shape {shape} has fan-in 0: "
+                                 f"every layer needs at least one input")
             bound = 1.0 / math.sqrt(shape[1])
             tensors[name] = rng.uniform(-bound, bound, size=shape)
         else:

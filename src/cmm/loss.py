@@ -120,11 +120,9 @@ def log_sigmoid(d):
 
 def sigmoid(d):
     d = np.asarray(d, dtype=np.float64)
-    # evaluate each branch on clipped input so neither side overflows
-    pos = 1.0 / (1.0 + np.exp(-np.maximum(d, 0.0)))
-    en = np.exp(np.minimum(d, 0.0))
-    neg = en / (1.0 + en)
-    return np.where(d >= 0.0, pos, neg)
+    high = d >= 0.0
+    e = np.exp(np.where(high, -d, d))   # e^-|d| <= 1, NaN passed on as it is
+    return np.where(high, 1.0, e) / (1.0 + e)
 
 
 def clamp_distance(m: float) -> float:
@@ -171,8 +169,10 @@ def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray,
     (written as -0.0), for d >= log((1-m)/m). This sits on the training hot
     path, where most negatives are clamped once the data is separated, so
     the transcendentals run only on the live entries, indexed by flat
-    position; NaN counts as live and propagates. The two exponentials are
-    shared between the value and the sigmoid needed for the derivative.
+    position; NaN counts as live and propagates. One exponential, e^-|d|, is
+    shared between the value and the sigmoid needed for the derivative, and
+    the terms have the bits of taking e^d and e^-d on their own sides, NaN
+    payloads included.
     """
     shape = d.shape
     d, live = d.reshape(-1), np.flatnonzero(~(d >= clamp))
@@ -180,17 +180,14 @@ def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray,
     m = m.item() if m.size == 1 else m.ravel()[live // (d.size // m.size)]
     dl = d[live]
     low_side = dl <= 0.0
-    en = np.exp(np.minimum(dl, 0.0))    # e^d on the low side, <= 1
-    ep = np.exp(-np.maximum(dl, 0.0))   # e^-d on the high side, <= 1
+    e = np.exp(np.where(low_side, dl, -dl))     # e^-|d| <= 1; NaN is on the high side
     term = None
     if need_value:
-        q = np.where(low_side,
-                     np.log(m + (1.0 + m) * en) - np.log1p(en),
-                     np.log1p(m + m * ep) - np.log1p(ep))
+        q = np.where(low_side, np.log(m + (1.0 + m) * e), np.log1p(m + m * e)) - np.log1p(e)
         term = np.zeros(shape)
         term.reshape(-1)[live] = -q
     if grad_out is not None:
-        s = np.where(low_side, en / (1.0 + en), 1.0 / (1.0 + ep))
+        s = np.where(low_side, e, 1.0) / (1.0 + e)
         grad_out[..., 1:] = -0.0
         # flat index of entry (k, i, r) of d in grad_out: one TH column per row
         grad_out.reshape(-1)[live + live // shape[-1] + 1] = (s * (1.0 - s)) / (s + m)

@@ -8,17 +8,20 @@ is built from its pairs' columns (arrays), which its one constructor
 checks, and builds per-pair ``PairExample`` records only on demand. All
 types are immutable after construction and safe to share across threads.
 Every artifact file is written through ``open_atomic``, by ``write_json``,
-``write_csv`` or ``save_dataset_jsonl``.
+``write_csv`` or ``save_dataset_jsonl``, which also writes each dataset's
+column sidecar.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import numbers
 import os
+import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
@@ -28,6 +31,7 @@ from operator import itemgetter
 from typing import IO, Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import numpy.lib.format as npy
 import orjson
 
 from .errors import SchemaError
@@ -492,11 +496,146 @@ def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
 
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
     """Write ``dataset_to_lines`` to path, one line each, atomically (``open_atomic``),
-    with one write per block."""
+    with one write per block; then the column sidecar bound to those bytes
+    (``_save_sidecar``)."""
+    length, crc = 0, 0
     with open_atomic(path, "wb") as fh:
-        fh.write(_header_line(dataset).encode() + b"\n")
-        for text in _pair_blocks(dataset):
+        for text in chain([_header_line(dataset).encode() + b"\n"], _pair_blocks(dataset)):
             fh.write(text)
+            length, crc = length + len(text), zlib.crc32(text, crc)
+    _save_sidecar(dataset, path + SIDECAR_SUFFIX, length, crc)
+
+
+# --- the column sidecar ------------------------------------------------------
+#
+# ``save_dataset_jsonl`` writes beside each file a copy of the dataset's
+# columns that loads without parsing JSON: a magic line, a line holding the
+# JSONL's byte length, its CRC-32 and the CRC-32 of the payload, and the
+# payload, one .npy record (version 1.0, as ``np.save`` writes it, no
+# pickles) per array of ``_sidecar_arrays``. The loader uses it only when
+# every check of ``_sidecar_columns`` holds, and parses the JSONL otherwise.
+
+SIDECAR_SUFFIX = ".columns"
+_SIDECAR_MAGIC = b"cmm-columns/1\n"
+_CHUNK = 1 << 20
+
+
+def _utf8_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An id column as its UTF-8 bytes, joined, and the n + 1 int64 offsets of each
+    id's bytes. A lone surrogate is kept (``surrogatepass``); the loader's strict
+    decoding then refuses the sidecar, as the parser refuses the JSONL."""
+    text = "".join(ids)
+    data = text.encode("utf-8", "surrogatepass")
+    # only ASCII text encodes to one byte per character
+    lengths = (map(len, ids) if len(data) == len(text)
+               else (len(i.encode("utf-8", "surrogatepass")) for i in ids))
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(lengths, np.int64, len(ids)), out=offsets[1:])
+    return np.frombuffer(data, dtype=np.uint8), offsets
+
+
+def _sidecar_arrays(dataset: Dataset) -> list[np.ndarray]:
+    """The sidecar's records: features, the pair and document id offsets, the pair
+    and document id bytes, labels, true_labels, seen, hard and corrupted."""
+    (pair_bytes, pair_offsets), (doc_bytes, doc_offsets) = map(
+        _utf8_ids, (dataset.pair_ids, dataset.doc_ids))
+    return [np.ascontiguousarray(a) for a in (
+        dataset.features, pair_offsets, doc_offsets, pair_bytes, doc_bytes, dataset.labels,
+        dataset.true_labels, dataset.seen, dataset.hard, dataset.corrupted)]
+
+
+def _record_specs(n: int, relation_count: int) -> list[tuple[str, tuple[int | None, ...]]]:
+    """The dtype and shape of each of ``_sidecar_arrays`` for n pairs; None is any length."""
+    return [("<f8", (n, None)), ("<i8", (n + 1,)), ("<i8", (n + 1,)), ("|u1", (None,)),
+            ("|u1", (None,))] + [("|b1", (n, relation_count))] * 3 + [("|b1", (n,))] * 2
+
+
+def _save_sidecar(dataset: Dataset, path: str, length: int, crc: int) -> None:
+    """The column sidecar of a JSONL file of ``length`` bytes with CRC-32 ``crc``,
+    written atomically. Each record is written from the array's own buffer."""
+    records, payload_crc = [], 0
+    for array in _sidecar_arrays(dataset):
+        head = io.BytesIO()
+        npy.write_array_header_1_0(head, npy.header_data_from_array_1_0(array))
+        for part in (head.getvalue(), array):
+            payload_crc = zlib.crc32(part, payload_crc)
+            records.append(part)
+    with open_atomic(path, "wb") as fh:
+        fh.write(_SIDECAR_MAGIC + b"%d %d %d\n" % (length, crc, payload_crc))
+        for part in records:
+            fh.write(part)
+
+
+def _file_crc(fh: IO[bytes]) -> int:
+    """The CRC-32 of an open file's bytes from the start, read in 1 MiB chunks
+    into one buffer."""
+    fh.seek(0)
+    crc, chunk = 0, bytearray(_CHUNK)
+    while size := fh.readinto(chunk):
+        crc = zlib.crc32(memoryview(chunk)[:size], crc)
+    return crc
+
+
+def _utf8_column(data: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """The ids ``_utf8_ids`` wrote; ValueError unless the offsets run from 0 to the
+    end of the bytes without decreasing and each id is valid UTF-8."""
+    if offsets[0] != 0 or offsets[-1] != len(data) or (np.diff(offsets) < 0).any():
+        raise ValueError("id offsets do not cover the id bytes")
+    raw, bounds = data.tobytes(), offsets.tolist()
+    return [raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+
+
+def _sidecar_columns(fh: IO[bytes], path: str, pair_count: int | None,
+                     relation_count: int) -> dict[str, Any] | None:
+    """The columns of the open JSONL file fh read from its sidecar, or None.
+
+    None for a header that declares no pairs or no ``pair_count`` (older
+    writers wrote no sidecar), and unless the sidecar exists, starts with
+    the magic line, names fh's byte length and CRC-32 (fh is read again to
+    hash it) and its own payload's CRC-32, and holds exactly the records
+    ``_record_specs`` declares for the header's pair count and relation
+    count, every boolean byte 0 or 1, and ids that read as ``_utf8_column``
+    reads them. Each record's header is checked, and its size against the
+    bytes left in the file, before its array is allocated; the data is read
+    straight into that array.
+    """
+    if not pair_count:
+        return None
+    try:
+        with open(path + SIDECAR_SUFFIX, "rb") as side:
+            if side.readline(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
+                return None
+            length, crc, payload_crc = map(int, side.readline(64).split())
+            if length != os.fstat(fh.fileno()).st_size or _file_crc(fh) != crc:
+                return None
+            left, crc, arrays = os.fstat(side.fileno()).st_size - side.tell(), 0, []
+            for dtype, want in _record_specs(pair_count, relation_count):
+                prefix = side.read(10)      # magic, version, header length
+                if prefix[:8] != npy.magic(1, 0):
+                    return None
+                head = prefix + side.read(int.from_bytes(prefix[8:], "little"))
+                shape, fortran_order, found = npy.read_array_header_1_0(io.BytesIO(head[8:]))
+                left -= len(head)
+                if (found.str != dtype or fortran_order or len(shape) != len(want)
+                        or any(w is not None and s != w for s, w in zip(shape, want))
+                        or math.prod(shape) * found.itemsize > left):
+                    return None
+                array = np.empty(shape, found)
+                left -= side.readinto(array)
+                crc = zlib.crc32(array, zlib.crc32(head, crc))
+                if dtype == "|b1" and array.view(np.uint8).max(initial=0) > 1:
+                    return None
+                arrays.append(array)
+        if left or crc != payload_crc:
+            return None
+        (features, pair_offsets, doc_offsets, pair_bytes, doc_bytes, labels, true_labels,
+         seen, hard, corrupted) = arrays
+        return dict(pair_ids=_utf8_column(pair_bytes, pair_offsets),
+                    doc_ids=_utf8_column(doc_bytes, doc_offsets), features=features,
+                    labels=labels, true_labels=true_labels, seen=seen, hard=hard,
+                    corrupted=corrupted)
+    except (OSError, ValueError, TypeError):
+        return None
 
 
 def _clean_block(lines: list[bytes], first_lineno: int, relation_count: int,
@@ -583,6 +722,11 @@ def load_dataset_jsonl(path: str) -> Dataset:
     a fault is read again line by line by ``_check_block``, which names the
     first line at fault. Every line is checked before the blocks' feature
     lengths are compared.
+
+    The pair lines are not parsed when the file's column sidecar passes
+    ``_sidecar_columns`` and its columns make a ``Dataset``: that sidecar
+    was written with these exact bytes, so it holds the columns the parse
+    gives. A sidecar that fails is ignored.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -608,6 +752,11 @@ def load_dataset_jsonl(path: str) -> Dataset:
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
         r_count = schema.relation_count
+        columns = _sidecar_columns(fh, path, declared, r_count)
+        if columns is not None:
+            with contextlib.suppress(SchemaError):
+                return Dataset(schema, document_ids, manifest, **columns)
+        fh.seek(len(header_line))
         blocks, lineno = [], 2
         while lines := list(islice(fh, _BLOCK)):
             blocks.append(_clean_block(lines, lineno, r_count, path))

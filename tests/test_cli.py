@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cmm import schema
 from cmm.cli import main
 from cmm.encoder import init_encoder, save_checkpoint
-from cmm.schema import _orjson_rows, load_dataset_jsonl
+from cmm.schema import _orjson_rows, dataset_to_lines, load_dataset_jsonl
 
 TINY_GEN = {
     "n_documents": 12,
@@ -1244,6 +1244,7 @@ class TestInterruptedRerun:
         assert run([command, new_cfg, "-o", tmp_path / "new"]) == 0
         before, after = dir_bytes(tmp_path / "old"), dir_bytes(tmp_path / "new")
         assert before.keys() == after.keys() and before != after
+        mixes = 0
         for k in range(1, len(after) + 2):
             out = tmp_path / f"rerun{k}"
             out.mkdir()
@@ -1259,6 +1260,11 @@ class TestInterruptedRerun:
                     failed = False
             got = dir_bytes(out)
             assert sorted(p.name for p in out.iterdir()) == list(got)    # no stray temporaries
+            if command == "generate":     # a sidecar of the other run is ignored
+                lines = dataset_to_lines(load_dataset_jsonl(str(out / "dataset.jsonl")))
+                assert "".join(line + "\n" for line in lines).encode() == got["dataset.jsonl"]
+                mixes += (got["dataset.jsonl"], got["dataset.jsonl.columns"]) == (
+                    after["dataset.jsonl"], before["dataset.jsonl.columns"])
             if failed:
                 assert "config.json" not in got, k
                 assert all(data in (before[name], after[name]) for name, data in got.items())
@@ -1267,6 +1273,7 @@ class TestInterruptedRerun:
                 break
         else:
             pytest.fail("the rerun never completed")
+        assert mixes == (command == "generate")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_rejected_config_leaves_the_directory_as_it_was(self, tmp_path, tiny_dataset,

@@ -6,6 +6,7 @@ and training, and each result is compared with a per-pair computation.
 """
 
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from cmm.encoder import TrainConfig, _pack_documents, train
 from cmm.loss import LossConfig
-from cmm.schema import (DATASET_FORMAT, LabelSet, dataset_to_lines, load_dataset_jsonl,
-                        save_dataset_jsonl)
+from cmm.schema import (DATASET_FORMAT, SIDECAR_SUFFIX, LabelSet, dataset_to_lines,
+                        load_dataset_jsonl, save_dataset_jsonl)
 from cmm.synthdata import GenConfig, distribution_report, generate, inject_false_negatives
 
 # n_pairs is a multiple of 4, so both positive rates are realized exactly
@@ -90,12 +91,14 @@ class TestColumnarEquivalence:
         first = tmp_path_factory.mktemp("rt") / "a.jsonl"
         second = first.with_name("b.jsonl")
         save_dataset_jsonl(ds, str(first))
-        loaded = load_dataset_jsonl(str(first))
-        save_dataset_jsonl(loaded, str(second))
-        assert first.read_bytes() == second.read_bytes()
-        for name, column in ds.columns.items():
-            assert np.array_equal(loaded.columns[name], column), name
-        assert np.array_equal(loaded.doc_index, ds.doc_index)
+        from_sidecar = load_dataset_jsonl(str(first))
+        os.unlink(f"{first}{SIDECAR_SUFFIX}")
+        for loaded in (from_sidecar, load_dataset_jsonl(str(first))):
+            save_dataset_jsonl(loaded, str(second))
+            assert first.read_bytes() == second.read_bytes()
+            for name, column in ds.columns.items():
+                assert np.array_equal(loaded.columns[name], column), name
+            assert np.array_equal(loaded.doc_index, ds.doc_index)
 
     @EQUIVALENCE
     @given(SMALL_CONFIGS, RATES)

@@ -595,6 +595,14 @@ class TestInit:
         with pytest.raises(ValueError):
             init_encoder("transformer", feature_dim=4, relation_count=2)
 
+    @pytest.mark.parametrize("architecture, feature_dim, hidden_dim, weight", [
+        ("linear", 0, 64, "W"), ("one_hidden", 0, 5, "W1"), ("one_hidden", 3, 0, "W2")])
+    def test_fan_in_zero_rejected(self, architecture, feature_dim, hidden_dim, weight):
+        with pytest.raises(ValueError) as info:
+            init_encoder(architecture, feature_dim, 2, hidden_dim=hidden_dim)
+        assert str(info.value).startswith(f"weight {weight!r} of shape ")
+        assert "fan-in 0" in str(info.value) and "\n" not in str(info.value)
+
 
 def _nan_after(calls):
     """A plugin gradient: plain margin for ``calls`` rows, then NaN."""

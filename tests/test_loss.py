@@ -31,6 +31,7 @@ from cmm.loss import (
     plain_margin_grad,
     plain_margin_loss,
     register_loss,
+    sigmoid,
 )
 from cmm.schema import LabelSet, LogitRow
 
@@ -420,6 +421,64 @@ class TestLiveOnlyNegatives:
         assert rescaled == -term
         if d >= clamp_distance(m):
             assert math.copysign(1.0, rescaled) == 1.0      # +0.0, not -0.0
+
+
+def two_exp_sigmoid(d):
+    """The sigmoid with one exponential per branch, each on clipped input."""
+    pos = 1.0 / (1.0 + np.exp(-np.maximum(d, 0.0)))
+    en = np.exp(np.minimum(d, 0.0))
+    return np.where(d >= 0.0, pos, en / (1.0 + en))
+
+
+def two_exp_negative_terms(d, m):
+    """Live negative terms -q and their derivatives by the logit, s(1-s)/(s+m), with
+    e^d taken on the low side and e^-d on the high side by two exponentials."""
+    low = d <= 0.0
+    en, ep = np.exp(np.minimum(d, 0.0)), np.exp(-np.maximum(d, 0.0))
+    q = np.where(low, np.log(m + (1.0 + m) * en) - np.log1p(en),
+                 np.log1p(m + m * ep) - np.log1p(ep))
+    s = np.where(low, en / (1.0 + en), 1.0 / (1.0 + ep))
+    return -q, (s * (1.0 - s)) / (s + m)
+
+
+def awkward_distances(size):
+    """Signed zeros, subnormals, infinities, NaN and |d| from 1e-320 up to 1e308."""
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan,
+             -np.nan, 1e308, -1e308, 1.7976931348623157e308, 36.0, -36.0, 710.0, -746.0]
+    magnitudes = np.exp(rng.uniform(-737.0, 709.0, size)) * rng.choice([-1.0, 1.0], size)
+    return np.concatenate([edges, rng.standard_normal(size) * 10.0, magnitudes,
+                           rng.uniform(-1.0, 1.0, size) * 1e308])
+
+
+class TestOneExponential:
+    """``sigmoid`` and ``_negative_terms`` take one e^-|d| where each branch took its
+    own exponential; the bits are the same, the sign of zero and NaN payloads too."""
+
+    def test_sigmoid_equals_two_exponentials(self):
+        d = awkward_distances(20_000)
+        with np.errstate(all="ignore"):
+            got, want = sigmoid(d), two_exp_sigmoid(d)
+        assert np.signbit(d[np.isnan(d)]).any()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ms", [[1e-6], [0.2], [0.4999], [1e-6, 0.2, 0.4999]],
+                             ids=["1e-6", "0.2", "0.4999", "per_arm"])
+    def test_negative_terms_equal_two_exponentials(self, ms):
+        values = awkward_distances(6_000)
+        d = np.stack([values[: len(values) // 10 * 10].reshape(-1, 10)] * len(ms))
+        _, m, clamp = _cmm_arms([cfg_cmm(m=value) for value in ms])
+        grad = np.full(d.shape[:-1] + (11,), 7.0)
+        with np.errstate(all="ignore"):
+            term = _negative_terms(d, m, clamp, grad_out=grad)
+            live = ~(d >= clamp)
+            want_term, want_grad = np.zeros(d.shape), np.full(d.shape, -0.0)
+            want_term[live], want_grad[live] = two_exp_negative_terms(
+                d[live], np.broadcast_to(m, d.shape)[live])
+        assert live.any() and (~live).any() and np.isnan(d).any()
+        assert term.tobytes() == want_term.tobytes()
+        assert np.ascontiguousarray(grad[..., 1:]).tobytes() == want_grad.tobytes()
+        assert (grad[..., 0] == 7.0).all()      # the TH column is the caller's
 
 
 class TestLabelPartition:

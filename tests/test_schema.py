@@ -1,18 +1,25 @@
 import decimal
+import io
 import json
 import math
+import os
+import zlib
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import numpy.lib.format as npy
 import orjson
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cmm import schema
 from cmm.errors import SchemaError
 from cmm.schema import (
     DATASET_FORMAT,
+    SIDECAR_SUFFIX,
     Dataset,
     LabelSet,
     LogitRow,
@@ -229,9 +236,28 @@ class TestLogitRow:
 
 
 def round_trip(ds, tmp_path):
+    """ds saved and loaded, from its sidecar when it has pairs; the load must equal
+    the parse of the file with the sidecar deleted."""
     path = tmp_path / "round_trip.jsonl"
     save_dataset_jsonl(ds, str(path))
-    return load_dataset_jsonl(str(path))
+    assert sidecar_in_use(path) == (len(ds) > 0)
+    loaded = load_dataset_jsonl(str(path))
+    assert load_outcome(lambda _: loaded, path) == parsed_outcome(path)
+    return loaded
+
+
+def sidecar_in_use(path):
+    """Whether the file's sidecar passes every check the loader makes of it."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        return schema._sidecar_columns(fh, str(path), header["pair_count"],
+                                       header["schema"]["relation_count"]) is not None
+
+
+def parsed_outcome(path):
+    """``load_outcome`` of the file with its sidecar deleted: every pair line parsed."""
+    Path(f"{path}{SIDECAR_SUFFIX}").unlink(missing_ok=True)
+    return load_outcome(load_dataset_jsonl, path)
 
 
 class TestValidateDataset:
@@ -369,17 +395,17 @@ class TestJsonl:
             make_example("d1:0", "d1", {2}, true_positives={2, 4}, corrupted=True),
         ]
         ds = make_dataset(examples)
-        path = tmp_path / "data.jsonl"
-        save_dataset_jsonl(ds, str(path))
-        loaded = load_dataset_jsonl(str(path))
+        loaded = round_trip(ds, tmp_path)
         assert list(dataset_to_lines(loaded)) == list(dataset_to_lines(ds))
         assert loaded.schema == ds.schema
         assert loaded.document_ids == ds.document_ids
         assert loaded.manifest == ds.manifest
-        # second save is byte-identical
-        path2 = tmp_path / "data2.jsonl"
+        # second save is byte-identical, its sidecar too
+        path, path2 = tmp_path / "data.jsonl", tmp_path / "data2.jsonl"
+        save_dataset_jsonl(ds, str(path))
         save_dataset_jsonl(loaded, str(path2))
-        assert path.read_bytes() == path2.read_bytes()
+        for suffix in ("", SIDECAR_SUFFIX):
+            assert Path(f"{path}{suffix}").read_bytes() == Path(f"{path2}{suffix}").read_bytes()
 
     def test_equal_positives_share_one_label_set(self, tmp_path):
         examples = [
@@ -447,9 +473,7 @@ class TestJsonl:
         feats = np.array(values, dtype=np.float64)
         ds = make_dataset([make_example("d0:0", "d0", {1}, feature_dim=len(values),
                                         features=feats)])
-        path = tmp_path_factory.getbasetemp() / "doubles.jsonl"
-        save_dataset_jsonl(ds, str(path))
-        loaded = load_dataset_jsonl(str(path)).features[0]
+        loaded = round_trip(ds, tmp_path_factory.getbasetemp()).features[0]
         assert loaded.view(np.uint64).tolist() == feats.view(np.uint64).tolist()
 
     @settings(max_examples=200)
@@ -463,10 +487,8 @@ class TestJsonl:
         assert loaded.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_benchmark_shaped_file_loads_as_stdlib_json_reads_it(self, tmp_path):
-        path = tmp_path / "train.jsonl"
-        save_dataset_jsonl(benchmark_shaped_train(), str(path))
-        loaded = load_dataset_jsonl(str(path)).columns
-        reference = stdlib_json_columns(path)
+        loaded = round_trip(benchmark_shaped_train(), tmp_path).columns
+        reference = stdlib_json_columns(tmp_path / "round_trip.jsonl")
         assert loaded.keys() == reference.keys()
         for name, column in reference.items():
             assert loaded[name].dtype == column.dtype, name
@@ -727,6 +749,7 @@ class TestBlockCodec:
         path = tmp_path_factory.getbasetemp() / "codec.jsonl"
         with mock.patch("cmm.schema._BLOCK", block):
             save_dataset_jsonl(ds, str(path))
+            saved = path.read_bytes()
             header, *lines = path.read_text().splitlines()
             assert lines == reference_pair_lines(ds)
             assert list(dataset_to_lines(ds)) == [header] + lines
@@ -738,7 +761,9 @@ class TestBlockCodec:
             if blank is not None:
                 lines.insert(blank, "  ")
             path.write_text("\n".join([header] + lines) + "\n")
-            assert load_outcome(load_dataset_jsonl, path) == load_outcome(reference_load, path)
+            assert sidecar_in_use(path) == (path.read_bytes() == saved)
+            reference = load_outcome(reference_load, path)
+            assert load_outcome(load_dataset_jsonl, path) == reference == parsed_outcome(path)
 
     @pytest.mark.parametrize("where", ["first_line", "last_line", "second_block_first_line"])
     def test_bad_line_at_a_block_boundary_named(self, tmp_path, where):
@@ -806,6 +831,190 @@ class TestBlockCodec:
         assert [row["pair_id"] for row in rows] == ids
         again = round_trip(ds, tmp_path)
         assert list(dataset_to_lines(again)) == stdlib_json_lines(ds)
+
+
+SIDECAR_MAGIC = b"cmm-columns/1\n"
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append(True)
+    return "tripped"
+
+
+class Tripwire:
+    """An object whose unpickling is recorded in TRIPPED."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def npy_payload(arrays, allow_pickle=False):
+    """``np.save`` of each array, one after the other."""
+    payload = io.BytesIO()
+    for array in arrays:
+        np.save(payload, array, allow_pickle=allow_pickle)
+    return payload.getvalue()
+
+
+def sidecar_bytes(jsonl, payload):
+    """A sidecar of this payload bound to these JSONL bytes."""
+    return SIDECAR_MAGIC + b"%d %d %d\n" % (len(jsonl), zlib.crc32(jsonl),
+                                             zlib.crc32(payload)) + payload
+
+
+def sidecar_ds(n=3):
+    """n pairs at R=4 whose ids hold NUL and a character beyond the BMP."""
+    ids = ["p\x00", "\U0001f600", "", "c", "\x00"][:n]
+    return writer_dataset([[0.5, -1.5 * i] for i in range(n)], ids,
+                          ["d\x00", "d0", "d0", "d0", "d\x00"][:n])
+
+
+def flipped(data, position):
+    data = bytearray(data)
+    data[position] ^= 0x01
+    return bytes(data)
+
+
+def with_arrays(edit):
+    """A sidecar of the sidecar dataset's arrays after ``edit(arrays)``, CRCs recomputed."""
+    def build(jsonl, side):
+        arrays = [array.copy() for array in schema._sidecar_arrays(sidecar_ds())]
+        edit(arrays)
+        return sidecar_bytes(jsonl, npy_payload(arrays))
+    return build
+
+
+def bool_byte_two(arrays):
+    arrays[5].view(np.uint8)[0, 0] = 2
+
+
+def offsets_past_the_bytes(arrays):
+    arrays[1][-1] += 1
+
+
+def features_wider_than_the_file(jsonl, side):
+    """A sidecar whose first record declares 3 x 10**12 features (24 TB) and holds none."""
+    head = io.BytesIO()
+    npy.write_array_header_1_0(head, {"descr": "<f8", "fortran_order": False,
+                                      "shape": (3, 10 ** 12)})
+    rest = npy_payload(schema._sidecar_arrays(sidecar_ds())[1:])
+    return sidecar_bytes(jsonl, head.getvalue() + rest)
+
+
+def foreign_record_magic(jsonl, side):
+    payload = side[payload_head(side):]
+    return sidecar_bytes(jsonl, payload.replace(b"NUMPY", b"NUMPZ", 1))
+
+
+def payload_head(side):
+    return side.index(b"\n", len(SIDECAR_MAGIC)) + 1
+
+
+def first_feature_byte(side):
+    """The position of the first feature's lowest byte: after the first record's
+    magic, version, header length and header."""
+    head = payload_head(side)
+    return head + 10 + int.from_bytes(side[head + 8:head + 10], "little")
+
+
+# every sidecar the loader must refuse, built from the JSONL bytes and the sidecar
+# save_dataset_jsonl wrote for ``sidecar_ds()``; None deletes it
+REFUSED_SIDECARS = {
+    "missing": lambda jsonl, side: None,
+    "empty": lambda jsonl, side: b"",
+    "cut_in_magic": lambda jsonl, side: side[:5],
+    "cut_in_header": lambda jsonl, side: side[:len(SIDECAR_MAGIC) + 3],
+    "cut_in_payload": lambda jsonl, side: side[:len(side) // 2],
+    "one_byte_short": lambda jsonl, side: side[:-1],
+    "flipped_feature_byte": lambda jsonl, side: flipped(side, first_feature_byte(side)),
+    "flipped_last_byte": lambda jsonl, side: flipped(side, len(side) - 1),
+    "flipped_length": lambda jsonl, side: flipped(side, len(SIDECAR_MAGIC)),
+    "wrong_magic": lambda jsonl, side: b"cmm-columns/2\n" + side[len(SIDECAR_MAGIC):],
+    "extra_byte": lambda jsonl, side: sidecar_bytes(jsonl, side[payload_head(side):] + b"\0"),
+    "byte_past_the_crc": lambda jsonl, side: side + b"\0",
+    "features_wider_than_the_file": features_wider_than_the_file,
+    "foreign_record_magic": foreign_record_magic,
+    "columns_the_dataset_refuses": with_arrays(lambda a: a[9].__setitem__(0, True)),
+    "more_pairs": lambda jsonl, side: sidecar_bytes(
+        jsonl, npy_payload(schema._sidecar_arrays(sidecar_ds(5)))),
+    "big_endian_features": with_arrays(lambda a: a.__setitem__(0, a[0].astype(">f8"))),
+    "pickled_objects": lambda jsonl, side: sidecar_bytes(jsonl, npy_payload(
+        [np.array([[Tripwire(), Tripwire()]] * 3, dtype=object)]
+        + schema._sidecar_arrays(sidecar_ds())[1:], allow_pickle=True)),
+    "bool_byte_two": with_arrays(bool_byte_two),
+    "offsets_past_the_bytes": with_arrays(offsets_past_the_bytes),
+}
+
+
+def parsed_load(path):
+    """(``load_outcome`` of the file, whether a pair line was parsed)."""
+    with mock.patch("cmm.schema._clean_block", wraps=schema._clean_block) as spy:
+        outcome = load_outcome(load_dataset_jsonl, path)
+    return outcome, spy.called
+
+
+class TestColumnSidecar:
+    """A dataset loads from its sidecar only when the sidecar is bound to the file's
+    bytes and well formed; otherwise the pair lines are parsed, with no error."""
+
+    def test_sidecar_is_np_save_records_and_skips_the_parse(self, tmp_path):
+        ds, path = sidecar_ds(), tmp_path / "d.jsonl"
+        save_dataset_jsonl(ds, str(path))
+        side = Path(f"{path}{SIDECAR_SUFFIX}").read_bytes()
+        assert side == sidecar_bytes(path.read_bytes(), npy_payload(schema._sidecar_arrays(ds)))
+        outcome, parsed = parsed_load(path)
+        assert not parsed and not isinstance(outcome, str)
+        assert outcome == load_outcome(reference_load, path) == parsed_outcome(path)
+        assert outcome[3]["pair_ids"][2] == ["p\x00", "\U0001f600", ""]
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_SIDECARS))
+    def test_refused_sidecar_falls_back_to_the_parse(self, tmp_path, case):
+        ds, path = sidecar_ds(), tmp_path / "d.jsonl"
+        save_dataset_jsonl(ds, str(path))
+        side_path = Path(f"{path}{SIDECAR_SUFFIX}")
+        side = REFUSED_SIDECARS[case](path.read_bytes(), side_path.read_bytes())
+        if side is None:
+            side_path.unlink()
+        else:
+            side_path.write_bytes(side)
+        TRIPPED.clear()
+        outcome, parsed = parsed_load(path)
+        assert parsed and not TRIPPED
+        assert outcome == load_outcome(reference_load, path)
+        assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == list(
+            dataset_to_lines(ds))
+
+    def test_same_length_edit_with_the_mtime_restored_is_parsed(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save_dataset_jsonl(sidecar_ds(), str(path))
+        before, data = os.stat(path), path.read_bytes()
+        path.write_bytes(data.replace(b'"difficulty":"easy"', b'"difficulty":"hard"', 1))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        outcome, parsed = parsed_load(path)
+        assert parsed and outcome == load_outcome(reference_load, path)
+        assert load_dataset_jsonl(str(path)).hard.tolist() == [True, True, False]
+
+    def test_lone_surrogate_id_fails_as_the_parse_does(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save_dataset_jsonl(writer_dataset([[0.5]], ["\ud800"], ["d0"]), str(path))
+        with_sidecar = load_outcome(load_dataset_jsonl, path)
+        assert isinstance(with_sidecar, str) and "surrogate" in with_sidecar
+        assert with_sidecar == parsed_outcome(path)
+
+    def test_empty_dataset_is_parsed(self, tmp_path):
+        ds = writer_dataset(np.zeros((0, 2)), [], [])
+        assert len(round_trip(ds, tmp_path)) == 0
+
+    @settings(max_examples=100)
+    @example(([[0.5]] * len(AWKWARD_IDS), AWKWARD_IDS, AWKWARD_IDS))
+    @example(([[1.0], [2.0]], ["\x00", "a\x00"], ["\U0001f600\x00", "\x00"]))
+    @given(WRITER_DATASETS)
+    def test_sidecar_load_equals_the_parse(self, tmp_path_factory, drawn):
+        loaded = round_trip(writer_dataset(*drawn), tmp_path_factory.getbasetemp())
+        assert list(loaded.pair_ids) == drawn[1] and list(loaded.doc_ids) == drawn[2]
 
 
 class TestSplit:

@@ -1,10 +1,12 @@
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from cmm.errors import GenerationError
-from cmm.schema import dataset_to_lines, load_dataset_jsonl, save_dataset_jsonl
+from cmm.schema import (SIDECAR_SUFFIX, dataset_to_lines, load_dataset_jsonl,
+                        save_dataset_jsonl)
 from cmm.synthdata import (
     GenConfig,
     PRESETS,
@@ -25,10 +27,14 @@ def small_config(**overrides):
 
 
 def assert_round_trips(dataset, tmp_path):
-    """Saving and loading passes the loader's checks and gives back the same lines."""
+    """Saving and loading passes the loader's checks and gives back the same lines,
+    loaded from the column sidecar and again by parsing, with the sidecar deleted."""
     path = tmp_path / "round_trip.jsonl"
     save_dataset_jsonl(dataset, str(path))
-    assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == list(dataset_to_lines(dataset))
+    lines = list(dataset_to_lines(dataset))
+    assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == lines
+    os.unlink(f"{path}{SIDECAR_SUFFIX}")
+    assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == lines
 
 
 def brute_force_report(dataset):
