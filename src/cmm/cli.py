@@ -177,7 +177,7 @@ def cmd_train(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
         {"name": name, "train": _cfg_as_dict(cfg)} for name, cfg in zip(names, cfgs)]}},
         stale=("*.checkpoint.json", "*.trace.csv"))
     for name, cfg, (params, trace) in zip(names, cfgs, results):
-        encoder.save_checkpoint(str(outdir / f"{name}.checkpoint.json"), params, None,
+        encoder.save_checkpoint(str(outdir / f"{name}.checkpoint.json"), params,
                                 config=_cfg_as_dict(cfg))
         write_csv(outdir / f"{name}.trace.csv", [f.name for f in fields(encoder.TraceRecord)],
                   map(astuple, trace))
@@ -249,9 +249,13 @@ def cmd_compare(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     dev_ds = _load_dataset(config, config_dir, "dev")
     base = _build_train_config(_require(config, "train"))
     try:
-        kinds = tuple(config.get("kinds", DEFAULT_COMPARE_KINDS))
+        kinds = config.get("kinds", list(DEFAULT_COMPARE_KINDS))
+        seeds = config.get("seeds", [base.seed])
+        for name, value, entries in (("kinds", kinds, "loss kinds"), ("seeds", seeds, "integers")):
+            if not isinstance(value, list):
+                raise TypeError(f"{name} must be a list of {entries}, got {value!r}")
+        kinds, seeds = tuple(kinds), tuple(seeds)
         gammas, ms = loss_grid(config.get("gammas", GAMMA_GRID), config.get("ms", M_GRID))
-        seeds = tuple(config.get("seeds", [base.seed]))
         _grid_arms(base, kinds, gammas, ms, seeds)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad compare config: {exc}") from exc
@@ -287,6 +291,8 @@ def cmd_curves(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
     try:
         m = config.get("m", 0.2)
         gammas, _ = loss_grid(config.get("gammas", GAMMA_GRID), [m])
+        if not gammas:
+            raise ValueError("gammas must not be empty")
         grid = evaluation.default_d_grid(config.get("d_min", -5.0), config.get("d_max", 5.0),
                                          config.get("d_step", 0.05))
         rows = evaluation.curve_export(gammas, grid, m=m)

@@ -493,7 +493,7 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
 
 # --- checkpoints ----------------------------------------------------------
 
-def save_checkpoint(path: str, params: EncoderParams, state: AdamWState | None,
+def save_checkpoint(path: str, params: EncoderParams,
                     config: dict[str, Any] | None = None) -> None:
     obj: dict[str, Any] = {
         "format": CHECKPOINT_FORMAT,
@@ -504,11 +504,6 @@ def save_checkpoint(path: str, params: EncoderParams, state: AdamWState | None,
             for name, t in params.tensors.items()
         ],
     }
-    if state is not None:
-        obj["optimizer"] = {"step": state.step, **{
-            key: [{"name": name, "data": t.ravel().tolist()}
-                  for name, t in _views(block[0], params.shapes).items()]
-            for key, block in (("m", state.m), ("v", state.v))}}
     if config is not None:
         obj["config"] = config
     write_json(path, obj)
@@ -520,15 +515,11 @@ def _tensor(entry: dict[str, Any], shape) -> np.ndarray:
     return np.asarray(entry["data"], dtype=np.float64).reshape(shape)
 
 
-def _moments(entries: list[dict[str, Any]], shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
-    """The (1, P) block of one moment's per-tensor entries; KeyError unless they
-    name exactly the tensors in ``shapes``."""
-    found = {e["name"]: _tensor(e, shapes[e["name"]]) for e in entries}
-    return np.concatenate([found[name].ravel() for name in shapes])[None]
-
-
-def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[str, Any]]:
-    """Read a checkpoint; SchemaError unless it matches its declared architecture."""
+def load_checkpoint(path: str) -> tuple[EncoderParams, None, dict[str, Any]]:
+    """Read a checkpoint as (parameters, None, config); SchemaError unless it matches
+    its declared architecture. Top-level keys other than the four that
+    ``save_checkpoint`` writes, such as an older writer's ``optimizer``, are
+    ignored; the middle value stays for callers that unpack three."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -545,16 +536,8 @@ def load_checkpoint(path: str) -> tuple[EncoderParams, AdamWState | None, dict[s
         if len(tensors) != len(obj["parameters"]):
             raise SchemaError("a parameter name appears more than once")
         params = EncoderParams(architecture=arch["kind"], tensors=tensors, **dims)
-        state = None
-        if "optimizer" in obj:
-            opt = obj["optimizer"]
-            require_int("optimizer step", opt["step"], 0)
-            state = AdamWState(step=opt["step"], m=_moments(opt["m"], params.shapes),
-                               v=_moments(opt["v"], params.shapes))
-            if not (np.isfinite(state.m).all() and np.isfinite(state.v).all()):
-                raise ValueError("optimizer moments must be finite")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    return params, state, obj.get("config", {})
+    return params, None, obj.get("config", {})

@@ -189,7 +189,7 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
     width = 2 * r_max + 4      # uniforms of one trial's row
     block = max(1, WORD_BLOCK // width)
     rng = np.random.default_rng(seed)
-    errors, excluded, failures = np.zeros(trials), 0, []
+    max_error, excluded, failures = 0.0, 0, []
     for first in range(0, trials, block):
         u = rng.random((min(block, trials - first), width))
         r_counts = counts[_index(u[:, 0], len(counts))]
@@ -224,7 +224,8 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
                 kept = ~np.concatenate((near.any(axis=1, keepdims=True), near), axis=1)
                 excluded += int((~kept).sum())
                 err = np.where(kept, relative_error(grads[:, 0], numeric), 0.0).max(axis=1)
-                errors[first + chunk] = err
+                # NaN errors count as no failure and do not raise the maximum
+                max_error = float(np.fmax.reduce(err, initial=max_error))
                 for i in np.flatnonzero(err > tolerance).tolist():
                     cfg = arms[arm[chunk[i]]]
                     failures.append(GradCheckFailure(
@@ -237,7 +238,6 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
             raise first_bad[1]
 
     failures.sort(key=lambda failure: failure.trial)
-    # NaN errors count as no failure and do not raise the maximum
     return GradCheckReport(trials=trials, tolerance=tolerance, seed=seed, step=step,
-                           max_rel_error=float(np.fmax.reduce(errors, initial=0.0)),
+                           max_rel_error=max_error,
                            excluded_coords=excluded, failures=tuple(failures))

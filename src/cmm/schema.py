@@ -28,7 +28,7 @@ from functools import cached_property, partial
 from itertools import chain, filterfalse, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import IO, Any, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import numpy.lib.format as npy
@@ -242,12 +242,6 @@ def _mask(lengths: Sequence[int], indices: Sequence[int], relation_count: int) -
     return mask
 
 
-def _flat(index_lists: Iterable[Collection[int]]) -> tuple[list[int], list[int]]:
-    """(the length of each index list, their indices in one list), as ``_mask`` takes them."""
-    index_lists = list(index_lists)
-    return list(map(len, index_lists)), list(chain.from_iterable(index_lists))
-
-
 def _index_lists(mask: np.ndarray) -> list[list[int]]:
     """The relation indices set in each row of a boolean (n, R) mask, ascending."""
     lists: list[list[int]] = [[] for _ in range(len(mask))]
@@ -255,18 +249,6 @@ def _index_lists(mask: np.ndarray) -> list[list[int]]:
     for i, r in zip(rows.tolist(), (cols + 1).tolist()):
         lists[i].append(r)
     return lists
-
-
-def _stack_rows(blocks: Sequence[np.ndarray | Sequence[list]]) -> np.ndarray:
-    """The (n, F) stack of blocks of feature rows, each an (m, F) array or, when
-    its rows' lengths differ or it has none, a sequence of its m rows;
-    SchemaError unless every row has one length."""
-    widths = sorted({width for block in blocks for width in (
-        [block.shape[1]] if isinstance(block, np.ndarray) else map(len, block))})
-    if len(widths) > 1:
-        raise SchemaError(f"feature lengths differ between pairs: {widths}")
-    blocks = [block for block in blocks if len(block)]     # a ragged one raised above
-    return np.concatenate(blocks) if blocks else np.zeros((0, 0))
 
 
 def _require_strings(what: str, values) -> None:
@@ -639,22 +621,21 @@ def _sidecar_columns(fh: IO[bytes], path: str, pair_count: int | None,
 
 
 def _clean_block(lines: list[bytes], first_lineno: int, relation_count: int,
-                 path: str) -> dict[str, Any]:
-    """A block's columns, blank lines skipped; SchemaError from ``_check_block``
-    unless every line is a pair record the columns can represent.
+                 path: str) -> tuple[dict[str, Any], set[int]]:
+    """(a block's columns, the set of its feature lengths), blank lines skipped;
+    SchemaError from ``_check_block`` unless every line is a pair record the
+    columns can represent.
 
     Each column is checked at once: its set of types, the range of the
-    relation indices, and the difficulties. The masks are ``_flat`` index
-    lists, and ``features`` is an (m, F) array, or the tuple of its rows when
-    their lengths differ (``_stack_rows`` rejects the file then, once every
-    line has been checked).
+    relation indices, and the difficulties. The masks are (m, R) arrays, and
+    ``features`` is an (m, F) array, or None when the rows' lengths differ
+    (the loader rejects the file then, once every line has been checked).
     """
     try:
         records = list(map(_pair_fields, map(orjson.loads, filterfalse(bytes.isspace, lines))))
         (pair_ids, doc_ids, features, *index_lists, difficulty,
          corrupted) = zip(*records) if records else [()] * 8
-        masks = [_flat(lists) for lists in index_lists]
-        indices = list(chain.from_iterable(flat for _, flat in masks))
+        indices = list(chain.from_iterable(chain(*index_lists)))
         clean = ({str}.issuperset(map(type, pair_ids + doc_ids))
                  and {bool}.issuperset(map(type, corrupted))
                  and {list}.issuperset(map(type, chain(features, *index_lists)))
@@ -667,12 +648,16 @@ def _clean_block(lines: list[bytes], first_lineno: int, relation_count: int,
     if not clean:
         _check_block(lines, first_lineno, relation_count, path)
     widths = set(map(len, features))
-    if len(widths) == 1:
-        (width,) = widths
-        features = np.fromiter(chain.from_iterable(features), dtype=np.float64,
-                               count=len(features) * width).reshape(len(features), width)
-    return dict(zip(_COLUMNS, (pair_ids, doc_ids, features, *masks,
-                               ["hard" == d for d in difficulty], corrupted)))
+    width = max(widths, default=0)
+    features = None if len(widths) > 1 else np.fromiter(
+        chain.from_iterable(features), dtype=np.float64,
+        count=len(features) * width).reshape(len(features), width)
+    # the three masks as the (3, m, R) rows of one
+    masks = _mask(list(map(len, chain(*index_lists))), indices, relation_count).reshape(
+        3, len(pair_ids), relation_count)
+    ids = [np.array(column, dtype=object) for column in (pair_ids, doc_ids)]
+    return dict(zip(_COLUMNS, (*ids, features, *masks, ["hard" == d for d in difficulty],
+                               corrupted))), widths
 
 
 def _check_block(lines: list[bytes], first_lineno: int, relation_count: int,
@@ -757,24 +742,24 @@ def load_dataset_jsonl(path: str) -> Dataset:
             with contextlib.suppress(SchemaError):
                 return Dataset(schema, document_ids, manifest, **columns)
         fh.seek(len(header_line))
-        blocks, lineno = [], 2
+        blocks, widths, lineno = [], set(), 2
         while lines := list(islice(fh, _BLOCK)):
-            blocks.append(_clean_block(lines, lineno, r_count, path))
+            block, block_widths = _clean_block(lines, lineno, r_count, path)
+            if len(block["pair_ids"]):
+                blocks.append(block)
+                widths |= block_widths
             lineno += len(lines)
-    columns = {name: list(chain.from_iterable(block[name] for block in blocks))
-               for name in _ID_COLUMNS + ("hard", "corrupted")}
-    if declared is not None and declared != len(columns["pair_ids"]):
+    count = sum(len(block["pair_ids"]) for block in blocks)
+    if declared is not None and declared != count:
         raise SchemaError(f"{path}:1: the header declares {declared} pairs, but the file "
-                          f"holds {len(columns['pair_ids'])} pair lines")
+                          f"holds {count} pair lines")
+    if len(widths) > 1:
+        raise SchemaError(f"{path}: feature lengths differ between pairs: {sorted(widths)}")
+    blocks = blocks or [_clean_block([], 2, r_count, path)[0]]    # (0, 0) features, (0, R) masks
     try:
-        columns["features"] = _stack_rows([block["features"] for block in blocks])
-        for name in _MASK_COLUMNS:
-            lengths, indices = [], []
-            for block in blocks:
-                lengths += block[name][0]
-                indices += block[name][1]
-            columns[name] = _mask(lengths, indices, r_count)
-        return Dataset(schema, document_ids, manifest, **columns)
+        return Dataset(schema, document_ids, manifest,
+                       **{name: np.concatenate([block[name] for block in blocks])
+                          for name in _COLUMNS})
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

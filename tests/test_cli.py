@@ -757,6 +757,11 @@ BAD_OTHER = {
     "compare_no_kinds": ("compare", {"train": {"epochs": 1}, "kinds": []}),
     "compare_cmm_no_gammas": ("compare", {"train": {"epochs": 1}, "kinds": ["cmm"],
                                           "gammas": []}),
+    "curves_no_gammas": ("curves", {"gammas": []}),
+    # kinds and seeds are lists, as the grids are, not strings or objects to iterate
+    "compare_string_kinds": ("compare", {"train": {"epochs": 1}, "kinds": "cmm"}),
+    "compare_scalar_seeds": ("compare", {"train": {"epochs": 1}, "seeds": 3}),
+    "compare_object_seeds": ("compare", {"train": {"epochs": 1}, "seeds": {"a": 1}}),
     "generate_float_documents": ("generate", {"n_documents": 1.5, "pairs_per_document": 5}),
     "generate_negative_seed": ("generate", {"n_documents": 2, "pairs_per_document": 5,
                                             "seed": -1}),
@@ -1034,6 +1039,21 @@ class TestMalformedInput:
         cfg = write_config(tmp_path, "cfg.json", BAD_OTHER[case][1])
         capsys.readouterr()
         err = assert_one_line_error(capsys, run(["gradcheck", cfg, "-o", tmp_path / "out"]), 1)
+        assert err.strip().endswith(message)
+
+    @pytest.mark.parametrize("case, message", [
+        ("compare_string_kinds", "kinds must be a list of loss kinds, got 'cmm'"),
+        ("compare_scalar_seeds", "seeds must be a list of integers, got 3"),
+        ("compare_object_seeds", "seeds must be a list of integers, got {'a': 1}"),
+        ("curves_no_gammas", "gammas must not be empty"),
+    ])
+    def test_grid_shape_error_names_the_field(self, tmp_path, tiny_dataset, tiny_dev, capsys,
+                                              case, message):
+        command, body = BAD_OTHER[case]
+        cfg = (self.data_config(tmp_path, tiny_dataset, tiny_dev, "cfg.json", body)
+               if command == "compare" else write_config(tmp_path, "cfg.json", body))
+        capsys.readouterr()
+        err = assert_one_line_error(capsys, run([command, cfg, "-o", tmp_path / "out"]), 1)
         assert err.strip().endswith(message)
 
     @pytest.mark.parametrize("case", sorted(UNKNOWN_FIELDS))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cmm.cli import _cfg_as_dict
 from cmm.encoder import (
     EncoderParams,
     TrainConfig,
@@ -472,19 +474,41 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_encoder("one_hidden", feature_dim=4, relation_count=3,
                               hidden_dim=5, seed=6)
-        state = init_adamw_state(params)
-        state.step = 7
-        _views(state.m[0], params.shapes)["W1"][0, 0] = 0.25
         path = tmp_path / "ckpt.json"
-        save_checkpoint(str(path), params, state, config={"epochs": 3})
-        loaded, loaded_state, config = load_checkpoint(str(path))
+        save_checkpoint(str(path), params, config={"epochs": 3})
+        loaded, state, config = load_checkpoint(str(path))
         assert loaded.architecture == "one_hidden"
-        assert config == {"epochs": 3}
+        assert state is None and config == {"epochs": 3}
         for name in params.parameter_names:
             assert np.array_equal(loaded.tensors[name], params.tensors[name])
-        assert loaded_state.step == 7
-        assert np.array_equal(loaded_state.m, state.m) and np.array_equal(loaded_state.v, state.v)
-        assert _views(loaded_state.m[0], loaded.shapes)["W1"][0, 0] == 0.25
+
+    # sha256 of the files written as `cmm train` (a TrainConfig as the config) and
+    # the benchmark's set-up (config None) call save_checkpoint
+    CHECKPOINT_BYTES = {
+        ("one_hidden", "set_up"):
+            "907eb52add660df14a56831fc0a25bd88306f2c729815879d305880e907d0c86",
+        ("one_hidden", "train"):
+            "bb957a4efc00f52fdc5110cb47937b94a6a4c5b79623a9bb21d238746299689c",
+        ("linear", "set_up"):
+            "c3d345e4082535eaf15de58c1ecc0794524ac113ac9ff6b73a8d0da862cd3d55",
+        ("linear", "train"):
+            "61a6b0d87515d5b8cffb4a942e8a5802c62a6b7cbcae45dc31b9fe897c913821",
+    }
+
+    @pytest.mark.parametrize("architecture, caller", list(CHECKPOINT_BYTES))
+    def test_checkpoint_bytes_pinned(self, tmp_path, architecture, caller):
+        params = (init_encoder("one_hidden", feature_dim=4, relation_count=3, hidden_dim=5,
+                               seed=6) if architecture == "one_hidden" else
+                  init_encoder("linear", feature_dim=3, relation_count=2, seed=0))
+        path = tmp_path / "ckpt.json"
+        if caller == "train":
+            config = _cfg_as_dict(TrainConfig(loss=LossConfig(kind="cmm", gamma=1.2, m=0.3),
+                                              epochs=4, seed=1))
+            save_checkpoint(str(path), params, config=config)
+        else:
+            save_checkpoint(str(path), params, None)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            self.CHECKPOINT_BYTES[architecture, caller])
 
     def test_checkpoint_without_optimizer(self, tmp_path):
         params = init_encoder("linear", feature_dim=3, relation_count=2, seed=0)
@@ -540,14 +564,14 @@ class TestCheckpoint:
             return
         params = EncoderParams(**build)
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
-        save_checkpoint(str(path), params, init_adamw_state(params))
+        save_checkpoint(str(path), params)
         loaded, state, _ = load_checkpoint(str(path))
         assert (loaded.architecture, loaded.feature_dim, loaded.relation_count,
                 loaded.hidden_dim) == (architecture, feature_dim, relation_count, hidden_dim)
         assert loaded.tensors.keys() == tensors.keys()
         for name, t in tensors.items():
             assert np.array_equal(loaded.tensors[name], t), name
-        assert state.m.shape == state.v.shape == (1, params.flat.size)
+        assert state is None
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -556,26 +580,27 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("field, value", [
-        ("step", 2.7), ("step", "5"), ("step", True), ("step", -3), ("step", None),
-        ("m", float("nan")), ("v", float("inf")), ("m", float("-inf"))])
-    def test_rejects_malformed_optimizer_section(self, tmp_path, field, value):
-        """The optimizer step is an integer >= 0 (not a bool, float or string) and
-        the moments are finite; anything else is a one-line malformed-checkpoint error."""
+        ("step", 0), ("step", 2.7), ("step", "5"), ("step", True), ("step", -3),
+        ("step", None), ("m", float("nan")), ("v", float("inf")), ("m", float("-inf"))])
+    def test_ignores_optimizer_section(self, tmp_path, field, value):
+        """An older writer's optimizer section (step and per-tensor moments), valid or
+        not, is ignored: the file loads as it does without the section."""
         params = init_encoder("linear", feature_dim=3, relation_count=2, seed=0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(str(path), params, init_adamw_state(params))
-        obj = json.loads(path.read_text())
+        save_checkpoint(str(path), params, config={"epochs": 3})
+        section = {"step": 0, **{key: [{"name": name, "data": [0.0] * t.size}
+                                       for name, t in params.tensors.items()]
+                                 for key in ("m", "v")}}
         if field == "step":
-            obj["optimizer"]["step"] = value
+            section["step"] = value
         else:
-            entry = obj["optimizer"][field][0]
-            data = np.asarray(entry["data"], dtype=np.float64)
-            data.flat[0] = value
-            entry["data"] = data.tolist()
-        path.write_text(json.dumps(obj))
-        with pytest.raises(SchemaError, match="malformed checkpoint") as info:
-            load_checkpoint(str(path))
-        assert "\n" not in str(info.value)
+            section[field][0]["data"][0] = value
+        path.write_text(json.dumps({**json.loads(path.read_text()), "optimizer": section}))
+        loaded, state, config = load_checkpoint(str(path))
+        assert state is None and config == {"epochs": 3}
+        assert loaded.tensors.keys() == params.tensors.keys()
+        for name, t in params.tensors.items():
+            assert np.array_equal(loaded.tensors[name], t), name
 
 
 class TestInit:

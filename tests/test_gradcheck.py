@@ -392,6 +392,28 @@ class TestCheckGradients:
         with pytest.raises(ValueError):
             check_gradients(trials=0)
 
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # a run of 10^15 trials reaches its second block of draws: nothing it
+        # holds is sized by the trial count
+        class SecondBlock(Exception):
+            pass
+
+        class Stream:
+            def __init__(self, seed):
+                self.rng, self.calls = default_rng(seed), 0
+
+            def random(self, shape):
+                self.calls += 1
+                if self.calls == 2:
+                    raise SecondBlock
+                return self.rng.random(shape)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", Stream)
+        monkeypatch.setattr(cmm.gradcheck, "WORD_BLOCK", 10 * 24)    # blocks of 10 trials
+        with pytest.raises(SecondBlock):
+            check_gradients(trials=10 ** 15)
+
     @pytest.mark.parametrize("name, rate", [
         ("positive_rate", float("nan")), ("positive_rate", -1), ("positive_rate", "x"),
         ("empty_positive_rate", 2.0), ("empty_positive_rate", float("inf")),

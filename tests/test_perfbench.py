@@ -39,3 +39,13 @@ def test_benchmark_gradcheck_gate_passes(monkeypatch, tmp_path, seed):
     config.write_text(json.dumps({"trials": checks.GRADCHECK_TRIALS, "seed": seed}))
     assert main(["gradcheck", str(config), "-o", str(tmp_path / "gradcheck")]) == 0
     assert checks.check_gradcheck({"dir": tmp_path}) == (1.0, [])
+
+
+def test_benchmark_set_up_and_data_repetition(monkeypatch, tmp_path):
+    # the set-up saves its checkpoint with save_checkpoint(path, params, None), and the
+    # data check recounts eval's metrics with the parameters load_checkpoint returns
+    common = benchmark_modules(monkeypatch)["common"]
+    loop = common.Loop("data", common.set_up(tmp_path, 2024), common.Usage())
+    loop.repetition()
+    assert (loop.attempted, loop.failed) == (2, 0)
+    assert loop.quality == 0.6128266033254157     # the F1 `cmm eval` reports
