@@ -202,8 +202,8 @@ def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence
                ms: Sequence[float], seeds: Sequence[int]) -> list[tuple]:
     """(kind, gamma, m, seed, train config) per grid tuple, gamma and m as floats;
     cmm sweeps the grid, other kinds run once per seed. ValueError/TypeError on a
-    bad kind, value or plugin name, or a grid with no arm."""
-    arms = []
+    bad kind, value or plugin name, a tuple listed twice, or a grid with no arm."""
+    arms: dict[tuple, encoder.TrainConfig] = {}
     for kind in kinds:
         tuples = ([(float(g), float(m)) for g in gammas for m in ms] if kind == "cmm"
                   else [(None, None)])
@@ -215,10 +215,13 @@ def _grid_arms(base: encoder.TrainConfig, kinds: Sequence[str], gammas: Sequence
                     loss_cfg = replace(base.loss, kind=kind, gamma=gamma, m=m)
                 get_loss(loss_cfg)
                 cfg = replace(base, loss=loss_cfg, seed=seed)
-                arms.append((kind, gamma, m, seed, cfg))
+                key = (kind, gamma, m, seed)
+                if key in arms:
+                    raise ValueError(f"the grid lists (kind, gamma, m, seed) = {key!r} twice")
+                arms[key] = cfg
     if not arms:
         raise ValueError("kinds, gammas, ms and seeds leave the grid with no arm")
-    return arms
+    return [(*key, cfg) for key, cfg in arms.items()]
 
 
 def run_compare_grid(train_ds, dev_ds, base: encoder.TrainConfig,
@@ -287,19 +290,18 @@ def cmd_gradcheck(config: dict[str, Any], config_dir: Path, outdir: Path) -> int
 
 
 def cmd_curves(config: dict[str, Any], config_dir: Path, outdir: Path) -> int:
-    _reject_unknown(config, ("gammas", "d_min", "d_max", "d_step", "m"), "curves")
+    _reject_unknown(config, ("gammas", "d_min", "d_max", "d_step"), "curves")
     try:
-        m = config.get("m", 0.2)
-        gammas, _ = loss_grid(config.get("gammas", GAMMA_GRID), [m])
+        gammas, _ = loss_grid(config.get("gammas", GAMMA_GRID), ())
         if not gammas:
             raise ValueError("gammas must not be empty")
         grid = evaluation.default_d_grid(config.get("d_min", -5.0), config.get("d_max", 5.0),
                                          config.get("d_step", 0.05))
-        rows = evaluation.curve_export(gammas, grid, m=m)
+        rows = evaluation.curve_export(gammas, grid)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad curves config: {exc}") from exc
     _write_effective(outdir, {"curves": {"gammas": [float(g) for g in gammas],
-                                         "d_points": len(grid), "m": m}})
+                                         "d_points": len(grid)}})
     write_csv(outdir / "curves.csv", evaluation.CURVE_HEADER, rows)
     return 0
 

@@ -152,14 +152,10 @@ def default_d_grid(low: float = -5.0, high: float = 5.0, step: float = 0.05) -> 
                          f"({type(exc).__name__}: {exc})") from None
 
 
-def curve_export(gammas: Sequence[float] = GAMMA_GRID, d_grid: Sequence[float] | None = None,
-                 m: float = 0.2) -> list[tuple[float, float, float]]:
-    """(d, gamma, positive-term value) rows over the distance grid.
-
-    The per-relation positive term of the concentrated loss does not depend
-    on m; the parameter is accepted for config symmetry with the negative
-    side.
-    """
+def curve_export(gammas: Sequence[float] = GAMMA_GRID, d_grid: Sequence[float] | None = None
+                 ) -> list[tuple[float, float, float]]:
+    """(d, gamma, positive-term value) rows over the distance grid; the positive
+    term of the concentrated loss does not depend on m."""
     grid = default_d_grid() if d_grid is None else np.asarray(d_grid, dtype=np.float64)
     if not np.all(np.isfinite(grid)):
         raise ValueError("d grid must be finite")

@@ -464,22 +464,11 @@ def _pair_blocks(dataset: Dataset) -> Iterator[bytes]:
         yield b"".join(lines)
 
 
-def dataset_to_lines(dataset: Dataset) -> Iterator[str]:
-    """The dataset's JSONL lines, header first, as ``json.dumps`` with
-    separators ``(",", ":")`` writes them.
-
-    The pair lines come from ``_pair_blocks``; the header, whose manifest may
-    hold integers wider than 64 bits, goes through ``json``.
-    """
-    yield _header_line(dataset)
-    for text in _pair_blocks(dataset):
-        yield from text[:-1].decode().split("\n")
-
-
 def save_dataset_jsonl(dataset: Dataset, path: str) -> None:
-    """Write ``dataset_to_lines`` to path, one line each, atomically (``open_atomic``),
-    with one write per block; then the column sidecar bound to those bytes
-    (``_save_sidecar``)."""
+    """Write the dataset to path, atomically (``open_atomic``), each line as
+    ``json.dumps`` with separators ``(",", ":")`` would: the header by ``json`` (its
+    manifest may hold integers wider than 64 bits), then ``_pair_blocks``, one write
+    per block; then the column sidecar bound to those bytes (``_save_sidecar``)."""
     length, crc = 0, 0
     with open_atomic(path, "wb") as fh:
         for text in chain([_header_line(dataset).encode() + b"\n"], _pair_blocks(dataset)):

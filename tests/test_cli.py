@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cmm import schema
 from cmm.cli import main
 from cmm.encoder import init_encoder, save_checkpoint
-from cmm.schema import _orjson_rows, dataset_to_lines, load_dataset_jsonl
+from cmm.schema import _orjson_rows, load_dataset_jsonl, save_dataset_jsonl
 
 TINY_GEN = {
     "n_documents": 12,
@@ -254,6 +254,16 @@ class TestCompare:
             final = train(train_ds, dev_ds, replace(base, loss=loss, seed=row.seed))[1][-1]
             assert (row.dev_f1, row.dev_ign_f1, row.dev_positives) == (
                 final.dev_f1, final.dev_ign_f1, final.dev_positives)
+
+    def test_tuple_listed_twice_raises(self, tiny_dataset, tiny_dev):
+        from cmm.cli import run_compare_grid
+        from cmm.encoder import TrainConfig
+        from cmm.loss import LossConfig
+        base = TrainConfig(loss=LossConfig(), epochs=1)
+        with pytest.raises(ValueError, match=r"\('cmm', 1.0, 0.1, 3\) twice"):
+            run_compare_grid(load_dataset_jsonl(str(tiny_dataset)),
+                             load_dataset_jsonl(str(tiny_dev)), base, kinds=("cmm",),
+                             gammas=(1.0, 2.0), ms=(0.1,), seeds=(3, 4, 3))
 
 
 class TestGradcheckCmd:
@@ -745,6 +755,7 @@ BAD_OTHER = {
     "curves_nan_gamma": ("curves", {"gammas": [float("nan")]}),
     "curves_infinite_gamma": ("curves", {"gammas": [1e400]}),
     "curves_negative_gamma": ("curves", {"gammas": [-1]}),
+    # the curve does not depend on m, so curves has no m field, whatever its value
     **{f"curves_m_{name}": ("curves", {"m": m}) for name, m in (
         ("string", "abc"), ("null", None), ("five", 5), ("bool", True), ("list", [1]))},
     # loss and curve numbers are finite numbers, not bools, that fit a float
@@ -762,6 +773,13 @@ BAD_OTHER = {
     "compare_string_kinds": ("compare", {"train": {"epochs": 1}, "kinds": "cmm"}),
     "compare_scalar_seeds": ("compare", {"train": {"epochs": 1}, "seeds": 3}),
     "compare_object_seeds": ("compare", {"train": {"epochs": 1}, "seeds": {"a": 1}}),
+    # a grid tuple listed twice would train twice and write two equal rows
+    "compare_repeated_kind": ("compare", {"train": {"epochs": 1},
+                                          "kinds": ["plain_margin", "plain_margin"]}),
+    "compare_repeated_seed": ("compare", {"train": {"epochs": 1}, "kinds": ["plain_margin"],
+                                          "seeds": [0, 0]}),
+    "compare_equal_gammas": ("compare", {"train": {"epochs": 1}, "kinds": ["cmm"],
+                                         "gammas": [1, 1.0], "ms": [0.2]}),
     "generate_float_documents": ("generate", {"n_documents": 1.5, "pairs_per_document": 5}),
     "generate_negative_seed": ("generate", {"n_documents": 2, "pairs_per_document": 5,
                                             "seed": -1}),
@@ -808,6 +826,7 @@ UNKNOWN_FIELDS = {
     "eval": ("eval", {"golds": "true_labels"}, "golds"),
     "gradcheck": ("gradcheck", {"trial": 5}, "trial"),
     "curves": ("curves", {"d_stp": 0.5}, "d_stp"),
+    "curves_m": ("curves", {"m": 0.2}, "m"),
 }
 
 UNREGISTERED_PLUGIN = {"kind": "plugin", "plugin": "nope"}
@@ -1046,6 +1065,12 @@ class TestMalformedInput:
         ("compare_scalar_seeds", "seeds must be a list of integers, got 3"),
         ("compare_object_seeds", "seeds must be a list of integers, got {'a': 1}"),
         ("curves_no_gammas", "gammas must not be empty"),
+        ("compare_repeated_kind",
+         "the grid lists (kind, gamma, m, seed) = ('plain_margin', None, None, 0) twice"),
+        ("compare_repeated_seed",
+         "the grid lists (kind, gamma, m, seed) = ('plain_margin', None, None, 0) twice"),
+        ("compare_equal_gammas",
+         "the grid lists (kind, gamma, m, seed) = ('cmm', 1.0, 0.2, 0) twice"),
     ])
     def test_grid_shape_error_names_the_field(self, tmp_path, tiny_dataset, tiny_dev, capsys,
                                               case, message):
@@ -1225,7 +1250,7 @@ def rerun_configs(command, tiny_dataset, tiny_dev):
         return old, new, {**new, "gold": "bogus"}
     old = {"generate": {**TINY_GEN, "n_documents": 3}, "gradcheck": {"trials": 20},
            "curves": {"d_step": 0.5}}[command]
-    new = {**old, "seed": 7} if command != "curves" else {**old, "m": 0.3}
+    new = {**old, "seed": 7} if command != "curves" else {**old, "d_step": 0.25}
     return old, new, {**new, "bogus": 1}
 
 
@@ -1281,8 +1306,9 @@ class TestInterruptedRerun:
             got = dir_bytes(out)
             assert sorted(p.name for p in out.iterdir()) == list(got)    # no stray temporaries
             if command == "generate":     # a sidecar of the other run is ignored
-                lines = dataset_to_lines(load_dataset_jsonl(str(out / "dataset.jsonl")))
-                assert "".join(line + "\n" for line in lines).encode() == got["dataset.jsonl"]
+                resaved = tmp_path / "resaved.jsonl"
+                save_dataset_jsonl(load_dataset_jsonl(str(out / "dataset.jsonl")), str(resaved))
+                assert resaved.read_bytes() == got["dataset.jsonl"]
                 mixes += (got["dataset.jsonl"], got["dataset.jsonl.columns"]) == (
                     after["dataset.jsonl"], before["dataset.jsonl.columns"])
             if failed:
@@ -1385,7 +1411,7 @@ SWEEP_FIELDS = (
                                            "logit_range", "relation_counts", "step")]
     + [("gradcheck", ("logit_range", 0)), ("gradcheck", ("logit_range", 1)),
        ("gradcheck", ("relation_counts", 0))]
-    + [("curves", (name,)) for name in ("gammas", "d_min", "d_max", "d_step", "m")])
+    + [("curves", (name,)) for name in ("gammas", "d_min", "d_max", "d_step")])
 
 
 class TestFuzzConfigFields:
@@ -1406,7 +1432,7 @@ class TestFuzzConfigFields:
             "gradcheck": {"trials": 5, "tolerance": 1e-5, "seed": 0, "gammas": [1.0],
                           "ms": [0.2], "logit_range": [-8.0, 8.0], "relation_counts": [3],
                           "step": 1e-5},
-            "curves": {"gammas": [1.0], "d_min": -1.0, "d_max": 1.0, "d_step": 0.5, "m": 0.2},
+            "curves": {"gammas": [1.0], "d_min": -1.0, "d_max": 1.0, "d_step": 0.5},
         }
         out = tmp_path / "out"
 

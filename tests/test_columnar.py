@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from cmm.encoder import TrainConfig, _pack_documents, train
 from cmm.loss import LossConfig
-from cmm.schema import (DATASET_FORMAT, SIDECAR_SUFFIX, LabelSet, dataset_to_lines,
-                        load_dataset_jsonl, save_dataset_jsonl)
+from cmm.schema import (DATASET_FORMAT, SIDECAR_SUFFIX, Dataset, LabelSet, load_dataset_jsonl,
+                        save_dataset_jsonl)
 from cmm.synthdata import GenConfig, distribution_report, generate, inject_false_negatives
 
 # n_pairs is a multiple of 4, so both positive rates are realized exactly
@@ -77,12 +77,14 @@ def read_records(path):
 class TestColumnarEquivalence:
     @EQUIVALENCE
     @given(SMALL_CONFIGS, RATES)
-    def test_save_equals_per_pair_serializer(self, cfg, rate):
+    def test_save_equals_per_pair_serializer(self, tmp_path_factory, cfg, rate):
         ds = generated(cfg, rate)
         header = json.dumps({"format": DATASET_FORMAT, "schema": ds.schema.to_dict(),
                              "documents": list(ds.document_ids), "pair_count": len(ds),
                              "manifest": ds.manifest}, separators=(",", ":"))
-        assert list(dataset_to_lines(ds)) == [header] + [pair_line(ex) for ex in ds.examples]
+        path = tmp_path_factory.getbasetemp() / "save.jsonl"
+        save_dataset_jsonl(ds, str(path))
+        assert path.read_text().splitlines() == [header] + [pair_line(ex) for ex in ds.examples]
 
     @EQUIVALENCE
     @given(SMALL_CONFIGS, RATES)
@@ -153,7 +155,8 @@ class TestInterleavedDocuments:
         cfg = GenConfig(n_documents=5, pairs_per_document=12, relation_count=4,
                         feature_dim=8, positive_rate=0.25, seed=11)
         ds = inject_false_negatives(generate(cfg), 0.3, seed=2)
-        lines = list(dataset_to_lines(ds))
+        save_dataset_jsonl(ds, str(tmp_path / "ds.jsonl"))
+        lines = (tmp_path / "ds.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
         header["documents"].insert(2, "no-pairs")
         head = json.dumps(header, separators=(",", ":"))
@@ -173,10 +176,26 @@ class TestInterleavedDocuments:
             assert np.array_equal(params_a.flat, params_b.flat)
             assert trace_a == trace_b
 
+    def test_declared_document_without_pairs_changes_no_training_byte(self):
+        """A declared document that no pair uses is no batch: it adds no optimizer
+        step and takes no place in the shuffle."""
+        ds = generate(GenConfig(n_documents=4, pairs_per_document=25, relation_count=5,
+                                feature_dim=8, positive_rate=0.25, seed=3))
+        docs = ds.document_ids
+        padded = Dataset(ds.schema, [*docs[:2], "no-pairs", *docs[2:]], ds.manifest,
+                         **ds.columns)
+        cfgs = [TrainConfig(loss=loss, epochs=3, seed=1) for loss in (
+            LossConfig(kind="cmm", gamma=1.0, m=0.2), LossConfig(kind="atl_reference"))]
+        runs = [train(data, ds, cfgs) for data in (ds, padded)]
+        for (params_a, trace_a), (params_b, trace_b) in zip(*runs):
+            assert params_a.flat.tobytes() == params_b.flat.tobytes()
+            assert trace_a == trace_b
+
     def test_document_ordered_batches_view_the_columns(self, tmp_path):
         ds = generate(GenConfig(n_documents=3, pairs_per_document=8, relation_count=4,
                                 feature_dim=6, positive_rate=0.25, seed=5))
-        lines = list(dataset_to_lines(ds))
+        save_dataset_jsonl(ds, str(tmp_path / "ds.jsonl"))
+        lines = (tmp_path / "ds.jsonl").read_text().splitlines()
         path = tmp_path / "reversed.jsonl"
         path.write_text("\n".join([lines[0]] + lines[:0:-1]) + "\n")
         for data, shared in ((ds, True), (load_dataset_jsonl(str(path)), False)):

@@ -27,7 +27,6 @@ from cmm.schema import (
     RelationSchema,
     _BLOCK,
     _orjson_rows,
-    dataset_to_lines,
     load_dataset_jsonl,
     save_dataset_jsonl,
     split_by_documents,
@@ -246,6 +245,12 @@ def round_trip(ds, tmp_path):
     return loaded
 
 
+def saved_lines(ds, path):
+    """The lines of the file that ``save_dataset_jsonl`` writes for ds at path."""
+    save_dataset_jsonl(ds, str(path))
+    return path.read_text().splitlines()
+
+
 def sidecar_in_use(path):
     """Whether the file's sidecar passes every check the loader makes of it."""
     with open(path, "rb") as fh:
@@ -267,7 +272,8 @@ class TestValidateDataset:
         examples = [make_example(f"d0:{i}", "d0", {1 + i % 3}) for i in range(10)]
         ds = make_dataset(examples)
         assert len(ds) == 10
-        assert list(dataset_to_lines(round_trip(ds, tmp_path))) == list(dataset_to_lines(ds))
+        assert saved_lines(round_trip(ds, tmp_path), tmp_path / "again.jsonl") == saved_lines(
+            ds, tmp_path / "ds.jsonl")
 
     def test_corrupted_without_demotion_reported(self, tmp_path):
         ex = make_example("d0:c", "d0", {1}, true_positives={1}, corrupted=True)
@@ -305,7 +311,8 @@ class TestValidateDataset:
             assert not column.flags.writeable
         assert examples[0].seen_in_train == frozenset({1})
         again = round_trip(first, tmp_path)
-        assert list(dataset_to_lines(again)) == list(dataset_to_lines(first))
+        assert saved_lines(again, tmp_path / "again.jsonl") == saved_lines(
+            first, tmp_path / "first.jsonl")
 
     def test_columns_frozen_without_freezing_the_callers_arrays(self):
         columns = record_columns([make_example("d0:0", "d0", {1}), make_example("d0:1", "d0", {2})])
@@ -396,7 +403,6 @@ class TestJsonl:
         ]
         ds = make_dataset(examples)
         loaded = round_trip(ds, tmp_path)
-        assert list(dataset_to_lines(loaded)) == list(dataset_to_lines(ds))
         assert loaded.schema == ds.schema
         assert loaded.document_ids == ds.document_ids
         assert loaded.manifest == ds.manifest
@@ -447,10 +453,9 @@ class TestJsonl:
         view = frozen[:]                    # read-only, but a view: copied
         assert make_example("p", "d", {1}, features=view).features is not view
 
-    def test_line_key_order_fixed(self):
+    def test_line_key_order_fixed(self, tmp_path):
         ds = make_dataset([make_example("d0:0", "d0", {1})])
-        lines = list(dataset_to_lines(ds))
-        body = lines[1]
+        body = saved_lines(ds, tmp_path / "d.jsonl")[1]
         keys = ["pair_id", "doc_id", "features", "positives", "true_positives",
                 "seen_in_train", "difficulty", "corrupted"]
         positions = [body.index(f'"{k}"') for k in keys]
@@ -502,11 +507,12 @@ class TestJsonl:
               ["d0"] * len(WRITER_EDGE_VALUES)))
     @example(([[0.5]] * len(AWKWARD_IDS), AWKWARD_IDS, AWKWARD_IDS))
     @given(WRITER_DATASETS)
-    def test_writer_equals_stdlib_json(self, drawn):
+    def test_writer_equals_stdlib_json(self, tmp_path_factory, drawn):
         features, pair_ids, doc_ids = drawn
+        path = tmp_path_factory.getbasetemp() / "writer.jsonl"
         for layout in (np.ascontiguousarray, np.asfortranarray):
             ds = writer_dataset(layout(features, dtype=np.float64), pair_ids, doc_ids)
-            assert list(dataset_to_lines(ds)) == stdlib_json_lines(ds)
+            assert saved_lines(ds, path) == stdlib_json_lines(ds)
 
     @settings(max_examples=500)
     @example(1e-4)
@@ -530,11 +536,11 @@ class TestJsonl:
         values = np.array(admitted + rejected)[:, None]
         assert _orjson_rows(values).tolist() == [True] * len(admitted) + [False] * len(rejected)
 
-    def test_benchmark_shaped_rows_take_the_orjson_path(self, monkeypatch):
+    def test_benchmark_shaped_rows_take_the_orjson_path(self, tmp_path, monkeypatch):
         ds = benchmark_shaped_train()
         rows = orjson_encoded_records(monkeypatch)
         monkeypatch.setattr("cmm.schema._BLOCK", 1000)     # three blocks of 850 pairs
-        assert list(dataset_to_lines(ds)) == stdlib_json_lines(ds)
+        assert saved_lines(ds, tmp_path / "d.jsonl") == stdlib_json_lines(ds)
         assert len(rows) >= 0.99 * len(ds)
 
 
@@ -752,7 +758,6 @@ class TestBlockCodec:
             saved = path.read_bytes()
             header, *lines = path.read_text().splitlines()
             assert lines == reference_pair_lines(ds)
-            assert list(dataset_to_lines(ds)) == [header] + lines
             if mutation is not None:
                 pairs = [json.loads(line) for line in lines]
                 DATASET_MUTATIONS[mutation](pairs[shift:] + pairs[:shift])
@@ -809,7 +814,8 @@ class TestBlockCodec:
             assert str(raised.value) == (f"{path}:1: the header declares 7 pairs, but the "
                                          f"file holds {len(kept)} pair lines")
         path.write_text(header + "".join(pairs) + "\n")      # a blank line is no pair
-        assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == list(dataset_to_lines(ds))
+        assert saved_lines(load_dataset_jsonl(str(path)), tmp_path / "again.jsonl") == (
+            header + "".join(pairs)).splitlines()
         without = {k: v for k, v in json.loads(header).items() if k != "pair_count"}
         path.write_text(json.dumps(without) + "\n" + "".join(pairs[:3]))
         assert len(load_dataset_jsonl(str(path))) == 3          # older files keep loading
@@ -827,10 +833,10 @@ class TestBlockCodec:
         ids = ["}", "{", ",", "},{", "a},{pair_id:b", ",{}"]
         ds = writer_dataset([[0.5, -1.5]] * len(ids), ids, ["d},{"] * len(ids))
         rows = orjson_encoded_records(monkeypatch)
-        assert list(dataset_to_lines(ds)) == stdlib_json_lines(ds)
+        assert saved_lines(ds, tmp_path / "d.jsonl") == stdlib_json_lines(ds)
         assert [row["pair_id"] for row in rows] == ids
         again = round_trip(ds, tmp_path)
-        assert list(dataset_to_lines(again)) == stdlib_json_lines(ds)
+        assert saved_lines(again, tmp_path / "again.jsonl") == stdlib_json_lines(ds)
 
 
 SIDECAR_MAGIC = b"cmm-columns/1\n"
@@ -982,8 +988,8 @@ class TestColumnSidecar:
         outcome, parsed = parsed_load(path)
         assert parsed and not TRIPPED
         assert outcome == load_outcome(reference_load, path)
-        assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == list(
-            dataset_to_lines(ds))
+        assert saved_lines(load_dataset_jsonl(str(path)), tmp_path / "again.jsonl") == (
+            saved_lines(ds, tmp_path / "ds.jsonl"))
 
     def test_same_length_edit_with_the_mtime_restored_is_parsed(self, tmp_path):
         path = tmp_path / "d.jsonl"

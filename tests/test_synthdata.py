@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from cmm.errors import GenerationError
-from cmm.schema import (SIDECAR_SUFFIX, dataset_to_lines, load_dataset_jsonl,
-                        save_dataset_jsonl)
+from cmm.schema import SIDECAR_SUFFIX, load_dataset_jsonl, save_dataset_jsonl
 from cmm.synthdata import (
     GenConfig,
     PRESETS,
@@ -26,15 +25,20 @@ def small_config(**overrides):
     return GenConfig(**base)
 
 
+def saved_bytes(dataset, path):
+    """The bytes of the file that ``save_dataset_jsonl`` writes for dataset at path."""
+    save_dataset_jsonl(dataset, str(path))
+    return path.read_bytes()
+
+
 def assert_round_trips(dataset, tmp_path):
-    """Saving and loading passes the loader's checks and gives back the same lines,
+    """Saving and loading passes the loader's checks and saves the same bytes again,
     loaded from the column sidecar and again by parsing, with the sidecar deleted."""
     path = tmp_path / "round_trip.jsonl"
-    save_dataset_jsonl(dataset, str(path))
-    lines = list(dataset_to_lines(dataset))
-    assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == lines
+    saved = saved_bytes(dataset, path)
+    assert saved_bytes(load_dataset_jsonl(str(path)), tmp_path / "again.jsonl") == saved
     os.unlink(f"{path}{SIDECAR_SUFFIX}")
-    assert list(dataset_to_lines(load_dataset_jsonl(str(path)))) == lines
+    assert saved_bytes(load_dataset_jsonl(str(path)), tmp_path / "again.jsonl") == saved
 
 
 def brute_force_report(dataset):
@@ -81,16 +85,14 @@ class TestZipfQuotas:
 
 
 class TestGenerate:
-    def test_deterministic_byte_identical(self):
+    def test_deterministic_byte_identical(self, tmp_path):
         cfg = small_config()
-        lines_a = list(dataset_to_lines(generate(cfg)))
-        lines_b = list(dataset_to_lines(generate(cfg)))
-        assert lines_a == lines_b
+        assert saved_bytes(generate(cfg), tmp_path / "a.jsonl") == saved_bytes(
+            generate(cfg), tmp_path / "b.jsonl")
 
-    def test_seed_changes_output(self):
-        a = list(dataset_to_lines(generate(small_config(seed=1))))
-        b = list(dataset_to_lines(generate(small_config(seed=2))))
-        assert a != b
+    def test_seed_changes_output(self, tmp_path):
+        assert saved_bytes(generate(small_config(seed=1)), tmp_path / "a.jsonl") != saved_bytes(
+            generate(small_config(seed=2)), tmp_path / "b.jsonl")
 
     def test_valid_and_uncorrupted(self, tmp_path):
         ds = generate(small_config())
@@ -112,11 +114,11 @@ class TestGenerate:
         assert Counter(ds.doc_ids) == dict.fromkeys(ds.document_ids, 11)
         assert np.array_equal(ds.doc_index, np.repeat(np.arange(5), 11))
 
-    def test_manifest_regenerates_identically(self):
+    def test_manifest_regenerates_identically(self, tmp_path):
         ds = generate(small_config())
         cfg = GenConfig(**ds.manifest["generator"])
         again = generate(cfg)
-        assert list(dataset_to_lines(ds)) == list(dataset_to_lines(again))
+        assert saved_bytes(ds, tmp_path / "a.jsonl") == saved_bytes(again, tmp_path / "b.jsonl")
 
     def test_easy_positive_scores_clear_margin(self):
         cfg = small_config(hard_fraction=0.0)
@@ -223,11 +225,11 @@ class TestInjectFalseNegatives:
             assert after.corrupted == (after.labels.positives < after.true_labels.positives)
         assert_round_trips(out, tmp_path)
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         ds = generate(small_config())
         a = inject_false_negatives(ds, 0.4, seed=5)
         b = inject_false_negatives(ds, 0.4, seed=5)
-        assert list(dataset_to_lines(a)) == list(dataset_to_lines(b))
+        assert saved_bytes(a, tmp_path / "a.jsonl") == saved_bytes(b, tmp_path / "b.jsonl")
 
     def test_rejects_rate_one(self):
         ds = generate(small_config())
