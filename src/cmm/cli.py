@@ -353,8 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, for in-process callers of main: building it takes
+# over ten times as long as a parse
+PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     outdir = Path(args.out)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not outdir.is_absolute():

@@ -312,7 +312,7 @@ class TraceRecord:
 class _PackedDoc:
     features: np.ndarray    # (n, F)
     pos_mask: np.ndarray    # (n, R) bool
-    stacked_pos: tuple      # np.nonzero of pos_mask repeated once per cmm arm
+    stacked_pos: np.ndarray  # np.flatnonzero of pos_mask repeated once per cmm arm
     labels: dict            # loss._labels of pos_mask for each non-cmm kind present
 
 
@@ -320,10 +320,10 @@ def _packed(x: np.ndarray, mask: np.ndarray, kinds: list[str]) -> _PackedDoc:
     """The batch (x, mask) with the label-only arrays of the arms' loss
     ``kinds``, which steps only read: they are built read-only."""
     doc = _PackedDoc(features=x, pos_mask=mask,
-                     stacked_pos=np.nonzero(np.broadcast_to(
+                     stacked_pos=np.flatnonzero(np.broadcast_to(
                          mask, (kinds.count("cmm"),) + mask.shape)),
                      labels={kind: _labels(kind, mask) for kind in set(kinds) - {"cmm"}})
-    for a in (*doc.stacked_pos, *(a for arrays in doc.labels.values() for a in arrays)):
+    for a in (doc.stacked_pos, *(a for arrays in doc.labels.values() for a in arrays)):
         a.flags.writeable = False
     return doc
 

@@ -5,7 +5,9 @@ every logit coordinate, TH included. It is kept deliberately independent of
 the analytic gradient path: it only ever calls a loss *value* function, once
 per stack of logit rows, on the 2n probes of all n coordinates of each row.
 ``check_gradients`` scores all trials of one relation count together (in
-chunks of bounded size) with the stacked cmm kernel that training runs.
+chunks of bounded size) with the stacked cmm kernel that training runs: each
+trial is one arm, and its positives, and those of its probes, go in as flat
+positions in the stack (``np.flatnonzero`` of the stacked positive mask).
 
 Trials near the negative-side clamp boundary d = log((1-m)/m) are excluded
 coordinate-wise: the min() there is non-differentiable, so a one-sided
@@ -204,10 +206,10 @@ def check_gradients(trials: int = 1000, tolerance: float = 1e-5, seed: int = 0,
             for chunk in (members[i:i + size] for i in range(0, len(members), size)):
                 values, pos_mask = logits[chunk, :n], positives[chunk, :n - 1]
                 gamma, m, clamp = arm_gamma[arm[chunk]], arm_m[arm[chunk]], arm_clamp[arm[chunk]]
-                _, grads = _cmm_rows(values[:, None, :], np.nonzero(pos_mask[:, None, :]),
-                                     gamma, m, clamp, need_grad=True, need_value=False)
-                probe_pos = np.nonzero(np.broadcast_to(pos_mask[:, None, :],
-                                                       (len(chunk), 2 * n, n - 1)))
+                _, grads = _cmm_rows(values[:, None, :], np.flatnonzero(pos_mask), gamma, m,
+                                     clamp, need_grad=True, need_value=False)
+                probe_pos = np.flatnonzero(np.broadcast_to(pos_mask[:, None, :],
+                                                           (len(chunk), 2 * n, n - 1)))
                 try:
                     numeric = finite_difference(
                         lambda probes: _cmm_rows(probes, probe_pos, gamma, m, clamp,

@@ -24,8 +24,9 @@ Every relation that is not a positive is scored as a negative: a
 a mask marks positives only. Each kind has one composition, ``batch_rows``
 over a boolean (n, R) positive mask; the single-row functions are batches
 of one. The cmm kernel has one calling form, a (K, n, R+1) stack of K arms
-with the arms' parameters from ``_cmm_arms``: ``batch_rows`` passes a stack
-of one, the trainer the stack of all its cmm arms, and the gradcheck
+with the arms' parameters from ``_cmm_arms`` and the flat positions of its
+positives (``np.flatnonzero`` of the (K, n, R) mask): ``batch_rows`` passes
+a stack of one, the trainer the stack of all its cmm arms, and the gradcheck
 oracle a stack of trials and the stack of their finite-difference probes.
 The other kinds' label-only work (``_labels``: plain_margin's whole
 gradient, ATL's masks) runs per call in ``batch_rows``, per document in
@@ -156,6 +157,19 @@ def _cmm_arms(losses: Sequence[LossConfig]) -> tuple[np.ndarray, np.ndarray, np.
     return gamma, m, np.array([clamp_distance(loss.m) for loss in losses]).reshape(-1, 1, 1)
 
 
+def _flat_index(flat: np.ndarray, shape: tuple, block: bool = False) -> np.ndarray | int:
+    """Where the entries at C-order positions ``flat`` of a (K, n, R) stack sit:
+    their arm (0 in a stack of one arm), or with ``block`` their flat index in
+    the stack's (K, n, R+1) logit or gradient block, which holds a TH column
+    before each row. A stack with n = 0 or R = 0 has no positions, so the
+    divisions, by a zero span, run on no entry. Callers index with the result
+    at once: the temporary is freed before the next large one is allocated."""
+    k, n, r = shape
+    if block:
+        return flat + flat // r + 1
+    return flat // (n * r) if k > 1 else 0
+
+
 def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray,
                     grad_out: np.ndarray | None = None, need_value: bool = True):
     """Per-relation negative loss term -log(min(sigma(d) + m, 1)) on a (K, n, R)
@@ -176,8 +190,7 @@ def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray,
     """
     shape = d.shape
     d, live = d.reshape(-1), np.flatnonzero(~(d >= clamp))
-    # arm-major: equal spans per arm; one arm's m is a scalar
-    m = m.item() if m.size == 1 else m.ravel()[live // (d.size // m.size)]
+    m = m.item() if m.size == 1 else m.ravel()[_flat_index(live, shape)]
     dl = d[live]
     low_side = dl <= 0.0
     e = np.exp(np.where(low_side, dl, -dl))     # e^-|d| <= 1; NaN is on the high side
@@ -189,21 +202,21 @@ def _negative_terms(d: np.ndarray, m: np.ndarray, clamp: np.ndarray,
     if grad_out is not None:
         s = np.where(low_side, e, 1.0) / (1.0 + e)
         grad_out[..., 1:] = -0.0
-        # flat index of entry (k, i, r) of d in grad_out: one TH column per row
-        grad_out.reshape(-1)[live + live // shape[-1] + 1] = (s * (1.0 - s)) / (s + m)
+        grad_out.reshape(-1)[_flat_index(live, shape, block=True)] = (s * (1.0 - s)) / (s + m)
     return term
 
 
 # --- one composition per loss kind (column j of a mask <-> relation j+1) --
 
-def _cmm_rows(t: np.ndarray, pos_idx: tuple, gamma: np.ndarray, m: np.ndarray,
+def _cmm_rows(t: np.ndarray, pos: np.ndarray, gamma: np.ndarray, m: np.ndarray,
               clamp: np.ndarray, need_grad: bool, grad_out: np.ndarray | None = None,
               need_value: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """cmm loss over the last axis of a (K, n, R+1) stack t of K arms' logit rows.
 
-    ``pos_idx`` is the nonzero of the arms' (K, n, R) positive mask, which
-    indexes the positive entries of ``t[..., 1:]``; every other relation is
-    a negative. ``gamma``, ``m`` and ``clamp`` are the arms' parameters from
+    ``pos`` is the ``np.flatnonzero`` of the arms' (K, n, R) positive mask:
+    the C-order positions of the positive entries of ``t[..., 1:]``, through
+    which they are gathered and scattered; every other relation is a
+    negative. ``gamma``, ``m`` and ``clamp`` are the arms' parameters from
     ``_cmm_arms``. The gradient is written into ``grad_out`` (C-contiguous)
     when given, else into a new array; the TH entry takes minus the row sum
     of the others. Returns the (K, n) rows and the (K, n, R+1) gradient,
@@ -215,16 +228,16 @@ def _cmm_rows(t: np.ndarray, pos_idx: tuple, gamma: np.ndarray, m: np.ndarray,
     # positives are sparse: evaluate the negative side everywhere, then
     # overwrite the gathered positive entries
     terms = _negative_terms(-dist, m, clamp, grad_out if need_grad else None, need_value)
-    tp, gp = _positive_terms(dist[pos_idx], gamma[pos_idx[0]], need_grad, need_value)
+    tp, gp = _positive_terms(dist.reshape(-1)[pos], gamma[_flat_index(pos, dist.shape)],
+                             need_grad, need_value)
     rows = None
     if need_value:
-        terms[pos_idx] = tp
+        terms.reshape(-1)[pos] = tp
         rows = terms.sum(axis=-1)
     if not need_grad:
         return rows, None
-    ddist = grad_out[..., 1:]
-    ddist[pos_idx] = gp
-    grad_out[..., 0] = -ddist.sum(axis=-1)
+    grad_out.reshape(-1)[_flat_index(pos, dist.shape, block=True)] = gp
+    grad_out[..., 0] = -grad_out[..., 1:].sum(axis=-1)
     return rows, grad_out
 
 
@@ -340,7 +353,7 @@ def batch_rows(kind: str, logits2d: np.ndarray, pos_mask: np.ndarray, cfg: LossC
     """
     t = np.asarray(logits2d, dtype=np.float64)
     if kind == "cmm":
-        rows, grad = _cmm_rows(t[None], np.nonzero(pos_mask[None]), *_cmm_arms([cfg]),
+        rows, grad = _cmm_rows(t[None], np.flatnonzero(pos_mask), *_cmm_arms([cfg]),
                                need_grad=need_grad, need_value=need_value)
         return (None if rows is None else rows[0]), (None if grad is None else grad[0])
     if kind not in LOSS_KINDS:

@@ -245,7 +245,7 @@ def _mask(lengths: Sequence[int], indices: Sequence[int], relation_count: int) -
 def _index_lists(mask: np.ndarray) -> list[list[int]]:
     """The relation indices set in each row of a boolean (n, R) mask, ascending."""
     lists: list[list[int]] = [[] for _ in range(len(mask))]
-    rows, cols = np.nonzero(mask)
+    rows, cols = divmod(np.flatnonzero(mask), mask.shape[1])
     for i, r in zip(rows.tolist(), (cols + 1).tolist()):
         lists[i].append(r)
     return lists

@@ -225,7 +225,7 @@ def inject_false_negatives(dataset: Dataset, rate: float, seed: int) -> Dataset:
             f"dataset already corrupted (pair {dataset.pair_ids[int(np.argmax(differs))]}); "
             f"injection expects labels == true_labels"
         )
-    rows, cols = np.nonzero(dataset.labels)
+    rows, cols = divmod(np.flatnonzero(dataset.labels), dataset.labels.shape[1])
     demote = np.random.default_rng(seed).random(rows.size) < rate
     labels = dataset.labels.copy()
     labels[rows[demote], cols[demote]] = False

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmm import schema
-from cmm.cli import main
+from cmm.cli import _build_parser, main
 from cmm.encoder import init_encoder, save_checkpoint
 from cmm.schema import _orjson_rows, load_dataset_jsonl, save_dataset_jsonl
 
@@ -285,6 +285,28 @@ class TestGradcheckCmd:
     def test_unknown_field_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, "gc.json", {"trails": 10})
         assert run(["gradcheck", cfg, "-o", tmp_path / "gc"]) == 1
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """``main`` parses with one parser per process. After an unknown
+        subcommand, a help call and a missing ``-o``, each of which exits and
+        prints as on a freshly built parser, a good call writes the bytes of the
+        first."""
+        cfg = write_config(tmp_path, "gc.json", {"trials": 40, "seed": 1})
+        assert run(["gradcheck", cfg, "-o", tmp_path / "first"]) == 0
+        for args, code, stream in ((["nosuch", cfg, "-o", tmp_path / "x"], 2, "err"),
+                                   (["--help"], 0, "out"), (["gradcheck", cfg], 2, "err")):
+            args = [str(a) for a in args]
+            exits = []
+            for parse in (main, _build_parser().parse_args):
+                capsys.readouterr()
+                with pytest.raises(SystemExit) as exc:
+                    parse(args)
+                exits.append((exc.value.code, capsys.readouterr()))
+            assert exits[0] == exits[1]
+            assert exits[0][0] == code and getattr(exits[0][1], stream).startswith("usage: cmm")
+        assert run(["gradcheck", cfg, "-o", tmp_path / "again"]) == 0
+        assert ((tmp_path / "again" / "gradcheck.json").read_bytes()
+                == (tmp_path / "first" / "gradcheck.json").read_bytes())
 
 
 class TestCurvesCmd:

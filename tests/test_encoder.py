@@ -184,7 +184,8 @@ class TestPackedDocuments:
         assert _packed(x, mask, ["cmm", "cmm"]).labels == {}
         doc = _packed(x, mask, ["cmm", "plain_margin", "atl_reference"])
         assert set(doc.labels) == {"plain_margin", "atl_reference"}
-        cached = [a for arrays in doc.labels.values() for a in arrays] + list(doc.stacked_pos)
+        assert doc.stacked_pos.tolist() == [0, 4, 5]      # flat positions in the (1, 3, 2) stack
+        cached = [a for arrays in doc.labels.values() for a in arrays] + [doc.stacked_pos]
         assert all(not a.flags.writeable for a in cached)
         (plain_grad,) = doc.labels["plain_margin"]
         with pytest.raises(ValueError, match="read-only"):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -189,6 +189,36 @@ def logit_stacks(draw, arm_ms, min_rows=0, max_relations=6):
     return t, draw(arrays(bool, (k, n, r)))
 
 
+@st.composite
+def cmm_stacks(draw, max_arms, max_relations=6, unique=False):
+    """A (K, n, R+1) logit stack, its (K, n, R) positive mask and one cmm config
+    per arm, the arms' gammas and ms drawn from the grids."""
+    arm_ms = draw(st.lists(ms, min_size=1, max_size=max_arms, unique=unique))
+    t, mask = draw(logit_stacks(arm_ms, max_relations=max_relations))
+    arm_gammas = draw(st.lists(gammas, min_size=len(arm_ms), max_size=len(arm_ms),
+                               unique=unique))
+    return t, mask, [LossConfig(gamma=g, m=m) for g, m in zip(arm_gammas, arm_ms)]
+
+
+def edge_stack(mask):
+    """Logits from [-5, 5) for the (K, n, R) positive mask, arm k with the
+    grids' k-th gamma and m."""
+    k, n, r = mask.shape
+    t = np.random.default_rng(0).uniform(-5.0, 5.0, (k, n, r + 1))
+    return t, mask, [LossConfig(gamma=GAMMA_GRID[i], m=M_GRID[i]) for i in range(k)]
+
+
+def with_edge_stacks(test):
+    """Run ``test`` also on the stacks the flat positions of the positives
+    could get wrong: no rows (an arm span of 0), no positive, R = 1, and
+    K = 3 arms of which the middle one holds every positive."""
+    for mask in (np.zeros((3, 0, 4), dtype=bool), np.zeros((2, 3, 4), dtype=bool),
+                 np.array([[[True], [False], [True]], [[False], [True], [True]]]),
+                 (np.arange(3) == 1)[:, None, None] & np.ones((3, 3, 4), dtype=bool)):
+        test = example(stack=edge_stack(mask))(test)
+    return test
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()      # NaN payloads and the sign of zero too
@@ -216,7 +246,7 @@ class TestValueGradientSplit:
     def test_stacked_cmm_gradient_alone_is_bit_identical(self, data, arm_ms):
         """The trainer's call: per-arm gamma, m and clamp on a (K, n, R+1) stack."""
         t, mask = data.draw(logit_stacks(arm_ms, min_rows=1))
-        pos = np.nonzero(mask)
+        pos = np.flatnonzero(mask)
         arm_gammas = data.draw(st.lists(gammas, min_size=len(arm_ms), max_size=len(arm_ms)))
         arms = _cmm_arms([LossConfig(gamma=g, m=m) for g, m in zip(arm_gammas, arm_ms)])
         out = np.empty_like(t)
@@ -231,16 +261,15 @@ class TestValueGradientSplit:
 
 
 class TestStackedArms:
-    @given(data=st.data(), arm_ms=st.lists(ms, min_size=1, max_size=4, unique=True))
-    def test_each_arm_equals_batch_rows_alone(self, data, arm_ms):
+    @given(stack=cmm_stacks(max_arms=4, unique=True))
+    @with_edge_stacks
+    def test_each_arm_equals_batch_rows_alone(self, stack):
         """One K-arm kernel call, each arm with its own gamma and m, scores every
         arm's rows as ``batch_rows`` scores that arm alone, to the bit."""
-        t, mask = data.draw(logit_stacks(arm_ms))
-        arm_gammas = data.draw(st.lists(gammas, min_size=len(arm_ms), max_size=len(arm_ms),
-                                        unique=True))
-        cfgs = [LossConfig(gamma=g, m=m) for g, m in zip(arm_gammas, arm_ms)]
-        with np.errstate(all="ignore"):
-            rows, grad = _cmm_rows(t, np.nonzero(mask), *_cmm_arms(cfgs), need_grad=True)
+        t, mask, cfgs = stack
+        # a division by zero, such as by the arm span of a stack without rows, raises
+        with np.errstate(all="ignore", divide="raise"):
+            rows, grad = _cmm_rows(t, np.flatnonzero(mask), *_cmm_arms(cfgs), need_grad=True)
             for k, cfg in enumerate(cfgs):
                 alone_rows, alone_grad = batch_rows("cmm", t[k], mask[k], cfg, need_grad=True)
                 assert_same_bits(rows[k], alone_rows)
@@ -267,7 +296,8 @@ def dense_atl_rows(t, pos_mask, need_grad):
 def dense_cmm_grad(t, pos_idx, gamma, m, clamp):
     """The cmm gradient composed densely: every negative's derivative -gn
     (+0.0 where clamped, so -0.0 after the flip), the positives' scattered
-    over it, and the TH column as minus the row sum."""
+    over it through the ``np.nonzero`` tuple ``pos_idx`` of the mask, not the
+    kernel's flat positions, and the TH column as minus the row sum."""
     dist = t[..., 1:] - t[..., :1]
     d = -dist
     en, ep = np.exp(np.minimum(d, 0.0)), np.exp(-np.maximum(d, 0.0))
@@ -330,13 +360,14 @@ class TestLabelOnlyKernels:
         want[:, 0] = -want[:, 1:].copy().sum(axis=1)
         assert same_bits(cached, grad) and same_bits(grad, want)
 
-    @given(data=st.data(), arm_ms=st.lists(ms, min_size=1, max_size=3))
-    def test_cmm_gradient_matches_dense_composition(self, data, arm_ms):
-        t, mask = data.draw(logit_stacks(arm_ms, max_relations=40))
-        pos = np.nonzero(mask)
-        arm_gammas = data.draw(st.lists(gammas, min_size=len(arm_ms), max_size=len(arm_ms)))
-        arms = _cmm_arms([LossConfig(gamma=g, m=m) for g, m in zip(arm_gammas, arm_ms)])
-        with np.errstate(all="ignore"):
-            want = dense_cmm_grad(t, pos, *arms)
-            _, grad = _cmm_rows(t, pos, *arms, need_grad=True, need_value=False)
+    @given(stack=cmm_stacks(max_arms=3, max_relations=40))
+    @with_edge_stacks
+    def test_cmm_gradient_matches_dense_composition(self, stack):
+        t, mask, cfgs = stack
+        arms = _cmm_arms(cfgs)
+        # a division by zero, such as by the arm span of a stack without rows, raises
+        with np.errstate(all="ignore", divide="raise"):
+            want = dense_cmm_grad(t, np.nonzero(mask), *arms)
+            _, grad = _cmm_rows(t, np.flatnonzero(mask), *arms, need_grad=True,
+                                need_value=False)
         assert same_bits(grad, want)
