@@ -19,6 +19,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -357,9 +358,24 @@ def _build_parser() -> argparse.ArgumentParser:
 # over ten times as long as a parse
 PARSER = _build_parser()
 
+# Commands that build or read a dataset, tens of MiB of short-lived arrays and
+# text. glibc's malloc keeps freed heap pages resident while a live allocation
+# sits above them, and whether one does changes from run to run, so a
+# command's peak would depend on where its caller's freed memory landed.
+# Before one of these commands, main returns every free heap page
+# (malloc_trim). The others skip the call: it would cost a small command more
+# in page faults than it returns.
+DATASET_COMMANDS = ("generate", "train", "compare", "eval")
+try:
+    MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc only
+except (OSError, TypeError):    # no C library to open by name, as on Windows
+    MALLOC_TRIM = None
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = PARSER.parse_args(argv)
+    if MALLOC_TRIM is not None and args.command in DATASET_COMMANDS:
+        MALLOC_TRIM(0)
     outdir = Path(args.out)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not outdir.is_absolute():

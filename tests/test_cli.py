@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import platform
 import re
 import warnings
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmm import schema
+from cmm import cli, schema
 from cmm.cli import _build_parser, main
 from cmm.encoder import init_encoder, save_checkpoint
 from cmm.schema import _orjson_rows, load_dataset_jsonl, save_dataset_jsonl
@@ -398,6 +399,28 @@ class TestEvalCmd:
             "gold": "labels",
         })
         assert run(["eval", eval_cfg, "-o", tmp_path / "ev"]) == 1
+
+
+class TestHeapTrim:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_found_on_glibc(self):
+        assert cli.MALLOC_TRIM is not None
+
+    def test_trims_before_dataset_commands_only(self, tmp_path, monkeypatch):
+        """``main`` calls malloc_trim(0) once before each dataset command, also one
+        that fails, and never for gradcheck or curves."""
+        calls = []
+        monkeypatch.setattr(cli, "MALLOC_TRIM", calls.append)
+        gen = write_config(tmp_path, "gen.json", TINY_GEN)
+        assert run(["generate", gen, "-o", tmp_path / "g"]) == 0
+        assert calls == [0]
+        bad = write_config(tmp_path, "bad.json", {**TINY_GEN, "bogus": 1})
+        assert run(["generate", bad, "-o", tmp_path / "b"]) == 1
+        assert calls == [0, 0]
+        gc_cfg = write_config(tmp_path, "gc.json", {"trials": 5, "seed": 1})
+        assert run(["gradcheck", gc_cfg, "-o", tmp_path / "gc"]) == 0
+        assert run(["curves", write_config(tmp_path, "c.json", {}), "-o", tmp_path / "c"]) == 0
+        assert calls == [0, 0]
 
 
 class TestOutputRoot:
