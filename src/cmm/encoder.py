@@ -9,9 +9,9 @@ Training follows a per-document loop: each epoch shuffles document groups,
 sums the configured loss over a document's pairs, and takes one optimizer
 step per document (optionally accumulating over k documents). Everything is
 deterministic given the config seed. Arms whose configs differ only in the
-loss train in lockstep, sharing each document step. AdamW has one calling
-form, a (K, P) block of K arms' packed parameters; ``adamw_step`` updates
-one encoder as a block of one.
+loss train in lockstep, sharing each document step; the dev set is scored
+one arm at a time. AdamW has one calling form, a (K, P) block of K arms'
+packed parameters; ``adamw_step`` updates one encoder as a block of one.
 """
 
 from __future__ import annotations
@@ -433,7 +433,9 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
     label-only arrays (built once per run, or per step for groups of
     ``accumulate_documents`` > 1), a plain_margin arm copies its cached
     gradient, and one AdamW pass updates all arms' parameters. Each arm
-    ends bit-identical to training it alone.
+    ends bit-identical to training it alone. The dev set is scored one arm
+    at a time, through the same GEMM as the arm's slice of a stacked
+    forward pass, so a recorded epoch holds one arm's dev logits at once.
 
     Returns the final parameters and one trace record per recorded epoch
     (every ``eval_every`` epochs, plus the final epoch); for a sequence of
@@ -479,8 +481,10 @@ def train(dataset: Dataset, dev: Dataset, cfgs: TrainConfig | Sequence[TrainConf
                 epoch_loss += totals
             arms.apply(cfg)
         if recorded:
-            for i, logits in enumerate(_forward(arms.params, dev_features)[0]):
-                scores = mask_metrics(logits, dev.labels, dev.seen)
+            for i in range(len(cfgs)):     # one arm's (n_dev, R+1) logits at a time
+                logits, _ = _forward({name: t[i:i + 1] for name, t in arms.params.items()},
+                                     dev_features)
+                scores = mask_metrics(logits[0], dev.labels, dev.seen)
                 traces[i].append(TraceRecord(
                     epoch=epoch, train_loss=float(epoch_loss[i] / n_pairs_total),
                     dev_f1=scores.f1, dev_ign_f1=scores.ign_f1,

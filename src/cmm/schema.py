@@ -754,7 +754,19 @@ def load_dataset_jsonl(path: str) -> Dataset:
 
 
 def split_by_documents(dataset: Dataset, n_train_documents: int) -> tuple[Dataset, Dataset]:
-    """Split into (train, dev) on document boundaries: first n docs train, rest dev."""
+    """Split into (train, dev) on document boundaries: first n docs train, rest dev.
+
+    A side whose pairs form one row range of the dataset, as they do in every
+    generated or saved file (pairs are stored in document order), holds
+    read-only views of the dataset's columns: the split copies no column, so
+    generating, splitting and saving hold one copy of the features, and a
+    side kept alone keeps the whole dataset's arrays alive. A side whose
+    pairs are interleaved with the other side's holds copies of its rows.
+    SchemaError unless ``n_train_documents`` is an integer, not a bool, that
+    leaves at least one document on each side.
+    """
+    if isinstance(n_train_documents, bool) or not isinstance(n_train_documents, numbers.Integral):
+        raise SchemaError(f"n_train_documents must be an integer, got {n_train_documents!r}")
     if not 0 < n_train_documents < len(dataset.document_ids):
         raise SchemaError(
             f"n_train_documents must be in (0, {len(dataset.document_ids)}), "
@@ -765,6 +777,9 @@ def split_by_documents(dataset: Dataset, n_train_documents: int) -> tuple[Datase
     def _mk(ids: tuple[str, ...], rows: np.ndarray, role: str) -> Dataset:
         manifest = dict(dataset.manifest)
         manifest["split"] = {"role": role, "documents": [ids[0], ids[-1]], "count": len(ids)}
+        picked = np.flatnonzero(rows)
+        if picked.size and picked[-1] - picked[0] == picked.size - 1:
+            rows = slice(int(picked[0]), int(picked[-1]) + 1)     # one range: views
         return Dataset(dataset.schema, ids, manifest,
                        **{name: col[rows] for name, col in dataset.columns.items()})
 

@@ -1023,7 +1023,92 @@ class TestColumnSidecar:
         assert list(loaded.pair_ids) == drawn[1] and list(loaded.doc_ids) == drawn[2]
 
 
+def gathered_split(ds, n_train):
+    """Reference (train, dev) sides of a split: document ids, manifest, doc_index
+    and every column gathered by a boolean row mask."""
+    sides = []
+    for role, ids, rows, first in (("train", ds.document_ids[:n_train], ds.doc_index < n_train, 0),
+                                   ("dev", ds.document_ids[n_train:], ds.doc_index >= n_train,
+                                    n_train)):
+        manifest = {**ds.manifest,
+                    "split": {"role": role, "documents": [ids[0], ids[-1]], "count": len(ids)}}
+        sides.append((ids, manifest, ds.doc_index[rows] - first,
+                      {name: col[rows] for name, col in ds.columns.items()}))
+    return sides
+
+
+def assert_split_equals_gather(ds, n_train):
+    """split_by_documents(ds, n_train), checked against ``gathered_split``: equal
+    values and dtypes, and read-only columns."""
+    sides = split_by_documents(ds, n_train)
+    for side, (ids, manifest, doc_index, columns) in zip(sides, gathered_split(ds, n_train)):
+        assert side.document_ids == ids and side.manifest == manifest
+        assert np.array_equal(side.doc_index, doc_index)
+        for name, want in columns.items():
+            got = getattr(side, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+            assert not got.flags.writeable, name
+    return sides
+
+
+def shares_every_column(side, parent) -> bool:
+    return all(np.shares_memory(getattr(side, name), getattr(parent, name))
+               for name in side.columns)
+
+
+def shares_no_column(side, parent) -> bool:
+    return not any(np.shares_memory(getattr(side, name), getattr(parent, name))
+                   for name in side.columns)
+
+
+def reordered(ds, order):
+    """ds with its pair rows in the given order, documents declared as before."""
+    return Dataset(ds.schema, ds.document_ids, ds.manifest,
+                   **{name: col[order] for name, col in ds.columns.items()})
+
+
+SPLIT_SHAPE = dict(n_documents=5, pairs_per_document=6, relation_count=4, feature_dim=5,
+                   positive_rate=0.25, seed=9)
+
+
 class TestSplit:
+    def test_document_ordered_sides_view_the_columns(self):
+        """Every generated or saved file stores pairs in document order, so each
+        side is one row range: a view of the parent's columns, not a copy; the
+        recipe's injection then copies only labels and corrupted."""
+        full = generate(GenConfig(**SPLIT_SHAPE))
+        for n_train in range(1, 5):
+            train, dev = assert_split_equals_gather(full, n_train)
+            assert shares_every_column(train, full) and shares_every_column(dev, full)
+        injected = inject_false_negatives(train, 0.5, seed=1)
+        assert [name for name in injected.columns
+                if not np.shares_memory(getattr(injected, name), getattr(full, name))] == [
+            "labels", "corrupted"]
+
+    def test_interleaved_documents_fall_back_to_a_gather(self):
+        full = generate(GenConfig(**SPLIT_SHAPE))
+        # each document's 6 pairs spread over the file: neither side is one range
+        interleaved = reordered(full, np.arange(30).reshape(5, 6).T.ravel())
+        train, dev = assert_split_equals_gather(interleaved, 2)
+        assert shares_no_column(train, interleaved) and shares_no_column(dev, interleaved)
+        # pairs of d0, d1, d3, d4, d2: dev (d2-d4) is one range, train (d0, d1) is not
+        middle = reordered(full, np.r_[0:12, 18:30, 12:18])
+        train, dev = assert_split_equals_gather(middle, 3)
+        assert shares_no_column(train, middle) and shares_every_column(dev, middle)
+
+    @pytest.mark.parametrize("position, n_train", [(0, 1), (5, 5), (2, 3)])
+    def test_side_whose_documents_have_no_pairs_still_splits(self, position, n_train):
+        """A declared document no pair uses makes a side of no pairs (train at
+        the front, dev at the end) or sits inside a side's range."""
+        full = generate(GenConfig(**SPLIT_SHAPE))
+        docs = list(full.document_ids)
+        padded = Dataset(full.schema, docs[:position] + ["no-pairs"] + docs[position:],
+                         full.manifest, **full.columns)
+        train, dev = assert_split_equals_gather(padded, n_train)
+        assert [len(train), len(dev)] == {0: [0, 30], 5: [30, 0], 2: [12, 18]}[position]
+        assert all(shares_every_column(side, padded) for side in (train, dev) if len(side))
+
     def test_split_partitions_documents(self):
         examples = [make_example(f"d{j}:{i}", f"d{j}", {1}) for j in range(5) for i in range(3)]
         ds = make_dataset(examples)
@@ -1038,3 +1123,17 @@ class TestSplit:
         ds = make_dataset([make_example("d0:0", "d0", {1})])
         with pytest.raises(SchemaError):
             split_by_documents(ds, 1)
+
+    @pytest.mark.parametrize("n_train", [True, False, 1.5, 2.0, "2", None])
+    def test_non_integer_document_count_is_refused(self, n_train):
+        ds = generate(GenConfig(**SPLIT_SHAPE))
+        with pytest.raises(SchemaError) as info:
+            split_by_documents(ds, n_train)
+        assert str(info.value) == f"n_train_documents must be an integer, got {n_train!r}"
+
+    def test_numpy_integer_document_count_splits_as_an_int(self):
+        ds = generate(GenConfig(**SPLIT_SHAPE))
+        for got, want in zip(split_by_documents(ds, np.int64(2)), split_by_documents(ds, 2)):
+            assert got.document_ids == want.document_ids and got.manifest == want.manifest
+            assert all(np.array_equal(a, b) for a, b in zip(got.columns.values(),
+                                                            want.columns.values()))
